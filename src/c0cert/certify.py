@@ -30,6 +30,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .gossez import gossez_apply, unit_u
 from .seqspace import ONES, ZERO, NonSummable, Rational, Seq, pairing, rat, total_sum
@@ -64,6 +65,18 @@ class EmptySample(ValueError):
     """A nonempty sample of graph points is required."""
 
 
+def _derived(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields just derived.
+
+    Skips ``__post_init__``, whose only work would be to derive the same
+    fields again; direct construction still runs it.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class GraphPoint:
     """A pair (x, y) with x = -G(y); membership is verified on construction.
@@ -76,15 +89,22 @@ class GraphPoint:
     y: Seq
 
     def __post_init__(self) -> None:
-        if self.x.tail != 0 or self.y.tail != 0:
+        if self.x.tnum or self.y.tnum:
             raise InvalidParameter("graph points need zero tails on both components")
         if self.x != -gossez_apply(self.y):
             raise InvalidParameter("not a graph point: x != -G(y)")
 
     @classmethod
     def from_y(cls, y: Seq) -> GraphPoint:
-        """The graph point above a zero-sum summable y."""
-        return cls(-gossez_apply(y), y)
+        """The graph point above a zero-sum summable y.
+
+        x = -G(y) is computed here, so membership reduces to the zero tail
+        of x and is not re-verified by a second evaluation of G.
+        """
+        x = -gossez_apply(y)
+        if x.tnum:
+            raise InvalidParameter("graph points need zero tails on both components")
+        return _derived(cls, x=x, y=y)
 
 
 @dataclass(frozen=True)
@@ -98,8 +118,8 @@ class ExtensionPoint:
 
     The first component stays summable; the second has constant tail
     tau * sum(ytilde) + 1/tau > 0, so it is bounded but not a null sequence.
-    All fields are recomputable from (tau, ytilde) and are re-derived and
-    compared on construction.
+    All fields are recomputable from (tau, ytilde); direct construction
+    re-derives and compares them.
     """
 
     tau: Rational
@@ -108,17 +128,23 @@ class ExtensionPoint:
     xstarstar: Seq
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise InvalidParameter(f"tau must be positive, got {self.tau}")
-        if self.ytilde.tail != 0:
-            raise InvalidParameter("ytilde must be finitely supported")
-        if pairing(ONES, self.ytilde) <= 0:
-            raise InvalidParameter("pairing(ones, ytilde) must be positive")
-        if self.xstar != self.tau * self.ytilde:
+        xstar, xstarstar = _family_components(self.tau, self.ytilde)
+        if self.xstar != xstar:
             raise InvalidParameter("xstar != tau * ytilde")
-        expected = -gossez_apply(self.xstar) + (Fraction(1) / self.tau) * ONES
-        if self.xstarstar != expected:
+        if self.xstarstar != xstarstar:
             raise InvalidParameter("xstarstar does not match its construction")
+
+
+def _family_components(tau: Rational, ytilde: Seq) -> tuple[Seq, Seq]:
+    """Check the family's preconditions on (tau, ytilde); return (xstar, xstarstar)."""
+    if tau <= 0:
+        raise InvalidParameter(f"tau must be positive, got {tau}")
+    if ytilde.tnum:
+        raise InvalidParameter("ytilde must be finitely supported")
+    if pairing(ONES, ytilde) <= 0:
+        raise InvalidParameter("pairing(ones, ytilde) must be positive")
+    xstar = tau * ytilde
+    return xstar, -gossez_apply(xstar) + (Fraction(1) / tau) * ONES
 
 
 def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
@@ -128,15 +154,8 @@ def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
     and the Fitzpatrick gap this point certifies.
     """
     tau = rat(tau)
-    if tau <= 0:
-        raise InvalidParameter(f"tau must be positive, got {tau}")
-    if ytilde.tail != 0:
-        raise InvalidParameter("ytilde must be finitely supported")
-    if pairing(ONES, ytilde) <= 0:
-        raise InvalidParameter("pairing(ones, ytilde) must be positive")
-    xstar = tau * ytilde
-    xstarstar = -gossez_apply(xstar) + (Fraction(1) / tau) * ONES
-    return ExtensionPoint(tau, ytilde, xstar, xstarstar)
+    xstar, xstarstar = _family_components(tau, ytilde)
+    return _derived(ExtensionPoint, tau=tau, ytilde=ytilde, xstar=xstar, xstarstar=xstarstar)
 
 
 @dataclass(frozen=True)
@@ -249,12 +268,18 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     Every returned product is recomputed from the witness sequences, never
     from the closed form alone.
     """
-    if x.tail != 0 or y.tail != 0:
+    if x.tnum or y.tnum:
         raise NonSummable("candidate pair must have zero tails")
-    horizon = max(len(x.prefix), len(y.prefix)) + 1
-    for m in range(1, horizon + 1):
-        gap = (y.entry(m + 1) + y.entry(m)) - (x.entry(m + 1) - x.entry(m))
-        if gap != 0:
+    # The scan runs on numerators, cross-multiplied by the other side's
+    # denominator: gap_m * x.den * y.den is an integer with gap_m's sign.
+    dx, dy = x.den, y.den
+    width = max(len(x.num), len(y.num)) + 2
+    xs = list(x.num) + [0] * (width - len(x.num))
+    ys = list(y.num) + [0] * (width - len(y.num))
+    for m in range(1, width):
+        scaled_gap = (ys[m] + ys[m - 1]) * dx - (xs[m] - xs[m - 1]) * dy
+        if scaled_gap:
+            gap = Fraction(scaled_gap, dx * dy)
             lam = -(pairing(x, y) + 1) / gap
             witness = GraphPoint.from_y(lam * unit_u(m))
             product = pairing(x - witness.x, y - witness.y)
@@ -273,15 +298,26 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     return Member()
 
 
+def _random_ratio(rng: random.Random, coeff_bound: int) -> tuple[int, int]:
+    """Numerator in [-coeff_bound, coeff_bound], then denominator in [1, coeff_bound]."""
+    return rng.randint(-coeff_bound, coeff_bound), rng.randint(1, coeff_bound)
+
+
 def random_rational(rng: random.Random, coeff_bound: int) -> Rational:
     """A draw with numerator in [-coeff_bound, coeff_bound] and denominator in [1, coeff_bound]."""
-    return Fraction(rng.randint(-coeff_bound, coeff_bound), rng.randint(1, coeff_bound))
+    return Fraction(*_random_ratio(rng, coeff_bound))
 
 
 def random_summable(rng: random.Random, support_max: int, coeff_bound: int) -> Seq:
-    """A random finitely supported sequence with support inside 1..support_max."""
+    """A random finitely supported sequence with support inside 1..support_max.
+
+    Entry i is the i-th ``random_rational`` draw, taken as integers and put
+    over the least common denominator of all draws.
+    """
     width = rng.randint(0, support_max)
-    return Seq(tuple(random_rational(rng, coeff_bound) for _ in range(width)))
+    draws = [_random_ratio(rng, coeff_bound) for _ in range(width)]
+    den = lcm(*(q for _, q in draws))
+    return Seq([p * (den // q) for p, q in draws], 0, den)
 
 
 def random_graph_point(
@@ -296,12 +332,12 @@ def random_graph_point(
     if support_max < 2:
         raise InvalidParameter(f"support_max must be at least 2, got {support_max}")
     y = random_summable(rng, support_max, coeff_bound)
-    total = total_sum(y)
-    if total != 0:
-        entries = list(y.prefix)
+    total = sum(y.num)
+    if total:
         # canonical form: the last prefix entry is the last nonzero entry
-        entries[-1] -= total
-        y = Seq(tuple(entries))
+        num = list(y.num)
+        num[-1] -= total
+        y = Seq(num, 0, y.den)
     return GraphPoint.from_y(y)
 
 

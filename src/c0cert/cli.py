@@ -34,7 +34,6 @@ from .certify import (
     closure_margin,
     distinctness,
     fitzpatrick_gap,
-    fitzpatrick_value,
     monotone_product,
     random_graph_point,
     random_offgraph_pair,
@@ -44,7 +43,7 @@ from .certify import (
     Violation,
 )
 from .gossez import gossez_apply
-from .seqspace import ONES, Rational, Seq, pairing, rat_str, unit
+from .seqspace import ONES, Rational, Seq, pairing, rat, rat_str, unit
 
 __all__ = [
     "ConfigError",
@@ -122,16 +121,13 @@ def default_config() -> SuiteConfig:
 
 
 def _parse_rational(value: object, where: str) -> Rational:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ConfigError(f"{where}: expected an integer or a 'p/q' string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{where}: malformed rational string {value!r}") from None
-    raise ConfigError(f"{where}: expected an integer or a 'p/q' string, got {value!r}")
+    try:
+        return rat(value)
+    except TypeError:
+        expected = "expected an integer or a 'p/q' string"
+        raise ConfigError(f"{where}: {expected}, got {value!r}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{where}: malformed rational string {value!r}") from None
 
 
 def _parse_int(value: object, where: str, minimum: int) -> int:
@@ -179,7 +175,7 @@ def config_from_obj(obj: object) -> SuiteConfig:
             raise ConfigError(f"ytilde: {exc}") from None
     else:
         ytilde = defaults.ytilde
-    if ytilde.tail != 0:
+    if ytilde.tnum:
         raise ConfigError("ytilde: must be finitely supported (tail 0)")
     if pairing(ONES, ytilde) <= 0:
         raise ConfigError("ytilde: pairing with the ones sequence must be positive")
@@ -362,16 +358,18 @@ def _run_gap(config: SuiteConfig) -> SuiteResult:
     per_tau = {}
     for tau in config.taus:
         ep = extension_point(tau, config.ytilde)
-        values = {fitzpatrick_value(ep, p) for p in sample}
-        if len(values) != 1:
+        try:
+            gap = fitzpatrick_gap(ep, sample)
+        except AssertionError:  # the evaluations differ across the sample
             failures.append(f"Fitzpatrick values not constant at tau = {tau}")
             continue
-        gap = fitzpatrick_gap(ep, sample)
         if gap != expected or gap <= 0:
             failures.append(f"gap {gap} != expected {expected} at tau = {tau}")
+        self_pairing = pairing(ep.xstar, ep.xstarstar)
         per_tau[rat_str(ep.tau)] = {
-            "fitzpatrick_value": rat_str(next(iter(values))),
-            "self_pairing": rat_str(pairing(ep.xstar, ep.xstarstar)),
+            # the common evaluation: the gap is self-pairing minus its value
+            "fitzpatrick_value": rat_str(self_pairing - gap),
+            "self_pairing": rat_str(self_pairing),
             "gap": rat_str(gap),
         }
     return SuiteResult(

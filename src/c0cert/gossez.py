@@ -30,21 +30,20 @@ class NotInDomain(ValueError):
 def gossez_apply(y: Seq) -> Seq:
     """Image of a finitely supported sequence under the skew map.
 
-    One pass over the support with running before/after sums.  The result
-    has tail -total_sum(y), so it stays eventually constant.
+    One pass over the support with running before/after sums, on the
+    integer numerators over y's denominator.  The result has tail
+    -total_sum(y), so it stays eventually constant.
     """
-    if y.tail != 0:
+    if y.tnum:
         raise NonSummable("gossez_apply requires a finitely supported argument")
-    total = total_sum(y)
+    total = sum(y.num)
     out = []
-    before = Fraction(0)
-    remaining = total
-    for yn in y.prefix:
-        after = remaining - yn
-        out.append(after - before)
+    before = 0
+    for yn in y.num:
+        # (sum after n) - (sum before n), with sum after n = total - before - yn
+        out.append(total - yn - 2 * before)
         before += yn
-        remaining = after
-    return Seq(tuple(out), -total)
+    return Seq(out, -total, y.den)
 
 
 def t_solve(x: Seq) -> Seq:
@@ -53,23 +52,26 @@ def t_solve(x: Seq) -> Seq:
     Any solution has vanishing suffix sums beyond the support of x, so the
     suffix sums S_i = sum_{k >= i} y_k obey the backward recurrence
     S_i = -x_i - S_{i+1} starting from S_{L+1} = 0, and the entries are
-    y_i = S_i - S_{i+1}.  A solution exists iff the recurrence closes with
-    S_1 = 0, which is the zero-sum constraint on y; otherwise NotInDomain is
-    raised.  The candidate is re-checked against the forward map before
-    being returned: solver and forward map are independent code paths, so
-    the comparison is a free internal oracle.
+    y_i = S_i - S_{i+1}.  The recurrence runs on x's integer numerators, so
+    y shares x's denominator.  A solution exists iff the recurrence closes
+    with S_1 = 0, which is the zero-sum constraint on y; otherwise
+    NotInDomain is raised.  The candidate is re-checked against the forward
+    map before being returned: solver and forward map are independent code
+    paths, so the comparison is a free internal oracle.
     """
-    if x.tail != 0:
+    if x.tnum:
         raise NonSummable("t_solve requires a finitely supported argument")
-    s_next = Fraction(0)
+    s_next = 0
     entries_rev = []
-    for xi in reversed(x.prefix):
+    for xi in reversed(x.num):
         s_i = -xi - s_next
         entries_rev.append(s_i - s_next)
         s_next = s_i
     if s_next != 0:
-        raise NotInDomain(f"no finitely supported preimage: residual sum {s_next}")
-    y = Seq(tuple(reversed(entries_rev)))
+        residual = Fraction(s_next, x.den)
+        raise NotInDomain(f"no finitely supported preimage: residual sum {residual}")
+    entries_rev.reverse()
+    y = Seq(entries_rev, 0, x.den)
     if -gossez_apply(y) != x:
         raise AssertionError("solver disagrees with the forward map")
     return y
@@ -79,18 +81,18 @@ def unit_u(m: int) -> Seq:
     """Difference test vector: -1 at index m, +1 at index m+1, 0 elsewhere."""
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
-    return Seq((Fraction(0),) * (m - 1) + (Fraction(-1), Fraction(1)))
+    return Seq([0] * (m - 1) + [-1, 1])
 
 
 def unit_v(m: int) -> Seq:
     """Image of unit_u(m) under the skew map: +1 at indices m and m+1."""
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
-    return Seq((Fraction(0),) * (m - 1) + (Fraction(1), Fraction(1)))
+    return Seq([0] * (m - 1) + [1, 1])
 
 
 def range_member(y: Seq) -> bool:
     """Whether y is a value of the solver, i.e. a zero-sum summable sequence."""
-    if y.tail != 0:
+    if y.tnum:
         raise NonSummable("range membership is defined for summable sequences only")
     return total_sum(y) == 0

@@ -9,13 +9,23 @@ finitely supported summable sequences, the all-ones sequence, and the bidual
 points produced by the extension construction.  Every identity we certify is
 therefore decidable by exact comparison.
 
+A ``Seq`` keeps its entries as integer numerators over one shared positive
+denominator: ``num`` for the prefix, ``tnum`` for the tail, ``den`` for all
+of them.  The form is canonical: ``gcd(den, tnum, *num) == 1`` and the last
+prefix numerator differs from the tail numerator.  Linear operations, the
+pairing and the sums are integer loops that reduce once, by a single gcd
+over the result, instead of normalizing a ``Fraction`` per entry.
+
 Indices are 1-based everywhere.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "Rational",
@@ -41,6 +51,10 @@ __all__ = [
 # construction, and str() round-trips the "p/q" wire format used by the CLI.
 Rational = Fraction
 
+# The "p/q" wire format: an optionally negative integer, optionally over an
+# unsigned one (q = 0 is left to Fraction to refuse), ASCII digits only.
+_WIRE_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
 
 class NonSummable(ValueError):
     """An absolutely summable argument was required but the tail is nonzero."""
@@ -49,11 +63,18 @@ class NonSummable(ValueError):
 def rat(value: Rational | int | str) -> Rational:
     """Coerce an int, a "p/q" string, or a Rational to an exact Rational.
 
-    Floats are rejected outright: admitting one would silently trade
-    exactness for a binary approximation.
+    This is the one parser of rationals arriving from outside.  Floats and
+    booleans raise TypeError: a float would silently trade exactness for a
+    binary approximation, and JSON ``true`` is not a number.  A string must
+    be an integer or "p/q" (ValueError otherwise, ZeroDivisionError for
+    q = 0); decimal and exponent forms such as "0.5" or "1e1" are refused.
     """
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}: exact rationals only")
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise TypeError(f"refusing {value!r}: exact rationals are ints or 'p/q' strings")
+    if isinstance(value, str) and not _WIRE_RATIONAL.fullmatch(value):
+        raise ValueError(f"malformed rational {value!r}: expected an integer or 'p/q'")
     return Fraction(value)
 
 
@@ -62,57 +83,112 @@ def rat_str(value: Rational) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seq:
     """An eventually constant rational sequence.
 
-    ``prefix`` holds entries 1..len(prefix); every later entry equals
-    ``tail``.  Construction canonicalizes (trailing prefix entries equal to
-    the tail are absorbed), so structural equality is sequence equality and
-    instances are hashable, immutable and safe to share across threads.
+    ``Seq(prefix, tail)`` takes rationals: entries 1..len(prefix) are
+    ``prefix``, every later entry equals ``tail``.  An optional integer
+    ``den`` divides all of them, so ``Seq(nums, tnum, den)`` builds a
+    sequence straight from integer numerators.  Construction canonicalizes
+    (see the module docstring), so structural equality is sequence equality
+    and instances are hashable, immutable and safe to share across threads.
 
     A zero tail means the sequence is finitely supported, hence both
     summable and convergent to zero; a nonzero tail means it is bounded but
     stays away from zero.
     """
 
-    prefix: tuple[Rational, ...] = ()
-    tail: Rational = Fraction(0)
+    num: tuple[int, ...]
+    tnum: int
+    den: int
+
+    def __init__(
+        self,
+        prefix: Iterable[Rational | int | str] = (),
+        tail: Rational | int | str = 0,
+        den: int = 1,
+    ) -> None:
+        object.__setattr__(self, "num", prefix)
+        object.__setattr__(self, "tnum", tail)
+        object.__setattr__(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        entries = [rat(v) for v in self.prefix]
-        t = rat(self.tail)
-        while entries and entries[-1] == t:
-            entries.pop()
-        object.__setattr__(self, "prefix", tuple(entries))
-        object.__setattr__(self, "tail", t)
+        # Work on a private list and make one tuple at the end: internal
+        # callers pass lists, and tuples that die young pile up in the
+        # interpreter's per-size tuple free lists.
+        num, tnum, den = list(self.num), self.tnum, self.den
+        if type(den) is not int:
+            raise TypeError(f"Seq denominator must be an int, got {den!r}")
+        if den == 0:
+            raise ZeroDivisionError("Seq denominator is zero")
+        if type(tnum) is not int or not all(type(v) is int for v in num):
+            values = [rat(v) for v in num]
+            t = rat(tnum)
+            common = lcm(t.denominator, *(v.denominator for v in values))
+            num = [v.numerator * (common // v.denominator) for v in values]
+            tnum = t.numerator * (common // t.denominator)
+            den *= common
+        if den < 0:
+            num, tnum, den = [-v for v in num], -tnum, -den
+        while num and num[-1] == tnum:
+            num.pop()
+        g = gcd(den, tnum, *num)
+        if g != 1:
+            num, tnum, den = [v // g for v in num], tnum // g, den // g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "tnum", tnum)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def prefix(self) -> tuple[Rational, ...]:
+        """Entries 1..len(prefix) as Rationals."""
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
+    def tail(self) -> Rational:
+        """The constant value of every entry beyond the prefix."""
+        return Fraction(self.tnum, self.den)
 
     def entry(self, i: int) -> Rational:
         """Entry at 1-based index ``i``."""
         if i < 1:
             raise IndexError(f"index {i} out of range: indices start at 1")
-        return self.prefix[i - 1] if i <= len(self.prefix) else self.tail
+        return Fraction(self.num[i - 1] if i <= len(self.num) else self.tnum, self.den)
 
     @property
     def finitely_supported(self) -> bool:
-        return self.tail == 0
+        return self.tnum == 0
+
+    def _combine(self, other: Seq, sign: int) -> Seq:
+        """self + sign * other over the least common denominator."""
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        a, b = self.num, other.num
+        out = [p * fa + q * fb for p, q in zip(a, b)]
+        # past the shorter prefix, that side contributes its tail
+        if len(a) > len(b):
+            tb = other.tnum * fb
+            out += [a[i] * fa + tb for i in range(len(b), len(a))]
+        elif len(b) > len(a):
+            ta = self.tnum * fa
+            out += [ta + b[i] * fb for i in range(len(a), len(b))]
+        return Seq(out, self.tnum * fa + other.tnum * fb, self.den * fa)
 
     def __add__(self, other: Seq) -> Seq:
-        n = max(len(self.prefix), len(other.prefix))
-        return Seq(
-            tuple(self.entry(i) + other.entry(i) for i in range(1, n + 1)),
-            self.tail + other.tail,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: Seq) -> Seq:
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> Seq:
-        return Seq(tuple(-v for v in self.prefix), -self.tail)
+        return Seq([-v for v in self.num], -self.tnum, self.den)
 
     def __mul__(self, c: Rational | int | str) -> Seq:
         c = rat(c)
-        return Seq(tuple(c * v for v in self.prefix), c * self.tail)
+        p = c.numerator
+        return Seq([p * v for v in self.num], p * self.tnum, c.denominator * self.den)
 
     __rmul__ = __mul__
 
@@ -155,7 +231,7 @@ class Seq:
 
 
 ZERO = Seq()
-ONES = Seq((), Fraction(1))
+ONES = Seq((), 1)
 
 
 def seq(*entries: Rational | int | str, tail: Rational | int | str = 0) -> Seq:
@@ -185,40 +261,43 @@ def pairing(x: Seq, y: Seq) -> Rational:
     then finite and exact); symmetric in its arguments.  Raises NonSummable
     when both tails are nonzero, since the series then diverges.
     """
-    if y.tail != 0:
-        if x.tail != 0:
+    if y.tnum:
+        if x.tnum:
             raise NonSummable("pairing of two sequences with nonzero tails diverges")
         x, y = y, x
-    total = Fraction(0)
-    for i, yi in enumerate(y.prefix, start=1):
-        total += x.entry(i) * yi
-    return total
+    # y is finitely supported: only its prefix contributes, and x equals its
+    # tail wherever y's prefix outruns x's.
+    xs, ys = x.num, y.num
+    total = sum(p * q for p, q in zip(xs, ys))
+    if len(ys) > len(xs):
+        total += x.tnum * sum(ys[i] for i in range(len(xs), len(ys)))
+    return Fraction(total, x.den * y.den)
 
 
 def sup_norm(a: Seq) -> Rational:
     """max_i |a_i|, attained on the prefix or at the tail."""
-    return max([abs(a.tail)] + [abs(v) for v in a.prefix])
+    return Fraction(max((abs(a.tnum), *map(abs, a.num))), a.den)
 
 
 def l1_norm(a: Seq) -> Rational:
     """sum_i |a_i|; requires a finitely supported argument."""
-    if a.tail != 0:
+    if a.tnum:
         raise NonSummable("l1_norm of a sequence with nonzero tail diverges")
-    return sum((abs(v) for v in a.prefix), Fraction(0))
+    return Fraction(sum(map(abs, a.num)), a.den)
 
 
 def total_sum(a: Seq) -> Rational:
     """sum_i a_i; requires a finitely supported argument."""
-    if a.tail != 0:
+    if a.tnum:
         raise NonSummable("total_sum of a sequence with nonzero tail diverges")
-    return sum(a.prefix, Fraction(0))
+    return Fraction(sum(a.num), a.den)
 
 
 def unit(k: int) -> Seq:
     """The k-th coordinate sequence: 1 at index k, 0 elsewhere."""
     if k < 1:
         raise ValueError(f"unit index must be >= 1, got {k}")
-    return Seq((Fraction(0),) * (k - 1) + (Fraction(1),))
+    return Seq([0] * (k - 1) + [1])
 
 
 def constant(c: Rational | int | str) -> Seq:

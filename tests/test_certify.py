@@ -62,6 +62,7 @@ def test_from_y_builds_members(y):
     p = GraphPoint.from_y(y)
     assert p.x == -gossez_apply(y)
     assert total_sum(p.y) == 0
+    assert GraphPoint(p.x, p.y) == p  # direct construction re-verifies
 
 
 # --- monotonicity -----------------------------------------------------------
@@ -106,6 +107,7 @@ def test_extension_point_rejects_nonpositive_tau():
 
 def test_extension_point_rejects_tampered_fields():
     ep = extension_point(1, unit(1))
+    assert ExtensionPoint(ep.tau, ep.ytilde, ep.xstar, ep.xstarstar) == ep
     with pytest.raises(InvalidParameter):
         ExtensionPoint(ep.tau, ep.ytilde, ep.xstar + unit(1), ep.xstarstar)
     with pytest.raises(InvalidParameter):

@@ -230,6 +230,17 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [True, "0.5", "1e1"])
+@pytest.mark.parametrize("field", ["taus", "ytilde"])
+def test_main_rejects_rationals_outside_the_wire_format(tmp_path, capsys, field, bad):
+    obj = {"taus": [bad]} if field == "taus" else {"ytilde": {"prefix": [bad], "tail": "0"}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+
+
 def test_main_suite_shortcut(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 25, "suites": ["gap"]}), encoding="utf-8")

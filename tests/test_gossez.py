@@ -33,7 +33,35 @@ def oracle_entry(y: Seq, n: int) -> Fraction:
     return above - below
 
 
+def reference_forward(raw: list) -> list:
+    """Entries of G(y), then its tail, from per-entry Fraction arithmetic."""
+    total = sum(raw, Fraction(0))
+    out, before, remaining = [], Fraction(0), total
+    for yn in raw:
+        after = remaining - yn
+        out.append(after - before)
+        before += yn
+        remaining = after
+    return out + [-total]
+
+
+def reference_solve(raw: list) -> tuple[list, Fraction]:
+    """The backward suffix-sum recurrence on Fractions: (entries, residual sum)."""
+    s_next, entries = Fraction(0), []
+    for xi in reversed(raw):
+        s_i = -xi - s_next
+        entries.append(s_i - s_next)
+        s_next = s_i
+    return entries[::-1], s_next
+
+
 # --- forward map ------------------------------------------------------------
+
+
+@given(st.lists(rationals, max_size=10))
+def test_forward_map_matches_per_entry_reference(raw):
+    g = gossez_apply(Seq(tuple(raw)))
+    assert [g.entry(i) for i in range(1, len(raw) + 2)] == reference_forward(raw)
 
 
 @given(summables())
@@ -107,6 +135,22 @@ def test_solver_rejects_nonzero_tail():
 @given(zero_sum_summables())
 def test_round_trip_from_range(y):
     assert t_solve(-gossez_apply(y)) == y
+
+
+@given(
+    st.one_of(
+        st.lists(rationals, max_size=10),  # almost always outside the domain
+        zero_sum_summables().map(lambda y: list((-gossez_apply(y)).prefix)),
+    )
+)
+def test_solver_matches_per_entry_reference(raw):
+    entries, residual = reference_solve(raw)
+    if residual != 0:
+        with pytest.raises(NotInDomain):
+            t_solve(Seq(tuple(raw)))
+        return
+    y = t_solve(Seq(tuple(raw)))
+    assert [y.entry(i) for i in range(1, len(raw) + 2)] == entries + [0]
 
 
 @given(summables())

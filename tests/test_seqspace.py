@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,19 @@ from c0cert.seqspace import (
 )
 
 from strategies import eventually_constants, rationals, summables
+
+
+# Entry lists kept as plain Fractions, for the per-entry reference computations.
+raw_prefixes = st.lists(rationals, max_size=8)
+
+
+def padded(raw: list, tail: Fraction, n: int) -> list:
+    """The first n entries of (raw..., tail, tail, ...) as plain Fractions."""
+    return (list(raw) + [tail] * n)[:n]
+
+
+def first_entries(s: Seq, n: int) -> list:
+    return [s.entry(i) for i in range(1, n + 1)]
 
 
 def oracle_pairing(x: Seq, y: Seq) -> Fraction:
@@ -68,6 +82,39 @@ def test_canonicalization_preserves_entries(raw, tail):
         assert s.entry(i) == expected
 
 
+def is_canonical(s: Seq) -> bool:
+    return (
+        all(type(v) is int for v in (*s.num, s.tnum, s.den))
+        and s.den > 0
+        and gcd(s.den, s.tnum, *s.num) == 1
+        and (not s.num or s.num[-1] != s.tnum)
+    )
+
+
+@given(eventually_constants(), eventually_constants(), rationals, summables())
+def test_canonical_form_invariant(a, b, c, y):
+    """Every construction path lands in the one canonical integer form."""
+    results = [a, b, a + b, a - b, -a, c * a, a * c, Seq.from_obj(a.to_obj())]
+    results += [Seq(a.num + (a.tnum,), a.tnum, a.den), Seq([2 * v for v in y.num], 0, -2 * y.den)]
+    for s in results:
+        assert is_canonical(s)
+    # equal sequences are equal objects with equal hashes, however built
+    rebuilt = Seq(a.prefix, a.tail)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert Seq([-v for v in y.num], 0, -y.den) == y
+
+
+def test_integer_numerator_construction():
+    s = Seq([3, 6, 0], 0, 9)
+    assert (s.num, s.tnum, s.den) == ((1, 2), 0, 3)
+    assert s.prefix == (Fraction(1, 3), Fraction(2, 3)) and s.tail == 0
+    assert Seq((Fraction(1, 2), "1/3"), 1) == Seq([3, 2], 6, 6)
+    with pytest.raises(ZeroDivisionError):
+        Seq([1], 0, 0)
+    with pytest.raises(TypeError):
+        Seq([1], 0, Fraction(1, 2))
+
+
 def test_entry_rejects_nonpositive_index():
     with pytest.raises(IndexError):
         ZERO.entry(0)
@@ -80,6 +127,31 @@ def test_floats_are_rejected():
         Seq((0.5,))
 
 
+@pytest.mark.parametrize("value", [True, False, None, [1], (1, 2)])
+def test_rat_rejects_non_rationals(value):
+    with pytest.raises(TypeError):
+        rat(value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "1e1", "1E1", "", " 1", "1 ", "+1", "1/-2", "1/2/3", "1_000", "\u0663", "inf", "nan"],
+)
+def test_rat_rejects_strings_outside_the_wire_format(text):
+    with pytest.raises(ValueError):
+        rat(text)
+
+
+def test_rat_accepts_the_wire_format():
+    assert rat("7") == 7
+    assert rat("-3/6") == Fraction(-1, 2)
+    assert rat("0/5") == 0
+    assert rat(-4) == -4
+    assert rat(Fraction(2, 3)) == Fraction(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+
+
 # --- linear structure -------------------------------------------------------
 
 
@@ -88,6 +160,18 @@ def test_add_example():
     total = add(a, ONES)
     assert total == Seq((Fraction(1),), Fraction(2))
     assert [total.entry(i) for i in range(1, 5)] == [1, 2, 2, 2]
+
+
+@given(raw_prefixes, rationals, raw_prefixes, rationals, rationals)
+def test_linear_ops_match_per_entry_reference(ra, ta, rb, tb, c):
+    """+, -, negation and scaling agree with entrywise Fraction arithmetic."""
+    a, b = Seq(tuple(ra), ta), Seq(tuple(rb), tb)
+    n = max(len(ra), len(rb)) + 2
+    ea, eb = padded(ra, ta, n), padded(rb, tb, n)
+    assert first_entries(a + b, n) == [p + q for p, q in zip(ea, eb)]
+    assert first_entries(a - b, n) == [p - q for p, q in zip(ea, eb)]
+    assert first_entries(-a, n) == [-p for p in ea]
+    assert first_entries(c * a, n) == first_entries(a * c, n) == [c * p for p in ea]
 
 
 @given(eventually_constants(), eventually_constants())
@@ -125,6 +209,17 @@ def test_pairing_examples():
     assert pairing(v1, unit(1)) == 1
     with pytest.raises(NonSummable):
         pairing(ONES, ONES)
+
+
+@given(raw_prefixes, rationals, raw_prefixes)
+def test_pairing_and_sums_match_per_entry_reference(rx, tx, ry):
+    x, y = Seq(tuple(rx), tx), Seq(tuple(ry))
+    ex = padded(rx, tx, len(ry))
+    expected = sum((p * q for p, q in zip(ex, ry)), Fraction(0))
+    assert pairing(x, y) == pairing(y, x) == expected
+    assert total_sum(y) == sum(ry, Fraction(0))
+    assert l1_norm(y) == sum((abs(q) for q in ry), Fraction(0))
+    assert sup_norm(x) == max(abs(v) for v in [*rx, tx])
 
 
 @given(eventually_constants(), summables())
@@ -230,6 +325,9 @@ def test_obj_round_trip_property(s):
         {"prefix": [1.5]},
         {"tail": "nope"},
         {"prefix": [], "tail": 0, "extra": 1},
+        {"prefix": [True]},
+        {"prefix": ["0.5"]},
+        {"tail": "1e1"},
     ],
 )
 def test_from_obj_rejects_malformed(obj):
