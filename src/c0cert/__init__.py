@@ -17,11 +17,9 @@ from .seqspace import (
     ONES,
     rat,
     rat_str,
-    seq,
-    canonicalize,
-    add,
-    scale,
     pairing,
+    pairing_numerator,
+    pairing_of_differences,
     sup_norm,
     l1_norm,
     total_sum,
@@ -44,19 +42,11 @@ from .certify import (
     monotone_product,
     extension_point,
     closure_margin,
+    family_product,
     distinctness,
     fitzpatrick_value,
     fitzpatrick_gap,
     violation_witness,
-)
-from .cli import (
-    ConfigError,
-    SuiteConfig,
-    SuiteReport,
-    default_config,
-    parse_config,
-    run_suite,
-    emit_report,
 )
 
 __version__ = "0.1.0"
@@ -69,11 +59,9 @@ __all__ = [
     "ONES",
     "rat",
     "rat_str",
-    "seq",
-    "canonicalize",
-    "add",
-    "scale",
     "pairing",
+    "pairing_numerator",
+    "pairing_of_differences",
     "sup_norm",
     "l1_norm",
     "total_sum",
@@ -99,15 +87,9 @@ __all__ = [
     "monotone_product",
     "extension_point",
     "closure_margin",
+    "family_product",
     "distinctness",
     "fitzpatrick_value",
     "fitzpatrick_gap",
     "violation_witness",
-    "ConfigError",
-    "SuiteConfig",
-    "SuiteReport",
-    "default_config",
-    "parse_config",
-    "run_suite",
-    "emit_report",
 ]

@@ -9,8 +9,8 @@ identities that are checked literally:
   pair off the graph is refuted by an explicit graph point whose monotone
   product with the candidate is strictly negative (normalized to -1 whenever
   a difference-recurrence index witnesses the failure).
-* ``closure_margin`` and ``distinctness`` handle the one-parameter family of
-  bidual points built from a positive-sum direction: each family point is
+* ``closure_margin`` and ``family_product`` handle the one-parameter family
+  of bidual points built from a positive-sum direction: each family point is
   monotone against the whole graph with one constant strictly positive
   margin, yet any two family points are strictly non-monotone against each
   other, so no single monotone extension of the graph can contain two of
@@ -33,7 +33,18 @@ from fractions import Fraction
 from math import lcm
 
 from .gossez import gossez_apply, unit_u
-from .seqspace import ONES, ZERO, NonSummable, Rational, Seq, pairing, rat, total_sum
+from .seqspace import (
+    ONES,
+    ZERO,
+    NonSummable,
+    Rational,
+    Seq,
+    pairing,
+    pairing_numerator,
+    pairing_of_differences,
+    rat,
+    total_sum,
+)
 
 __all__ = [
     "InvalidParameter",
@@ -50,6 +61,7 @@ __all__ = [
     "monotone_product",
     "extension_point",
     "closure_margin",
+    "family_product",
     "distinctness",
     "fitzpatrick_value",
     "fitzpatrick_gap",
@@ -181,7 +193,7 @@ WitnessVerdict = Member | Violation
 
 def monotone_product(p: GraphPoint, q: GraphPoint) -> Rational:
     """pairing(p.x - q.x, p.y - q.y); identically zero on the graph."""
-    return pairing(p.x - q.x, p.y - q.y)
+    return pairing_of_differences(p.x, q.x, p.y, q.y)
 
 
 def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
@@ -193,15 +205,14 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     ytilde, ones).  Constancy with strict positivity over arbitrary graph
     samples certifies membership in the monotone closure of the graph.
     """
-    return pairing(ep.xstarstar - p.x, ep.xstar - p.y)
+    return pairing_of_differences(ep.xstarstar, p.x, ep.xstar, p.y)
 
 
-def distinctness(
-    tau1: Rational | int | str, tau2: Rational | int | str, ytilde: Seq
-) -> Rational:
+def family_product(p1: ExtensionPoint, p2: ExtensionPoint) -> Rational:
     """Monotone product between two family points, from the sequences themselves.
 
-    The value is checked against the closed form
+    The points must share ytilde and differ in tau.  The value is checked
+    against the closed form
 
         (tau1 - tau2) * (1/tau1 - 1/tau2) * pairing(ones, ytilde)
 
@@ -209,18 +220,25 @@ def distinctness(
     common monotone graph, so distinct parameters force distinct maximal
     monotone extensions into the bidual.
     """
-    tau1, tau2 = rat(tau1), rat(tau2)
+    if p1.ytilde != p2.ytilde:
+        raise InvalidParameter("family points must share their direction ytilde")
+    tau1, tau2 = p1.tau, p2.tau
     if tau1 == tau2:
         raise InvalidParameter("distinctness needs two different parameters")
-    p1 = extension_point(tau1, ytilde)
-    p2 = extension_point(tau2, ytilde)
-    direct = pairing(p1.xstarstar - p2.xstarstar, p1.xstar - p2.xstar)
-    closed = (tau1 - tau2) * (1 / tau1 - 1 / tau2) * pairing(ONES, ytilde)
+    direct = pairing_of_differences(p1.xstarstar, p2.xstarstar, p1.xstar, p2.xstar)
+    closed = (tau1 - tau2) * (1 / tau1 - 1 / tau2) * pairing(ONES, p1.ytilde)
     if direct != closed:
         raise AssertionError(f"distinctness mismatch: direct {direct} != closed {closed}")
     if direct >= 0:
         raise AssertionError(f"distinctness product must be negative, got {direct}")
     return direct
+
+
+def distinctness(
+    tau1: Rational | int | str, tau2: Rational | int | str, ytilde: Seq
+) -> Rational:
+    """``family_product`` of the family points for tau1 and tau2 along ytilde."""
+    return family_product(extension_point(tau1, ytilde), extension_point(tau2, ytilde))
 
 
 def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
@@ -229,13 +247,16 @@ def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
         pairing(p.x, ep.xstar) + pairing(ep.xstarstar, p.y) - pairing(p.x, p.y) .
 
     Constant over the graph, equal to the family point's self-pairing minus
-    its closure margin.
+    its closure margin.  The three integer pairings are put over one common
+    denominator and reduced once.
     """
-    return (
-        pairing(p.x, ep.xstar)
-        + pairing(ep.xstarstar, p.y)
-        - pairing(p.x, p.y)
+    dx, dy, ds, dss = p.x.den, p.y.den, ep.xstar.den, ep.xstarstar.den
+    total = (
+        pairing_numerator(p.x, ep.xstar) * dss * dy
+        + pairing_numerator(ep.xstarstar, p.y) * dx * ds
+        - pairing_numerator(p.x, p.y) * ds * dss
     )
+    return Fraction(total, dx * dy * ds * dss)
 
 
 def fitzpatrick_gap(ep: ExtensionPoint, sample: Sequence[GraphPoint]) -> Rational:
@@ -282,7 +303,7 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
             gap = Fraction(scaled_gap, dx * dy)
             lam = -(pairing(x, y) + 1) / gap
             witness = GraphPoint.from_y(lam * unit_u(m))
-            product = pairing(x - witness.x, y - witness.y)
+            product = pairing_of_differences(x, witness.x, y, witness.y)
             if product != -1:
                 raise AssertionError("witness normalization failed")
             return Violation(witness, product)
@@ -298,14 +319,23 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     return Member()
 
 
-def _random_ratio(rng: random.Random, coeff_bound: int) -> tuple[int, int]:
-    """Numerator in [-coeff_bound, coeff_bound], then denominator in [1, coeff_bound]."""
-    return rng.randint(-coeff_bound, coeff_bound), rng.randint(1, coeff_bound)
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from 0..n-1, for n >= 1.
+
+    Rejection sampling on ``rng.getrandbits(n.bit_length())``: the same bits
+    and the same value as ``rng.randrange(n)``, so every draw is fixed by the
+    Mersenne Twister stream alone.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def random_rational(rng: random.Random, coeff_bound: int) -> Rational:
     """A draw with numerator in [-coeff_bound, coeff_bound] and denominator in [1, coeff_bound]."""
-    return Fraction(*_random_ratio(rng, coeff_bound))
+    return Fraction(_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1)
 
 
 def random_summable(rng: random.Random, support_max: int, coeff_bound: int) -> Seq:
@@ -314,10 +344,18 @@ def random_summable(rng: random.Random, support_max: int, coeff_bound: int) -> S
     Entry i is the i-th ``random_rational`` draw, taken as integers and put
     over the least common denominator of all draws.
     """
-    width = rng.randint(0, support_max)
-    draws = [_random_ratio(rng, coeff_bound) for _ in range(width)]
-    den = lcm(*(q for _, q in draws))
-    return Seq([p * (den // q) for p, q in draws], 0, den)
+    width = _below(rng, support_max + 1)
+    span = 2 * coeff_bound + 1
+    # Two int lists, not (p, q) pairs: lcm(*generator) would make CPython
+    # build a 10-slot tuple and shrink it on every call, parking each shrunken
+    # tuple on the free list of its new size, where the next 10-slot request
+    # never finds it.
+    nums, dens = [], []
+    for _ in range(width):
+        nums.append(_below(rng, span) - coeff_bound)
+        dens.append(_below(rng, coeff_bound) + 1)
+    den = lcm(*dens)
+    return Seq([p * (den // q) for p, q in zip(nums, dens)], 0, den)
 
 
 def random_graph_point(
@@ -354,7 +392,7 @@ def random_offgraph_pair(
     is re-checked and the draw repeated in that case.
     """
     while True:
-        mode = rng.randrange(3)
+        mode = _below(rng, 3)
         if mode == 2:
             y = random_summable(rng, support_max, coeff_bound)
             total = total_sum(y)

@@ -13,6 +13,10 @@ Every evidence value in a report is an exact rational serialized as "p/q".
 With ``--timestamp off`` the report carries no timestamp and no wall-clock
 durations, so identical configs produce byte-identical reports.
 
+A config may request at most MAX_SAMPLES samples, MAX_SUPPORT for
+``support_max``, MAX_COEFF_BOUND for ``coeff_bound`` and MAX_TAUS entries in
+``taus``; more is a config error, since the work of a run grows with each.
+
 Exit codes: 0 all selected suites passed, 1 some suite failed, 2 config
 error, 3 report could not be written.
 """
@@ -32,7 +36,7 @@ from pathlib import Path
 from .certify import (
     extension_point,
     closure_margin,
-    distinctness,
+    family_product,
     fitzpatrick_gap,
     monotone_product,
     random_graph_point,
@@ -43,7 +47,7 @@ from .certify import (
     Violation,
 )
 from .gossez import gossez_apply
-from .seqspace import ONES, Rational, Seq, pairing, rat, rat_str, unit
+from .seqspace import ONES, Rational, Seq, pairing, pairing_of_differences, rat, rat_str, unit
 
 __all__ = [
     "ConfigError",
@@ -66,6 +70,15 @@ SUITE_NAMES = ("extensions", "gap", "maximal", "monotone", "skew")
 
 # Cap on failure messages kept per suite; counts always carry the full number.
 MAX_FAILURES_SHOWN = 5
+
+# Upper bounds on the work a config may request.  Suite time grows linearly
+# with samples (and with the square of the number of taus, for the pairwise
+# distinctness products); support_max and coeff_bound set the length and the
+# bit size of every exact entry.
+MAX_SAMPLES = 100_000
+MAX_SUPPORT = 256
+MAX_COEFF_BOUND = 10**6
+MAX_TAUS = 64
 
 
 class ConfigError(ValueError):
@@ -130,11 +143,13 @@ def _parse_rational(value: object, where: str) -> Rational:
         raise ConfigError(f"{where}: malformed rational string {value!r}") from None
 
 
-def _parse_int(value: object, where: str, minimum: int) -> int:
+def _parse_int(value: object, where: str, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{where}: must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}: must be at most {maximum}, got {value}")
     return value
 
 
@@ -153,13 +168,19 @@ def config_from_obj(obj: object) -> SuiteConfig:
 
     defaults = default_config()
     seed = _parse_int(obj.get("seed", defaults.seed), "seed", 0)
-    samples = _parse_int(obj.get("samples", defaults.samples), "samples", 1)
-    support_max = _parse_int(obj.get("support_max", defaults.support_max), "support_max", 2)
-    coeff_bound = _parse_int(obj.get("coeff_bound", defaults.coeff_bound), "coeff_bound", 1)
+    samples = _parse_int(obj.get("samples", defaults.samples), "samples", 1, MAX_SAMPLES)
+    support_max = _parse_int(
+        obj.get("support_max", defaults.support_max), "support_max", 2, MAX_SUPPORT
+    )
+    coeff_bound = _parse_int(
+        obj.get("coeff_bound", defaults.coeff_bound), "coeff_bound", 1, MAX_COEFF_BOUND
+    )
 
     raw_taus = obj.get("taus", [rat_str(t) for t in defaults.taus])
     if not isinstance(raw_taus, list) or not raw_taus:
         raise ConfigError("taus: expected a nonempty list")
+    if len(raw_taus) > MAX_TAUS:
+        raise ConfigError(f"taus: at most {MAX_TAUS} values, got {len(raw_taus)}")
     taus = []
     for i, item in enumerate(raw_taus):
         tau = _parse_rational(item, f"taus[{i}]")
@@ -291,7 +312,7 @@ def _run_maximal(config: SuiteConfig) -> SuiteResult:
         if not isinstance(verdict, Violation):
             failures.append("perturbed pair misclassified as a member")
             continue
-        recheck = pairing(x - verdict.witness.x, y - verdict.witness.y)
+        recheck = pairing_of_differences(x, verdict.witness.x, y, verdict.witness.y)
         if recheck != verdict.product or recheck >= 0:
             failures.append(f"witness product {verdict.product} failed re-verification")
             continue
@@ -317,22 +338,19 @@ def _run_extensions(config: SuiteConfig) -> SuiteResult:
     failures = []
     sample = _graph_sample(config, rng)
     expected = pairing(ONES, config.ytilde)
-    for tau in config.taus:
-        ep = extension_point(tau, config.ytilde)
+    points = [extension_point(tau, config.ytilde) for tau in config.taus]
+    for ep in points:
         for p in sample:
             margin = closure_margin(ep, p)
             if margin != expected or margin <= 0:
-                failures.append(f"margin {margin} != {expected} at tau = {tau}")
+                failures.append(f"margin {margin} != {expected} at tau = {ep.tau}")
     products = {}
-    if len(config.taus) < 2:
+    if len(points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
-    else:
-        for i, t1 in enumerate(config.taus):
-            for t2 in config.taus[i + 1 :]:
-                value = distinctness(t1, t2, config.ytilde)
-                products[f"{rat_str(t1)},{rat_str(t2)}"] = rat_str(value)
-                if value >= 0:
-                    failures.append(f"distinctness({t1}, {t2}) = {value} not negative")
+    # family_product raises unless the product is negative and matches its closed form
+    for i, p1 in enumerate(points):
+        for p2 in points[i + 1 :]:
+            products[f"{rat_str(p1.tau)},{rat_str(p2.tau)}"] = rat_str(family_product(p1, p2))
     return SuiteResult(
         name="extensions",
         passed=not failures,
@@ -395,19 +413,27 @@ _RUNNERS = {
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute the selected suites; certificate errors become suite failures."""
+    """Execute the selected suites; certificate errors become suite failures.
+
+    A crash is recorded as ``Type: message (file.py:LINE)``, naming the
+    innermost frame of its traceback.
+    """
     results = []
     for name in config.suites:
         started = time.perf_counter()
         try:
             result = _RUNNERS[name](config)
         except Exception as exc:  # a crash is itself a failed certificate
+            tb = exc.__traceback__
+            while tb.tb_next is not None:  # walk to the innermost frame
+                tb = tb.tb_next
+            where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
             result = SuiteResult(
                 name=name,
                 passed=False,
                 counts={},
                 evidence={},
-                failures=[f"{type(exc).__name__}: {exc}"],
+                failures=[f"{type(exc).__name__}: {exc} ({where})"],
             )
         result.duration = time.perf_counter() - started
         results.append(result)

@@ -25,7 +25,9 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from math import gcd, lcm
+from operator import mul
 
 __all__ = [
     "Rational",
@@ -35,11 +37,9 @@ __all__ = [
     "ONES",
     "rat",
     "rat_str",
-    "seq",
-    "canonicalize",
-    "add",
-    "scale",
     "pairing",
+    "pairing_numerator",
+    "pairing_of_differences",
     "sup_norm",
     "l1_norm",
     "total_sum",
@@ -234,32 +234,21 @@ ZERO = Seq()
 ONES = Seq((), 1)
 
 
-def seq(*entries: Rational | int | str, tail: Rational | int | str = 0) -> Seq:
-    """Convenience constructor: ``seq(-1, 1)`` is the sequence (-1, 1, 0, 0, ...)."""
-    return Seq(tuple(entries), tail)
-
-
-def canonicalize(prefix, tail) -> Seq:
-    """Canonical sequence with the given entries; absorbs a redundant prefix."""
-    return Seq(tuple(prefix), tail)
-
-
-def add(a: Seq, b: Seq) -> Seq:
-    """Entrywise exact sum."""
-    return a + b
-
-
-def scale(c: Rational | int | str, a: Seq) -> Seq:
-    """Entrywise exact scalar multiple."""
-    return rat(c) * a
-
-
 def pairing(x: Seq, y: Seq) -> Rational:
     """Duality product sum_i x_i * y_i.
 
     Defined whenever at least one argument is finitely supported (the sum is
     then finite and exact); symmetric in its arguments.  Raises NonSummable
     when both tails are nonzero, since the series then diverges.
+    """
+    return Fraction(pairing_numerator(x, y), x.den * y.den)
+
+
+def pairing_numerator(x: Seq, y: Seq) -> int:
+    """The integer ``pairing(x, y) * x.den * y.den``, not reduced.
+
+    Raises NonSummable exactly where ``pairing`` does.  Callers that combine
+    several pairings put the numerators over one denominator and reduce once.
     """
     if y.tnum:
         if x.tnum:
@@ -268,10 +257,41 @@ def pairing(x: Seq, y: Seq) -> Rational:
     # y is finitely supported: only its prefix contributes, and x equals its
     # tail wherever y's prefix outruns x's.
     xs, ys = x.num, y.num
-    total = sum(p * q for p, q in zip(xs, ys))
+    total = sum(map(mul, xs, ys))
     if len(ys) > len(xs):
-        total += x.tnum * sum(ys[i] for i in range(len(xs), len(ys)))
-    return Fraction(total, x.den * y.den)
+        total += x.tnum * sum(islice(ys, len(xs), None))
+    return total
+
+
+def pairing_of_differences(a: Seq, b: Seq, c: Seq, d: Seq) -> Rational:
+    """``pairing(a - b, c - d)``, summed straight from the four numerator tuples.
+
+    Neither difference is built.  Raises NonSummable exactly where the
+    two-step form does: when both differences have nonzero tails.
+    """
+    # a - b has numerators a.num * fa - b.num * fb over a.den * fa; c - d alike
+    g = gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    g = gcd(c.den, d.den)
+    fc, fd = d.den // g, c.den // g
+    if c.tnum * fc != d.tnum * fd:
+        if a.tnum * fa != b.tnum * fb:
+            raise NonSummable("pairing of two sequences with nonzero tails diverges")
+        a, b, c, d, fa, fb, fc, fd = c, d, a, b, fc, fd, fa, fb
+    # c - d is finitely supported, so it vanishes past entry n; the windows
+    # of c and d both end there, and zip stops with them.
+    n = max(len(c.num), len(d.num))
+    total = sum(
+        (p * fa - q * fb) * (r * fc - s * fd)
+        for p, q, r, s in zip(_window(a, n), _window(b, n), _window(c, n), _window(d, n))
+    )
+    return Fraction(total, a.den * fa * c.den * fc)
+
+
+def _window(s: Seq, n: int) -> Iterable[int]:
+    """At least the first n numerators of s: its prefix, then its tail."""
+    k = len(s.num)
+    return s.num if k >= n else chain(s.num, repeat(s.tnum, n - k))
 
 
 def sup_norm(a: Seq) -> Rational:

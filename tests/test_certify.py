@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
@@ -16,14 +17,18 @@ from c0cert.certify import (
     InvalidParameter,
     Member,
     Violation,
+    _below,
     closure_margin,
     distinctness,
     extension_point,
+    family_product,
     fitzpatrick_gap,
     fitzpatrick_value,
     monotone_product,
     random_graph_point,
     random_offgraph_pair,
+    random_rational,
+    random_summable,
     violation_witness,
 )
 from c0cert.gossez import gossez_apply, unit_u, unit_v
@@ -153,6 +158,30 @@ def test_distinctness_sign_and_closed_form(tau1, tau2, ytilde):
     assert value < 0
 
 
+@given(positive_taus, positive_taus, positive_sum_summables())
+def test_family_product_matches_distinctness(tau1, tau2, ytilde):
+    assume(tau1 != tau2)
+    p1, p2 = extension_point(tau1, ytilde), extension_point(tau2, ytilde)
+    assert family_product(p1, p2) == family_product(p2, p1) == distinctness(tau1, tau2, ytilde)
+
+
+def test_family_product_rejects_equal_taus_and_mismatched_ytilde():
+    p = extension_point(1, unit(1))
+    with pytest.raises(InvalidParameter):
+        family_product(p, p)
+    with pytest.raises(InvalidParameter):
+        family_product(p, extension_point(1, unit(1)))
+    with pytest.raises(InvalidParameter):
+        family_product(p, extension_point(2, 2 * unit(1)))
+
+
+def test_family_product_checks_the_closed_form():
+    p1, p2 = extension_point(1, unit(1)), extension_point(2, unit(1))
+    object.__setattr__(p2, "xstarstar", p2.xstarstar + unit(1))  # bypass validation
+    with pytest.raises(AssertionError, match="mismatch"):
+        family_product(p1, p2)
+
+
 # --- Fitzpatrick gap --------------------------------------------------------
 
 
@@ -161,6 +190,14 @@ def test_fitzpatrick_value_examples():
     assert fitzpatrick_value(ep, ORIGIN) == 0
     assert fitzpatrick_value(ep, GraphPoint(-unit_v(1), unit_u(1))) == 0
     assert pairing(ep.xstar, ep.xstarstar) == 1
+
+
+@given(positive_taus, positive_sum_summables(), summables(), summables())
+def test_fitzpatrick_value_matches_three_pairings(tau, ytilde, x, y):
+    """The one-Fraction evaluation equals the sum of three pairings, on or off the graph."""
+    ep, p = extension_point(tau, ytilde), SimpleNamespace(x=x, y=y)
+    expected = pairing(x, ep.xstar) + pairing(ep.xstarstar, y) - pairing(x, y)
+    assert fitzpatrick_value(ep, p) == expected
 
 
 @given(positive_taus, positive_sum_summables(), zero_sum_summables())
@@ -294,3 +331,30 @@ def test_offgraph_sampler_leaves_graph():
         verdict = violation_witness(x, y)
         assert isinstance(verdict, Violation)
         assert verdict.product < 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 1024, 2**20, 3, 5, 1025, 2**20 + 1, 2 * 10**4 + 1])
+def test_draw_kernel_matches_randint(n):
+    ours, ref = random.Random(n), random.Random(n)
+    assert [_below(ours, n) for _ in range(500)] == [ref.randint(0, n - 1) for _ in range(500)]
+    assert ours.getstate() == ref.getstate()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_samplers_match_per_entry_randint_reference(seed, support_max, coeff_bound):
+    ours, ref = random.Random(seed), random.Random(seed)
+    width = ref.randint(0, support_max)
+    entries = [
+        Fraction(ref.randint(-coeff_bound, coeff_bound), ref.randint(1, coeff_bound))
+        for _ in range(width)
+    ]
+    assert random_summable(ours, support_max, coeff_bound) == Seq(tuple(entries))
+    reference_rational = Fraction(
+        ref.randint(-coeff_bound, coeff_bound), ref.randint(1, coeff_bound)
+    )
+    assert random_rational(ours, coeff_bound) == reference_rational
+    assert ours.getstate() == ref.getstate()

@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import c0cert.certify
+import c0cert.cli
+from c0cert.certify import distinctness
 from c0cert.cli import (
+    MAX_COEFF_BOUND,
+    MAX_SAMPLES,
+    MAX_SUPPORT,
+    MAX_TAUS,
     ConfigError,
     SuiteConfig,
     config_from_obj,
@@ -82,6 +91,27 @@ def test_config_errors_name_the_field(obj, fragment):
     with pytest.raises(ConfigError) as excinfo:
         config_from_obj(obj)
     assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "field, bound",
+    [
+        ("samples", MAX_SAMPLES),
+        ("support_max", MAX_SUPPORT),
+        ("coeff_bound", MAX_COEFF_BOUND),
+        ("taus", MAX_TAUS),
+    ],
+)
+def test_config_bounds_the_requested_work(tmp_path, capsys, field, bound):
+    def value(k):
+        return [str(t) for t in range(1, k + 1)] if field == "taus" else k
+
+    config_from_obj({field: value(bound)})  # the bound itself is admitted
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value(bound + 1)}), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
 
 
 def test_parse_config_from_file(tmp_path):
@@ -263,3 +293,24 @@ def test_main_stdin_config(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"samples": 25})))
     out = tmp_path / "report.json"
     assert main(["gap", "--config", "-", "--out", str(out), "--timestamp", "off"]) == 0
+
+
+def test_run_suite_records_the_crash_site(monkeypatch):
+    def crashing_runner(config):
+        return distinctness(1, 1, unit(1))
+
+    monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", crashing_runner)
+    report = run_suite(fast_config(suites=["skew", "monotone"]))
+    passed, crashed = report.results  # suites run in name order
+    assert not crashed.passed and passed.passed
+    [message] = crashed.failures
+    found = re.fullmatch(
+        r"InvalidParameter: distinctness needs two different parameters \(certify\.py:(\d+)\)",
+        message,
+    )
+    assert found, message
+    # the innermost frame: the raise inside certify, not the runner that called it
+    line = Path(c0cert.certify.__file__).read_text(encoding="utf-8").splitlines()[
+        int(found.group(1)) - 1
+    ]
+    assert "raise InvalidParameter" in line

@@ -16,7 +16,7 @@ from c0cert.gossez import (
     unit_u,
     unit_v,
 )
-from c0cert.seqspace import ONES, ZERO, NonSummable, Seq, pairing, seq, total_sum, unit
+from c0cert.seqspace import ONES, ZERO, NonSummable, Seq, pairing, total_sum, unit
 
 from strategies import nonzero_rationals, rationals, summables, zero_sum_summables
 
@@ -194,8 +194,8 @@ def test_images_under_minus_g_are_solvable_iff_zero_sum(y):
 
 
 def test_unit_vector_shapes():
-    assert unit_u(1) == seq(-1, 1)
-    assert unit_v(2) == seq(0, 1, 1)
+    assert unit_u(1) == Seq([-1, 1])
+    assert unit_v(2) == Seq([0, 1, 1])
     with pytest.raises(ValueError):
         unit_u(0)
     with pytest.raises(ValueError):
