@@ -89,7 +89,7 @@ def _derived(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphPoint:
     """A pair (x, y) with x = -G(y); membership is verified on construction.
 
@@ -119,7 +119,7 @@ class GraphPoint:
         return _derived(cls, x=x, y=y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionPoint:
     """A closure point beyond the graph, parametrized by tau > 0.
 
@@ -259,20 +259,26 @@ def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     return Fraction(total, dx * dy * ds * dss)
 
 
-def fitzpatrick_gap(ep: ExtensionPoint, sample: Sequence[GraphPoint]) -> Rational:
+def fitzpatrick_gap(
+    ep: ExtensionPoint, sample: Sequence[GraphPoint], self_pairing: Rational | None = None
+) -> Rational:
     """Self-pairing of the family point minus the best graph evaluation.
 
     The per-point evaluations must all coincide; the gap then equals
     pairing(ones, ep.ytilde) > 0.  Strict positivity means the supremum over
     the whole graph stays short of pairing(xstar, xstarstar), which is the
-    machine-checkable failure-of-unique-extension certificate.
+    machine-checkable failure-of-unique-extension certificate.  A caller
+    that already holds pairing(ep.xstar, ep.xstarstar) may pass it as
+    ``self_pairing``; otherwise it is computed here.
     """
     if not sample:
         raise EmptySample("need at least one graph point")
     values = [fitzpatrick_value(ep, p) for p in sample]
     if any(v != values[0] for v in values):
         raise AssertionError("Fitzpatrick evaluations must be constant over the graph")
-    return pairing(ep.xstar, ep.xstarstar) - max(values)
+    if self_pairing is None:
+        self_pairing = pairing(ep.xstar, ep.xstarstar)
+    return self_pairing - max(values)
 
 
 def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
@@ -324,7 +330,7 @@ def _below(rng: random.Random, n: int) -> int:
 
     Rejection sampling on ``rng.getrandbits(n.bit_length())``: the same bits
     and the same value as ``rng.randrange(n)``, so every draw is fixed by the
-    Mersenne Twister stream alone.
+    Mersenne Twister stream alone.  ``_draw_summable`` inlines this loop.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
@@ -338,24 +344,45 @@ def random_rational(rng: random.Random, coeff_bound: int) -> Rational:
     return Fraction(_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1)
 
 
-def random_summable(rng: random.Random, support_max: int, coeff_bound: int) -> Seq:
-    """A random finitely supported sequence with support inside 1..support_max.
+def _draw_summable(
+    rng: random.Random, support_max: int, coeff_bound: int
+) -> tuple[list[int], int]:
+    """The numerators and the common denominator of one ``random_summable`` draw.
 
     Entry i is the i-th ``random_rational`` draw, taken as integers and put
-    over the least common denominator of all draws.
+    over the least common denominator of all draws.  The list is raw: not
+    trimmed and not reduced.  The ``_below`` loop is inlined with its bit
+    widths computed once, so each entry costs no Python call of its own.
     """
     width = _below(rng, support_max + 1)
     span = 2 * coeff_bound + 1
+    getrandbits, kspan, kden = rng.getrandbits, span.bit_length(), coeff_bound.bit_length()
     # Two int lists, not (p, q) pairs: lcm(*generator) would make CPython
     # build a 10-slot tuple and shrink it on every call, parking each shrunken
     # tuple on the free list of its new size, where the next 10-slot request
     # never finds it.
     nums, dens = [], []
     for _ in range(width):
-        nums.append(_below(rng, span) - coeff_bound)
-        dens.append(_below(rng, coeff_bound) + 1)
+        r = getrandbits(kspan)
+        while r >= span:
+            r = getrandbits(kspan)
+        nums.append(r - coeff_bound)
+        r = getrandbits(kden)
+        while r >= coeff_bound:
+            r = getrandbits(kden)
+        dens.append(r + 1)
     den = lcm(*dens)
-    return Seq([p * (den // q) for p, q in zip(nums, dens)], 0, den)
+    return [p * (den // q) for p, q in zip(nums, dens)], den
+
+
+def random_summable(rng: random.Random, support_max: int, coeff_bound: int) -> Seq:
+    """A random finitely supported sequence with support inside 1..support_max.
+
+    Entry i is the i-th ``random_rational`` draw, over the least common
+    denominator of all draws.
+    """
+    num, den = _draw_summable(rng, support_max, coeff_bound)
+    return Seq._of(num, 0, den)
 
 
 def random_graph_point(
@@ -369,14 +396,15 @@ def random_graph_point(
     """
     if support_max < 2:
         raise InvalidParameter(f"support_max must be at least 2, got {support_max}")
-    y = random_summable(rng, support_max, coeff_bound)
-    total = sum(y.num)
+    num, den = _draw_summable(rng, support_max, coeff_bound)
+    total = sum(num)
     if total:
-        # canonical form: the last prefix entry is the last nonzero entry
-        num = list(y.num)
-        num[-1] -= total
-        y = Seq(num, 0, y.den)
-    return GraphPoint.from_y(y)
+        # some entry is nonzero; the raw list may end in zeros
+        i = len(num) - 1
+        while not num[i]:
+            i -= 1
+        num[i] -= total
+    return GraphPoint.from_y(Seq._of(num, 0, den))
 
 
 def random_offgraph_pair(

@@ -376,14 +376,14 @@ def _run_gap(config: SuiteConfig) -> SuiteResult:
     per_tau = {}
     for tau in config.taus:
         ep = extension_point(tau, config.ytilde)
+        self_pairing = pairing(ep.xstar, ep.xstarstar)
         try:
-            gap = fitzpatrick_gap(ep, sample)
+            gap = fitzpatrick_gap(ep, sample, self_pairing)
         except AssertionError:  # the evaluations differ across the sample
             failures.append(f"Fitzpatrick values not constant at tau = {tau}")
             continue
         if gap != expected or gap <= 0:
             failures.append(f"gap {gap} != expected {expected} at tau = {tau}")
-        self_pairing = pairing(ep.xstar, ep.xstarstar)
         per_tau[rat_str(ep.tau)] = {
             # the common evaluation: the gap is self-pairing minus its value
             "fitzpatrick_value": rat_str(self_pairing - gap),

@@ -33,6 +33,12 @@ def gossez_apply(y: Seq) -> Seq:
     One pass over the support with running before/after sums, on the
     integer numerators over y's denominator.  The result has tail
     -total_sum(y), so it stays eventually constant.
+
+    The result inherits y's canonical form.  Its last entry y_L - total
+    differs from the tail -total because y_L != 0.  A prime dividing the
+    denominator, the tail and every entry would divide entry 1, which is
+    total - y_1, and each y_n + y_{n+1}, the difference of entries n and
+    n + 1; so it would divide every y_n, which y's gcd of 1 rules out.
     """
     if y.tnum:
         raise NonSummable("gossez_apply requires a finitely supported argument")
@@ -43,7 +49,7 @@ def gossez_apply(y: Seq) -> Seq:
         # (sum after n) - (sum before n), with sum after n = total - before - yn
         out.append(total - yn - 2 * before)
         before += yn
-    return Seq(out, -total, y.den)
+    return Seq._from_canonical(tuple(out), -total, y.den)
 
 
 def t_solve(x: Seq) -> Seq:
@@ -71,7 +77,7 @@ def t_solve(x: Seq) -> Seq:
         residual = Fraction(s_next, x.den)
         raise NotInDomain(f"no finitely supported preimage: residual sum {residual}")
     entries_rev.reverse()
-    y = Seq(entries_rev, 0, x.den)
+    y = Seq._of(entries_rev, 0, x.den)
     if -gossez_apply(y) != x:
         raise AssertionError("solver disagrees with the forward map")
     return y
@@ -81,14 +87,14 @@ def unit_u(m: int) -> Seq:
     """Difference test vector: -1 at index m, +1 at index m+1, 0 elsewhere."""
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
-    return Seq([0] * (m - 1) + [-1, 1])
+    return Seq._of([0] * (m - 1) + [-1, 1], 0, 1)
 
 
 def unit_v(m: int) -> Seq:
     """Image of unit_u(m) under the skew map: +1 at indices m and m+1."""
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
-    return Seq([0] * (m - 1) + [1, 1])
+    return Seq._of([0] * (m - 1) + [1, 1], 0, 1)
 
 
 def range_member(y: Seq) -> bool:

@@ -16,6 +16,16 @@ prefix numerator differs from the tail numerator.  Linear operations, the
 pairing and the sums are integer loops that reduce once, by a single gcd
 over the result, instead of normalizing a ``Fraction`` per entry.
 
+There is one boundary constructor and one trusted internal path.
+``Seq(prefix, tail, den)`` coerces and validates whatever it is given;
+``Seq._of(num, tnum, den)`` takes a fresh list of ints over a positive int
+denominator, as every internally derived sequence has, and checks nothing.
+Both end in ``__post_init__``, the single canonicalizer: it trims and
+reduces by one gcd.  Where the canonical form is inherited (a negation, the
+skew map's image of a summable sequence), ``Seq._from_canonical`` wraps the
+result without canonicalizing it again.
+``Seq`` is a slotted class: instances carry no ``__dict__``.
+
 Indices are 1-based everywhere.
 """
 
@@ -83,7 +93,7 @@ def rat_str(value: Rational) -> str:
     return str(value)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Seq:
     """An eventually constant rational sequence.
 
@@ -109,37 +119,65 @@ class Seq:
         tail: Rational | int | str = 0,
         den: int = 1,
     ) -> None:
-        object.__setattr__(self, "num", prefix)
-        object.__setattr__(self, "tnum", tail)
-        object.__setattr__(self, "den", den)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # Work on a private list and make one tuple at the end: internal
-        # callers pass lists, and tuples that die young pile up in the
-        # interpreter's per-size tuple free lists.
-        num, tnum, den = list(self.num), self.tnum, self.den
+        # The boundary path: coerce to ints over a positive denominator, then
+        # hand over to the canonicalizer exactly as ``_of`` does.
+        num = list(prefix)
         if type(den) is not int:
             raise TypeError(f"Seq denominator must be an int, got {den!r}")
         if den == 0:
             raise ZeroDivisionError("Seq denominator is zero")
-        if type(tnum) is not int or not all(type(v) is int for v in num):
+        if type(tail) is not int or not all(type(v) is int for v in num):
             values = [rat(v) for v in num]
-            t = rat(tnum)
-            common = lcm(t.denominator, *(v.denominator for v in values))
+            t = rat(tail)
+            # a list, not a generator: see certify._draw_summable on star-calls
+            common = lcm(t.denominator, *[v.denominator for v in values])
             num = [v.numerator * (common // v.denominator) for v in values]
-            tnum = t.numerator * (common // t.denominator)
+            tail = t.numerator * (common // t.denominator)
             den *= common
         if den < 0:
-            num, tnum, den = [-v for v in num], -tnum, -den
+            num, tail, den = [-v for v in num], -tail, -den
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "tnum", tail)
+        object.__setattr__(self, "den", den)
+        self.__post_init__()
+
+    @classmethod
+    def _of(cls, num: list[int], tnum: int, den: int) -> Seq:
+        """The trusted internal constructor, for derived sequences.
+
+        ``num`` must be a fresh list of ints (it is trimmed in place) and
+        ``den`` a positive int; nothing is coerced or checked.
+        """
+        s = cls._from_canonical(num, tnum, den)
+        s.__post_init__()
+        return s
+
+    @classmethod
+    def _from_canonical(cls, num: tuple[int, ...], tnum: int, den: int) -> Seq:
+        """An instance holding exactly these fields; nothing is trimmed or reduced.
+
+        For results whose canonical form follows from their inputs', such as
+        a negation or the image under the skew map (see ``gossez_apply``);
+        ``_of`` canonicalizes what it wraps here.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "num", num)
+        object.__setattr__(s, "tnum", tnum)
+        object.__setattr__(s, "den", den)
+        return s
+
+    def __post_init__(self) -> None:
+        # The one canonicalizer, on ints only: trim the entries equal to the
+        # tail, divide out the common gcd, and freeze the list into a tuple.
+        num, tnum, den = self.num, self.tnum, self.den
         while num and num[-1] == tnum:
             num.pop()
         g = gcd(den, tnum, *num)
         if g != 1:
-            num, tnum, den = [v // g for v in num], tnum // g, den // g
+            num = [v // g for v in num]
+            object.__setattr__(self, "tnum", tnum // g)
+            object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "tnum", tnum)
-        object.__setattr__(self, "den", den)
 
     @property
     def prefix(self) -> tuple[Rational, ...]:
@@ -174,7 +212,7 @@ class Seq:
         elif len(b) > len(a):
             ta = self.tnum * fa
             out += [ta + b[i] * fb for i in range(len(a), len(b))]
-        return Seq(out, self.tnum * fa + other.tnum * fb, self.den * fa)
+        return Seq._of(out, self.tnum * fa + other.tnum * fb, self.den * fa)
 
     def __add__(self, other: Seq) -> Seq:
         return self._combine(other, 1)
@@ -183,12 +221,13 @@ class Seq:
         return self._combine(other, -1)
 
     def __neg__(self) -> Seq:
-        return Seq([-v for v in self.num], -self.tnum, self.den)
+        # flipping every sign keeps the gcd and the last-entry condition
+        return Seq._from_canonical(tuple([-v for v in self.num]), -self.tnum, self.den)
 
     def __mul__(self, c: Rational | int | str) -> Seq:
         c = rat(c)
         p = c.numerator
-        return Seq([p * v for v in self.num], p * self.tnum, c.denominator * self.den)
+        return Seq._of([p * v for v in self.num], p * self.tnum, c.denominator * self.den)
 
     __rmul__ = __mul__
 
@@ -317,7 +356,7 @@ def unit(k: int) -> Seq:
     """The k-th coordinate sequence: 1 at index k, 0 elsewhere."""
     if k < 1:
         raise ValueError(f"unit index must be >= 1, got {k}")
-    return Seq([0] * (k - 1) + [1])
+    return Seq._of([0] * (k - 1) + [1], 0, 1)
 
 
 def constant(c: Rational | int | str) -> Seq:

@@ -213,6 +213,13 @@ def test_fitzpatrick_gap_examples():
     assert fitzpatrick_gap(extension_point(1, 2 * unit(1)), sample) == 2
 
 
+def test_fitzpatrick_gap_takes_a_precomputed_self_pairing():
+    sample = [ORIGIN, GraphPoint.from_y(unit_u(2))]
+    ep = extension_point(3, unit(1) + unit(4))
+    self_pairing = pairing(ep.xstar, ep.xstarstar)
+    assert fitzpatrick_gap(ep, sample, self_pairing) == fitzpatrick_gap(ep, sample) == 2
+
+
 def test_fitzpatrick_gap_rejects_empty_sample():
     with pytest.raises(EmptySample):
         fitzpatrick_gap(extension_point(1, unit(1)), [])
@@ -357,4 +364,29 @@ def test_samplers_match_per_entry_randint_reference(seed, support_max, coeff_bou
         ref.randint(-coeff_bound, coeff_bound), ref.randint(1, coeff_bound)
     )
     assert random_rational(ours, coeff_bound) == reference_rational
+    assert ours.getstate() == ref.getstate()
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_random_graph_point_matches_per_entry_randint_reference(seed, support_max, coeff_bound):
+    """Draws rebalanced at the last nonzero entry, as Fractions, from randint."""
+    ours, ref = random.Random(seed), random.Random(seed)
+    # small coefficient bounds draw zero numerators often, so raw draws end in zeros
+    for bound in (coeff_bound, 1, 2):
+        width = ref.randint(0, support_max)
+        entries = [
+            Fraction(ref.randint(-bound, bound), ref.randint(1, bound)) for _ in range(width)
+        ]
+        total = sum(entries, Fraction(0))
+        if total:
+            last = max(i for i, v in enumerate(entries) if v)
+            entries[last] -= total
+        y = Seq(tuple(entries))
+        assert total_sum(y) == 0
+        p = random_graph_point(ours, support_max, bound)
+        assert p.y == y and p.x == -gossez_apply(y)
     assert ours.getstate() == ref.getstate()

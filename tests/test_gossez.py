@@ -71,6 +71,19 @@ def test_matches_brute_force_oracle(y):
         assert g.entry(n) == oracle_entry(y, n)
 
 
+@given(
+    summables(),
+    st.lists(st.integers(min_value=-6, max_value=6), max_size=10),
+    st.integers(min_value=1, max_value=12),
+)
+def test_image_is_canonical_as_built(y, nums, den):
+    """gossez_apply skips the canonicalizer: its output must already be canonical."""
+    for s in (y, Seq(nums, 0, den), Seq(nums, 0, den) * 6):
+        g = gossez_apply(s)
+        again = Seq._of(list(g.num), g.tnum, g.den)
+        assert (g.num, g.tnum, g.den) == (again.num, again.tnum, again.den)
+
+
 @given(summables())
 def test_tail_is_minus_total(y):
     assert gossez_apply(y).tail == -total_sum(y)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from c0cert.certify import GraphPoint, extension_point
+from c0cert.gossez import unit_u, unit_v
 from c0cert.seqspace import (
     ONES,
     ZERO,
@@ -111,6 +114,60 @@ def test_integer_numerator_construction():
         Seq([1], 0, 0)
     with pytest.raises(TypeError):
         Seq([1], 0, Fraction(1, 2))
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=8),
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=3),
+)
+def test_trusted_constructor_matches_boundary_constructor(num, tnum, den, g, k):
+    """Seq._of and Seq(prefix, tail) agree, with trailing tail copies and a common factor g."""
+    raw = [g * v for v in num] + [g * tnum] * k
+    trusted = Seq._of(list(raw), g * tnum, g * den)
+    public = Seq(tuple(Fraction(v, g * den) for v in raw), Fraction(g * tnum, g * den))
+    assert trusted == public and hash(trusted) == hash(public)
+    assert is_canonical(trusted) and is_canonical(public)
+    assert Seq(raw, g * tnum, g * den) == trusted
+
+
+def test_trusted_constructor_examples():
+    s = Seq._of([6, 4, 2, 2], 2, 4)
+    assert (s.num, s.tnum, s.den) == ((3, 2), 1, 2)
+    zero = Seq._of([0, 0, 0], 0, 12)
+    assert (zero.num, zero.tnum, zero.den) == ((), 0, 1) and zero == ZERO
+    assert Seq._of([], 0, 1) == Seq()
+
+
+@given(eventually_constants())
+def test_negation_keeps_the_canonical_form(s):
+    n = -s
+    assert gcd(n.den, n.tnum, *n.num) == 1
+    assert not n.num or n.num[-1] != n.tnum
+    assert is_canonical(n)
+    assert n == Seq(tuple(-v for v in s.prefix), -s.tail) and -n == s
+
+
+def test_value_classes_have_no_instance_dict():
+    instances = [
+        (unit(2), "den"),
+        (GraphPoint(-unit_v(1), unit_u(1)), "x"),
+        (GraphPoint.from_y(unit_u(1)), "y"),
+        (extension_point(2, unit(1)), "tau"),
+    ]
+    for obj, field in instances:
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+        # a new name is refused too: frozen slotted dataclasses raise
+        # TypeError here on CPython 3.10-3.12, not FrozenInstanceError
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            obj.extra = 1
+        # not even the raw object protocol finds a place to store a new name
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
 
 
 def test_entry_rejects_nonpositive_index():
