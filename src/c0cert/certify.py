@@ -20,6 +20,13 @@ identities that are checked literally:
   stays short of the family point's self-pairing by an exactly computed
   positive gap.
 
+Each value-returning certificate has an integer core, named with a
+``_terms`` suffix, that returns an unreduced numerator over a positive
+denominator.  Verdicts are compared as integers: a/b = c/d holds iff
+a * d = b * c when b, d > 0, and a value's sign is its numerator's sign.  A
+Fraction is built once per reported value, by the public wrappers and by
+callers that report the value, never to compare it.
+
 Sampling helpers are deterministic given their random.Random generator; use
 one generator per worker, with seeds derived by fixed splitting.
 """
@@ -39,9 +46,9 @@ from .seqspace import (
     NonSummable,
     Rational,
     Seq,
+    difference_terms,
     pairing,
     pairing_numerator,
-    pairing_of_differences,
     rat,
     total_sum,
 )
@@ -59,11 +66,14 @@ __all__ = [
     "random_graph_point",
     "random_offgraph_pair",
     "monotone_product",
+    "monotone_product_terms",
     "extension_point",
     "closure_margin",
+    "closure_margin_terms",
     "family_product",
     "distinctness",
     "fitzpatrick_value",
+    "fitzpatrick_value_terms",
     "fitzpatrick_gap",
     "violation_witness",
 ]
@@ -190,10 +200,19 @@ class Violation:
 
 WitnessVerdict = Member | Violation
 
+# The normalized product of every difference-recurrence witness, once its
+# recomputed numerator and denominator are seen to cancel to -1.
+_MINUS_ONE = Fraction(-1)
+
 
 def monotone_product(p: GraphPoint, q: GraphPoint) -> Rational:
     """pairing(p.x - q.x, p.y - q.y); identically zero on the graph."""
-    return pairing_of_differences(p.x, q.x, p.y, q.y)
+    return Fraction(*monotone_product_terms(p, q))
+
+
+def monotone_product_terms(p: GraphPoint, q: GraphPoint) -> tuple[int, int]:
+    """``monotone_product`` as an unreduced numerator over a positive denominator."""
+    return difference_terms(p.x, q.x, p.y, q.y)
 
 
 def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
@@ -205,7 +224,12 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     ytilde, ones).  Constancy with strict positivity over arbitrary graph
     samples certifies membership in the monotone closure of the graph.
     """
-    return pairing_of_differences(ep.xstarstar, p.x, ep.xstar, p.y)
+    return Fraction(*closure_margin_terms(ep, p))
+
+
+def closure_margin_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
+    """``closure_margin`` as an unreduced numerator over a positive denominator."""
+    return difference_terms(ep.xstarstar, p.x, ep.xstar, p.y)
 
 
 def family_product(p1: ExtensionPoint, p2: ExtensionPoint) -> Rational:
@@ -218,20 +242,25 @@ def family_product(p1: ExtensionPoint, p2: ExtensionPoint) -> Rational:
 
     and required to be strictly negative: the two points cannot live in a
     common monotone graph, so distinct parameters force distinct maximal
-    monotone extensions into the bidual.
+    monotone extensions into the bidual.  Both checks run on integers; the
+    one Fraction built is the returned value.
     """
     if p1.ytilde != p2.ytilde:
         raise InvalidParameter("family points must share their direction ytilde")
-    tau1, tau2 = p1.tau, p2.tau
-    if tau1 == tau2:
+    if p1.tau == p2.tau:
         raise InvalidParameter("distinctness needs two different parameters")
-    direct = pairing_of_differences(p1.xstarstar, p2.xstarstar, p1.xstar, p2.xstar)
-    closed = (tau1 - tau2) * (1 / tau1 - 1 / tau2) * pairing(ONES, p1.ytilde)
-    if direct != closed:
+    num, den = difference_terms(p1.xstarstar, p2.xstarstar, p1.xstar, p2.xstar)
+    # With tau_i = a_i / b_i and pairing(ones, ytilde) = s / e, the closed form
+    # is -(a1 b2 - a2 b1)^2 s / (a1 a2 b1 b2 e); compare it cross-multiplied.
+    a1, b1, a2, b2 = p1.tau.numerator, p1.tau.denominator, p2.tau.numerator, p2.tau.denominator
+    k, s, e = a1 * b2 - a2 * b1, sum(p1.ytilde.num), p1.ytilde.den
+    closed_num, closed_den = -k * k * s, a1 * a2 * b1 * b2 * e
+    if num * closed_den != closed_num * den:
+        direct, closed = Fraction(num, den), Fraction(closed_num, closed_den)
         raise AssertionError(f"distinctness mismatch: direct {direct} != closed {closed}")
-    if direct >= 0:
-        raise AssertionError(f"distinctness product must be negative, got {direct}")
-    return direct
+    if num >= 0:
+        raise AssertionError(f"distinctness product must be negative, got {Fraction(num, den)}")
+    return Fraction(num, den)
 
 
 def distinctness(
@@ -247,8 +276,15 @@ def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
         pairing(p.x, ep.xstar) + pairing(ep.xstarstar, p.y) - pairing(p.x, p.y) .
 
     Constant over the graph, equal to the family point's self-pairing minus
-    its closure margin.  The three integer pairings are put over one common
-    denominator and reduced once.
+    its closure margin.
+    """
+    return Fraction(*fitzpatrick_value_terms(ep, p))
+
+
+def fitzpatrick_value_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
+    """``fitzpatrick_value`` as an unreduced numerator over a positive denominator.
+
+    The three integer pairings are put over one common denominator.
     """
     dx, dy, ds, dss = p.x.den, p.y.den, ep.xstar.den, ep.xstarstar.den
     total = (
@@ -256,7 +292,7 @@ def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
         + pairing_numerator(ep.xstarstar, p.y) * dx * ds
         - pairing_numerator(p.x, p.y) * ds * dss
     )
-    return Fraction(total, dx * dy * ds * dss)
+    return total, dx * dy * ds * dss
 
 
 def fitzpatrick_gap(
@@ -270,15 +306,22 @@ def fitzpatrick_gap(
     machine-checkable failure-of-unique-extension certificate.  A caller
     that already holds pairing(ep.xstar, ep.xstarstar) may pass it as
     ``self_pairing``; otherwise it is computed here.
+
+    Constancy is checked while streaming over the sample, each evaluation
+    cross-multiplied with the first; the gap is the one Fraction built.
     """
     if not sample:
         raise EmptySample("need at least one graph point")
-    values = [fitzpatrick_value(ep, p) for p in sample]
-    if any(v != values[0] for v in values):
-        raise AssertionError("Fitzpatrick evaluations must be constant over the graph")
+    points = iter(sample)
+    first_num, first_den = fitzpatrick_value_terms(ep, next(points))
+    for p in points:
+        num, den = fitzpatrick_value_terms(ep, p)
+        if num * first_den != first_num * den:
+            raise AssertionError("Fitzpatrick evaluations must be constant over the graph")
     if self_pairing is None:
         self_pairing = pairing(ep.xstar, ep.xstarstar)
-    return self_pairing - max(values)
+    sp_num, sp_den = self_pairing.numerator, self_pairing.denominator
+    return Fraction(sp_num * first_den - first_num * sp_den, sp_den * first_den)
 
 
 def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
@@ -309,10 +352,10 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
             gap = Fraction(scaled_gap, dx * dy)
             lam = -(pairing(x, y) + 1) / gap
             witness = GraphPoint.from_y(lam * unit_u(m))
-            product = pairing_of_differences(x, witness.x, y, witness.y)
-            if product != -1:
+            num, den = difference_terms(x, witness.x, y, witness.y)
+            if num != -den:
                 raise AssertionError("witness normalization failed")
-            return Violation(witness, product)
+            return Violation(witness, _MINUS_ONE)
     total = total_sum(y)
     if total != 0:
         witness = GraphPoint(ZERO, ZERO)
@@ -415,9 +458,14 @@ def random_offgraph_pair(
     Cycles through three perturbation shapes: move the null-sequence side,
     move the summable side, or break the zero-sum constraint while keeping
     the difference recurrence intact (the shape that exercises the
-    origin-witness branch).  The graph is a linear subspace, so a fully
-    random two-sided delta could land back on it; membership of the result
-    is re-checked and the draw repeated in that case.
+    origin-witness branch).  No shape can land on the graph, so the result
+    is not re-checked:
+
+    * shape 0 differs from -G(y) by delta, which is nonzero;
+    * shape 1 differs from -G(y) by G(delta), nonzero because G is injective;
+    * shape 2 differs from -G(y) by -total * ones, and total is nonzero.
+
+    Only a zero delta or a zero total is drawn again.
     """
     while True:
         mode = _below(rng, 3)
@@ -436,6 +484,4 @@ def random_offgraph_pair(
                 x, y = base.x + delta, base.y
             else:
                 x, y = base.x, base.y + delta
-        if x == -gossez_apply(y):
-            continue
         return x, y

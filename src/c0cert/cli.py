@@ -35,10 +35,10 @@ from pathlib import Path
 
 from .certify import (
     extension_point,
-    closure_margin,
+    closure_margin_terms,
     family_product,
     fitzpatrick_gap,
-    monotone_product,
+    monotone_product_terms,
     random_graph_point,
     random_offgraph_pair,
     random_summable,
@@ -47,7 +47,17 @@ from .certify import (
     Violation,
 )
 from .gossez import gossez_apply
-from .seqspace import ONES, Rational, Seq, pairing, pairing_of_differences, rat, rat_str, unit
+from .seqspace import (
+    ONES,
+    Rational,
+    Seq,
+    difference_terms,
+    pairing,
+    pairing_numerator,
+    rat,
+    rat_str,
+    unit,
+)
 
 __all__ = [
     "ConfigError",
@@ -245,6 +255,13 @@ def parse_config(source: str) -> SuiteConfig:
 #
 # One deterministic generator per suite, seed split by suite name, so suites
 # could run in any order (or in parallel) without changing any draw.
+#
+# Runners check the certify layer's integer (numerator, denominator) results
+# by cross-multiplication and build a Fraction only for a value that reaches
+# the report or a failure message.
+
+# The one zero the skew and monotone suites record as a seen value.
+_ZERO = Fraction(0)
 
 
 def _rng(config: SuiteConfig, name: str) -> random.Random:
@@ -264,9 +281,11 @@ def _run_skew(config: SuiteConfig) -> SuiteResult:
     seen = set()
     for _ in range(config.samples):
         y = random_summable(rng, config.support_max, config.coeff_bound)
-        value = pairing(gossez_apply(y), y)
+        image = gossez_apply(y)
+        num = pairing_numerator(image, y)
+        value = Fraction(num, image.den * y.den) if num else _ZERO
         seen.add(value)
-        if value != 0:
+        if num:
             failures.append(f"pairing(G(y), y) = {value} for y = {y}")
     return SuiteResult(
         name="skew",
@@ -284,9 +303,10 @@ def _run_monotone(config: SuiteConfig) -> SuiteResult:
     for _ in range(config.samples):
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
         q = random_graph_point(rng, config.support_max, config.coeff_bound)
-        value = monotone_product(p, q)
+        num, den = monotone_product_terms(p, q)
+        value = Fraction(num, den) if num else _ZERO
         seen.add(value)
-        if value != 0:
+        if num:
             failures.append(f"monotone product {value} for a graph pair")
     return SuiteResult(
         name="monotone",
@@ -312,11 +332,14 @@ def _run_maximal(config: SuiteConfig) -> SuiteResult:
         if not isinstance(verdict, Violation):
             failures.append("perturbed pair misclassified as a member")
             continue
-        recheck = pairing_of_differences(x, verdict.witness.x, y, verdict.witness.y)
-        if recheck != verdict.product or recheck >= 0:
-            failures.append(f"witness product {verdict.product} failed re-verification")
+        num, den = difference_terms(x, verdict.witness.x, y, verdict.witness.y)
+        product = verdict.product
+        if num * product.denominator != product.numerator * den or num >= 0:
+            failures.append(f"witness product {product} failed re-verification")
             continue
-        worst = recheck if worst is None else max(worst, recheck)
+        # the recheck equals the product, so compare the product with worst
+        if worst is None or num * worst.denominator > worst.numerator * den:
+            worst = product
     evidence = {}
     if worst is not None:
         evidence["max_violation_product"] = rat_str(worst)
@@ -338,11 +361,13 @@ def _run_extensions(config: SuiteConfig) -> SuiteResult:
     failures = []
     sample = _graph_sample(config, rng)
     expected = pairing(ONES, config.ytilde)
+    exp_num, exp_den = expected.numerator, expected.denominator
     points = [extension_point(tau, config.ytilde) for tau in config.taus]
     for ep in points:
         for p in sample:
-            margin = closure_margin(ep, p)
-            if margin != expected or margin <= 0:
+            num, den = closure_margin_terms(ep, p)
+            if num * exp_den != exp_num * den or num <= 0:
+                margin = Fraction(num, den)
                 failures.append(f"margin {margin} != {expected} at tau = {ep.tau}")
     products = {}
     if len(points) < 2:

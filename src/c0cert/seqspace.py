@@ -9,6 +9,11 @@ finitely supported summable sequences, the all-ones sequence, and the bidual
 points produced by the extension construction.  Every identity we certify is
 therefore decidable by exact comparison.
 
+The kernels that feed a verdict, ``pairing_numerator`` and
+``difference_terms``, return unreduced integers rather than a ``Fraction``.
+Verdicts are compared as integers, cross-multiplied over positive
+denominators, and a ``Fraction`` is built once per reported value.
+
 A ``Seq`` keeps its entries as integer numerators over one shared positive
 denominator: ``num`` for the prefix, ``tnum`` for the tail, ``den`` for all
 of them.  The form is canonical: ``gcd(den, tnum, *num) == 1`` and the last
@@ -50,6 +55,7 @@ __all__ = [
     "pairing",
     "pairing_numerator",
     "pairing_of_differences",
+    "difference_terms",
     "sup_norm",
     "l1_norm",
     "total_sum",
@@ -303,16 +309,32 @@ def pairing_numerator(x: Seq, y: Seq) -> int:
 
 
 def pairing_of_differences(a: Seq, b: Seq, c: Seq, d: Seq) -> Rational:
-    """``pairing(a - b, c - d)``, summed straight from the four numerator tuples.
+    """``pairing(a - b, c - d)``: ``difference_terms`` reduced to one Fraction."""
+    return Fraction(*difference_terms(a, b, c, d))
 
-    Neither difference is built.  Raises NonSummable exactly where the
-    two-step form does: when both differences have nonzero tails.
+
+def difference_terms(a: Seq, b: Seq, c: Seq, d: Seq) -> tuple[int, int]:
+    """``pairing(a - b, c - d)`` as an unreduced numerator over a positive denominator.
+
+    Neither difference is built.  When one side's two sequences both have
+    zero tails, the product expands into four ``pairing_numerator`` calls,
+    each summed at C level.  Otherwise both sides carry a tail; the entries
+    are then summed over the window where the finitely supported difference
+    lives.  Raises NonSummable exactly where the two-step form does: when
+    both differences have nonzero tails.
     """
     # a - b has numerators a.num * fa - b.num * fb over a.den * fa; c - d alike
     g = gcd(a.den, b.den)
     fa, fb = b.den // g, a.den // g
     g = gcd(c.den, d.den)
     fc, fd = d.den // g, c.den // g
+    den = a.den * fa * c.den * fc
+    if not (c.tnum or d.tnum) or not (a.tnum or b.tnum):
+        # every one of the four pairings has a finitely supported argument
+        num = fa * (fc * pairing_numerator(a, c) - fd * pairing_numerator(a, d)) - fb * (
+            fc * pairing_numerator(b, c) - fd * pairing_numerator(b, d)
+        )
+        return num, den
     if c.tnum * fc != d.tnum * fd:
         if a.tnum * fa != b.tnum * fb:
             raise NonSummable("pairing of two sequences with nonzero tails diverges")
@@ -320,11 +342,11 @@ def pairing_of_differences(a: Seq, b: Seq, c: Seq, d: Seq) -> Rational:
     # c - d is finitely supported, so it vanishes past entry n; the windows
     # of c and d both end there, and zip stops with them.
     n = max(len(c.num), len(d.num))
-    total = sum(
+    num = sum(
         (p * fa - q * fb) * (r * fc - s * fd)
         for p, q, r, s in zip(_window(a, n), _window(b, n), _window(c, n), _window(d, n))
     )
-    return Fraction(total, a.den * fa * c.den * fc)
+    return num, den
 
 
 def _window(s: Seq, n: int) -> Iterable[int]:

@@ -24,6 +24,7 @@ from c0cert.certify import (
     family_product,
     fitzpatrick_gap,
     fitzpatrick_value,
+    fitzpatrick_value_terms,
     monotone_product,
     random_graph_point,
     random_offgraph_pair,
@@ -220,6 +221,28 @@ def test_fitzpatrick_gap_takes_a_precomputed_self_pairing():
     assert fitzpatrick_gap(ep, sample, self_pairing) == fitzpatrick_gap(ep, sample) == 2
 
 
+def test_fitzpatrick_gap_rejects_an_offgraph_point():
+    """One point off the graph breaks constancy, wherever it sits in the sample."""
+    ep = extension_point(1, unit(1))
+    graph = [ORIGIN, GraphPoint(-unit_v(1), unit_u(1)), GraphPoint.from_y(unit_u(3))]
+    offgraph = SimpleNamespace(x=unit(1), y=ZERO)  # Fitzpatrick value 1, the graph's is 0
+    for i in range(len(graph) + 1):
+        with pytest.raises(AssertionError, match="constant"):
+            fitzpatrick_gap(ep, graph[:i] + [offgraph] + graph[i:])
+
+
+def test_fitzpatrick_gap_accepts_equal_values_over_different_denominators():
+    """Graph points with y denominators 1, 6 and 35: equal values, unequal raw terms."""
+    ep = extension_point(Fraction(2, 3), Seq(["3/7", "-1/5"]))
+    ys = [unit_u(1), Seq(["1/2", "-1/3", "-1/6"]), Seq(["1/5", "1/7", "-12/35"])]
+    assert [y.den for y in ys] == [1, 6, 35]
+    sample = [GraphPoint.from_y(y) for y in ys]
+    terms = [fitzpatrick_value_terms(ep, p) for p in sample]
+    assert len(set(terms)) == 3
+    assert len({Fraction(num, den) for num, den in terms}) == 1
+    assert fitzpatrick_gap(ep, sample) == Fraction(8, 35)
+
+
 def test_fitzpatrick_gap_rejects_empty_sample():
     with pytest.raises(EmptySample):
         fitzpatrick_gap(extension_point(1, unit(1)), [])
@@ -338,6 +361,21 @@ def test_offgraph_sampler_leaves_graph():
         verdict = violation_witness(x, y)
         assert isinstance(verdict, Violation)
         assert verdict.product < 0
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2, max_value=24),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_offgraph_sampler_never_lands_on_the_graph(seed, support_max, coeff_bound):
+    """Every perturbation shape stays off the graph, so the sampler re-checks none."""
+    rng = random.Random(seed)
+    # coefficient bound 1 draws the smallest deltas and the most zero totals
+    for bound in (coeff_bound, 1):
+        for _ in range(6):
+            x, y = random_offgraph_pair(rng, support_max, bound)
+            assert x != -gossez_apply(y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 1024, 2**20, 3, 5, 1025, 2**20 + 1, 2 * 10**4 + 1])

@@ -314,3 +314,76 @@ def test_run_suite_records_the_crash_site(monkeypatch):
         int(found.group(1)) - 1
     ]
     assert "raise InvalidParameter" in line
+
+
+# --- integer verdicts -------------------------------------------------------
+#
+# Each runner compares the certify layer's (numerator, denominator) results
+# as integers.  A core raised by exactly 1 must fail the suite with the
+# message text the Fraction comparisons produced.
+
+
+def raised_by_one(core):
+    def raised(*args):
+        num, den = core(*args)
+        return num + den, den
+
+    return raised
+
+
+def test_extensions_runner_reports_a_wrong_margin(monkeypatch):
+    # a margin of 8/35, not 1, so numerator and denominator cannot trade places
+    config = fast_config(ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"}, suites=["extensions"])
+    assert run_suite(config).passed
+    core = c0cert.cli.closure_margin_terms
+    monkeypatch.setattr(c0cert.cli, "closure_margin_terms", raised_by_one(core))
+    (result,) = run_suite(config).results
+    assert not result.passed
+    assert result.counts["failures"] == 2 * 25
+    assert result.failures == ["margin 43/35 != 8/35 at tau = 1"] * 5
+    assert result.evidence["closure_margin"] == "8/35"
+
+
+def test_monotone_runner_reports_a_nonzero_product(monkeypatch):
+    core = c0cert.cli.monotone_product_terms
+    monkeypatch.setattr(c0cert.cli, "monotone_product_terms", raised_by_one(core))
+    (result,) = run_suite(fast_config(suites=["monotone"])).results
+    assert not result.passed
+    assert result.counts["failures"] == 25
+    assert result.failures == ["monotone product 1 for a graph pair"] * 5
+    assert result.evidence["products"] == ["1"]
+
+
+def test_maximal_runner_reports_a_failed_recheck(monkeypatch):
+    core = c0cert.cli.difference_terms
+    monkeypatch.setattr(c0cert.cli, "difference_terms", raised_by_one(core))
+    (result,) = run_suite(fast_config(suites=["maximal"])).results
+    assert not result.passed
+    assert result.counts["failures"] == 25
+    assert result.failures == [
+        f"witness product {product} failed re-verification"
+        for product in (
+            "-11449/148225",
+            "-1",
+            "-1",
+            "-241649224653595704001/629399993951602225",
+            "-1",
+        )
+    ]
+    assert result.evidence == {}
+
+
+def test_gap_runner_reports_a_wrong_gap(monkeypatch):
+    core = c0cert.certify.fitzpatrick_value_terms
+    monkeypatch.setattr(c0cert.certify, "fitzpatrick_value_terms", raised_by_one(core))
+    (result,) = run_suite(fast_config(suites=["gap"])).results
+    assert not result.passed
+    assert result.failures == [
+        "gap 0 != expected 1 at tau = 1",
+        "gap 0 != expected 1 at tau = 2",
+    ]
+    assert result.evidence["per_tau"]["2"] == {
+        "fitzpatrick_value": "1",
+        "self_pairing": "1",
+        "gap": "0",
+    }

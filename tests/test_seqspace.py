@@ -18,6 +18,7 @@ from c0cert.seqspace import (
     NonSummable,
     Seq,
     constant,
+    difference_terms,
     l1_norm,
     pairing,
     pairing_numerator,
@@ -296,6 +297,32 @@ def test_pairing_of_differences_matches_two_step_form(a, b, rc, rd, t, shared):
                 pairing_of_differences(*args)
         else:
             assert pairing_of_differences(*args) == expected
+
+
+@given(
+    eventually_constants(), eventually_constants(), raw_prefixes, raw_prefixes, rationals,
+    st.sampled_from(["zero", "shared", "distinct"]),
+)
+def test_difference_terms_matches_two_step_form_on_every_path(a, b, rc, rd, t, tails):
+    """Fraction(*difference_terms(a, b, c, d)) == pairing(a - b, c - d), over den > 0.
+
+    Zero tails on c and d take the four-pairing path, in either argument
+    order.  A shared tail makes c - d finitely supported while both sides
+    carry tails: the windowed path.  Distinct tails make c - d tailed, so
+    the kernel must raise NonSummable exactly where the two-step form does.
+    """
+    tc, td = {"zero": (0, 0), "shared": (t, t), "distinct": (t, t + 1)}[tails]
+    c, d = Seq(tuple(rc), tc), Seq(tuple(rd), td)
+    for args in ((a, b, c, d), (c, d, a, b)):
+        try:
+            expected = pairing(args[0] - args[1], args[2] - args[3])
+        except NonSummable:
+            with pytest.raises(NonSummable):
+                difference_terms(*args)
+        else:
+            num, den = difference_terms(*args)
+            assert den > 0
+            assert Fraction(num, den) == expected
 
 
 def test_pairing_of_differences_examples():
