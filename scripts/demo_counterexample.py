@@ -1,48 +1,53 @@
 #!/usr/bin/env python3
 """Walk through the whole construction with exact printed evidence.
 
-Builds the skew operator's graph, checks maximality constructively on random
-perturbations, then produces the family of bidual points that are all
-monotone against the graph yet pairwise incompatible, and finishes with the
-strict Fitzpatrick gap.  Every number printed is an exact rational.
+Shows the skew operator on the first test vector, then runs every
+certificate suite once (``c0cert.cli.run_suite``) and prints its evidence:
+skewness and vanishing monotone products, constructive maximality against
+random perturbations, the family of bidual points that are all monotone
+against the graph yet pairwise incompatible, and the strict Fitzpatrick gap.
+Every number printed is an exact rational.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/demo_counterexample.py [--seed N] [--samples N]
+    PYTHONPATH=src python3 scripts/demo_counterexample.py [--seed N] [--samples N] [--taus T,...]
+
+Exit code 0 when every suite passes, 1 when one fails, 2 on a config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
-from fractions import Fraction
+import sys
 
-from c0cert.certify import (
-    Member,
-    Violation,
-    closure_margin,
-    distinctness,
-    extension_point,
-    fitzpatrick_gap,
-    fitzpatrick_value,
-    monotone_product,
-    random_graph_point,
-    random_offgraph_pair,
-    violation_witness,
-)
+from c0cert.certify import extension_point
+from c0cert.cli import ConfigError, SuiteResult, config_from_obj, run_suite
 from c0cert.gossez import gossez_apply, t_solve, unit_u, unit_v
-from c0cert.seqspace import ONES, pairing, rat_str, unit
+from c0cert.seqspace import rat_str
 
 
-def main() -> None:
+def section(result: SuiteResult, title: str) -> bool:
+    """Print a suite's heading with its counts, and its failures; True iff it passed."""
+    counts = ", ".join(f"{k} {v}" for k, v in sorted(result.counts.items()))
+    status = "pass" if result.passed else "FAIL"
+    print(f"\n== {title} ({result.name} suite: {status}; {counts}) ==")
+    for message in result.failures:
+        print(f"FAILURE: {message}")
+    return result.passed
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--taus", default="1/3,1/2,1,2,3", help="comma-separated positive rationals")
+    parser.add_argument("--taus", default="1/3,1/2,1,2,3", help="comma-separated 'p/q' values")
     args = parser.parse_args()
-
-    taus = [Fraction(t) for t in args.taus.split(",")]
-    ytilde = unit(1)
+    obj = {"seed": args.seed, "samples": args.samples, "taus": args.taus.split(",")}
+    try:
+        config = config_from_obj(obj)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     print("== the operator ==")
     u1, v1 = unit_u(1), unit_v(1)
@@ -50,58 +55,35 @@ def main() -> None:
     print(f"G(u1) = {gossez_apply(u1)}  (equals v1: {gossez_apply(u1) == v1})")
     print(f"t_solve(-v1) = {t_solve(-v1)}  (recovers u1: {t_solve(-v1) == u1})")
 
-    rng = random.Random(args.seed)
-    print(f"\n== monotonicity ({args.samples} random graph pairs) ==")
-    products = {
-        monotone_product(
-            random_graph_point(rng), random_graph_point(rng)
-        )
-        for _ in range(args.samples)
-    }
-    print(f"monotone products seen: {sorted(rat_str(p) for p in products)}")
-
-    print(f"\n== constructive maximality ({args.samples} candidates each side) ==")
-    members = sum(
-        isinstance(violation_witness(p.x, p.y), Member)
-        for p in (random_graph_point(rng) for _ in range(args.samples))
-    )
-    print(f"graph points recognized as members: {members}/{args.samples}")
-    worst = None
-    for _ in range(args.samples):
-        x, y = random_offgraph_pair(rng)
-        verdict = violation_witness(x, y)
-        assert isinstance(verdict, Violation)
-        worst = verdict.product if worst is None else max(worst, verdict.product)
-    print(f"perturbed pairs refuted: {args.samples}/{args.samples}, "
-          f"worst (closest to zero) product: {rat_str(worst)}")
-
-    print("\n== the extension family ==")
-    margin = pairing(ONES, ytilde)
-    sample = [random_graph_point(rng) for _ in range(args.samples)]
-    for tau in taus:
-        ep = extension_point(tau, ytilde)
-        margins = {closure_margin(ep, p) for p in sample}
-        print(f"tau = {rat_str(tau):>4}:  x** = {ep.xstarstar}  "
-              f"margins over sample: {sorted(rat_str(m) for m in margins)}")
-    print(f"every margin equals pairing(ones, ytilde) = {rat_str(margin)} > 0")
-
-    print("\n== pairwise incompatibility ==")
-    for i, t1 in enumerate(taus):
-        for t2 in taus[i + 1 :]:
-            value = distinctness(t1, t2, ytilde)
-            print(f"  <x**({rat_str(t1)}) - x**({rat_str(t2)}), "
-                  f"{rat_str(t1)}*yt - {rat_str(t2)}*yt> = {rat_str(value)} < 0")
-
-    print("\n== Fitzpatrick gap ==")
-    for tau in taus:
-        ep = extension_point(tau, ytilde)
-        value = fitzpatrick_value(ep, sample[0])
-        gap = fitzpatrick_gap(ep, sample)
-        self_pairing = pairing(ep.xstar, ep.xstarstar)
-        print(f"tau = {rat_str(tau):>4}:  sup over graph = {rat_str(value)}  "
-              f"<x*, x**> = {rat_str(self_pairing)}  gap = {rat_str(gap)}")
-    print("strict positive gap for every tau: no unique extension to the bidual.")
+    report = run_suite(config)
+    # run_suite lists its results in name order
+    extensions, gap, maximal, monotone, skew = report.results
+    if section(skew, "skewness over random summable y"):
+        print(f"pairing(G(y), y) values seen: {skew.evidence['pairing_values']}")
+    if section(monotone, "monotonicity over random graph pairs"):
+        print(f"monotone products seen: {monotone.evidence['products']}")
+    if section(maximal, "constructive maximality"):
+        worst = maximal.evidence["max_violation_product"]
+        print("every graph point is a member and every perturbed pair is refuted;")
+        print(f"worst (closest to zero) witness product: {worst}")
+    if section(extensions, "the extension family"):
+        for tau in config.taus:
+            xss = extension_point(tau, config.ytilde).xstarstar
+            print(f"tau = {rat_str(tau):>4}:  x** = {xss}")
+        margin = extensions.evidence["closure_margin"]
+        print(f"margin on every sampled graph point = pairing(ones, ytilde) = {margin} > 0")
+        print("pairwise incompatibility:")
+        for pair, value in extensions.evidence["distinctness_products"].items():
+            t1, t2 = pair.split(",")
+            print(f"  <x**({t1}) - x**({t2}), {t1}*yt - {t2}*yt> = {value} < 0")
+    if section(gap, "Fitzpatrick gap"):
+        for tau, row in gap.evidence["per_tau"].items():
+            print(f"tau = {tau:>4}:  value on every sampled graph point = "
+                  f"{row['fitzpatrick_value']}  <x*, x**> = {row['self_pairing']}  "
+                  f"gap = {row['gap']}")
+        print("strict positive gap for every tau: no unique extension to the bidual.")
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -336,7 +336,12 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     Otherwise x = -G(y) entrywise and the pair is a member of the graph.
 
     Every returned product is recomputed from the witness sequences, never
-    from the closed form alone.
+    from the closed form alone, and this recomputation is the re-verification
+    of the witness: the product is exactly -1 once the recomputed numerator
+    equals minus its denominator, or -total^2 with total != 0 once the
+    origin's product pairing(x, y) equals it.  Any other outcome raises
+    AssertionError, so a returned product is strictly negative and callers
+    need not recheck it.
     """
     if x.tnum or y.tnum:
         raise NonSummable("candidate pair must have zero tails")

@@ -14,8 +14,9 @@ With ``--timestamp off`` the report carries no timestamp and no wall-clock
 durations, so identical configs produce byte-identical reports.
 
 A config may request at most MAX_SAMPLES samples, MAX_SUPPORT for
-``support_max``, MAX_COEFF_BOUND for ``coeff_bound`` and MAX_TAUS entries in
-``taus``; more is a config error, since the work of a run grows with each.
+``support_max`` and for the prefix length of ``ytilde``, MAX_COEFF_BOUND for
+``coeff_bound`` and MAX_TAUS entries in ``taus``; more is a config error,
+since the work of a run grows with each.
 
 Exit codes: 0 all selected suites passed, 1 some suite failed, 2 config
 error, 3 report could not be written.
@@ -51,7 +52,6 @@ from .seqspace import (
     ONES,
     Rational,
     Seq,
-    difference_terms,
     pairing,
     pairing_numerator,
     rat,
@@ -83,8 +83,8 @@ MAX_FAILURES_SHOWN = 5
 
 # Upper bounds on the work a config may request.  Suite time grows linearly
 # with samples (and with the square of the number of taus, for the pairwise
-# distinctness products); support_max and coeff_bound set the length and the
-# bit size of every exact entry.
+# distinctness products); support_max, the prefix length of ytilde and
+# coeff_bound set the length and the bit size of every exact entry.
 MAX_SAMPLES = 100_000
 MAX_SUPPORT = 256
 MAX_COEFF_BOUND = 10**6
@@ -200,6 +200,9 @@ def config_from_obj(obj: object) -> SuiteConfig:
             taus.append(tau)
 
     if "ytilde" in obj:
+        prefix = obj["ytilde"].get("prefix") if isinstance(obj["ytilde"], dict) else None
+        if isinstance(prefix, list) and len(prefix) > MAX_SUPPORT:
+            raise ConfigError(f"ytilde: at most {MAX_SUPPORT} prefix entries, got {len(prefix)}")
         try:
             ytilde = Seq.from_obj(obj["ytilde"])
         except ValueError as exc:
@@ -237,17 +240,16 @@ def config_from_obj(obj: object) -> SuiteConfig:
 
 def parse_config(source: str) -> SuiteConfig:
     """Load and validate a config from a file path, or from stdin for '-'."""
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from None
+    try:
+        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
+        raise ConfigError(f"config cannot be decoded: {exc}") from None
     return config_from_obj(obj)
 
 
@@ -275,6 +277,20 @@ def _graph_sample(config: SuiteConfig, rng: random.Random) -> list:
     ]
 
 
+def _result(name: str, failures: list, counts: dict, evidence: dict) -> SuiteResult:
+    """A runner's result: it passes iff nothing failed, and counts every failure.
+
+    At most MAX_FAILURES_SHOWN failure messages are kept.
+    """
+    return SuiteResult(
+        name=name,
+        passed=not failures,
+        counts={**counts, "failures": len(failures)},
+        evidence=evidence,
+        failures=failures[:MAX_FAILURES_SHOWN],
+    )
+
+
 def _run_skew(config: SuiteConfig) -> SuiteResult:
     rng = _rng(config, "skew")
     failures = []
@@ -287,13 +303,8 @@ def _run_skew(config: SuiteConfig) -> SuiteResult:
         seen.add(value)
         if num:
             failures.append(f"pairing(G(y), y) = {value} for y = {y}")
-    return SuiteResult(
-        name="skew",
-        passed=not failures,
-        counts={"samples": config.samples, "failures": len(failures)},
-        evidence={"pairing_values": sorted(rat_str(v) for v in seen)},
-        failures=failures[:MAX_FAILURES_SHOWN],
-    )
+    evidence = {"pairing_values": sorted(rat_str(v) for v in seen)}
+    return _result("skew", failures, {"samples": config.samples}, evidence)
 
 
 def _run_monotone(config: SuiteConfig) -> SuiteResult:
@@ -308,13 +319,8 @@ def _run_monotone(config: SuiteConfig) -> SuiteResult:
         seen.add(value)
         if num:
             failures.append(f"monotone product {value} for a graph pair")
-    return SuiteResult(
-        name="monotone",
-        passed=not failures,
-        counts={"pairs": config.samples, "failures": len(failures)},
-        evidence={"products": sorted(rat_str(v) for v in seen)},
-        failures=failures[:MAX_FAILURES_SHOWN],
-    )
+    evidence = {"products": sorted(rat_str(v) for v in seen)}
+    return _result("monotone", failures, {"pairs": config.samples}, evidence)
 
 
 def _run_maximal(config: SuiteConfig) -> SuiteResult:
@@ -326,34 +332,18 @@ def _run_maximal(config: SuiteConfig) -> SuiteResult:
         verdict = violation_witness(p.x, p.y)
         if not isinstance(verdict, Member):
             failures.append(f"graph point misclassified: {verdict!r}")
+    # violation_witness recomputes each product from its witness sequences and
+    # raises unless it is exactly -1 or -total^2 < 0
     for _ in range(config.samples):
         x, y = random_offgraph_pair(rng, config.support_max, config.coeff_bound)
         verdict = violation_witness(x, y)
         if not isinstance(verdict, Violation):
             failures.append("perturbed pair misclassified as a member")
-            continue
-        num, den = difference_terms(x, verdict.witness.x, y, verdict.witness.y)
-        product = verdict.product
-        if num * product.denominator != product.numerator * den or num >= 0:
-            failures.append(f"witness product {product} failed re-verification")
-            continue
-        # the recheck equals the product, so compare the product with worst
-        if worst is None or num * worst.denominator > worst.numerator * den:
-            worst = product
-    evidence = {}
-    if worst is not None:
-        evidence["max_violation_product"] = rat_str(worst)
-    return SuiteResult(
-        name="maximal",
-        passed=not failures,
-        counts={
-            "members": config.samples,
-            "violations": config.samples,
-            "failures": len(failures),
-        },
-        evidence=evidence,
-        failures=failures[:MAX_FAILURES_SHOWN],
-    )
+        elif worst is None or verdict.product > worst:
+            worst = verdict.product
+    evidence = {} if worst is None else {"max_violation_product": rat_str(worst)}
+    counts = {"members": config.samples, "violations": config.samples}
+    return _result("maximal", failures, counts, evidence)
 
 
 def _run_extensions(config: SuiteConfig) -> SuiteResult:
@@ -376,21 +366,9 @@ def _run_extensions(config: SuiteConfig) -> SuiteResult:
     for i, p1 in enumerate(points):
         for p2 in points[i + 1 :]:
             products[f"{rat_str(p1.tau)},{rat_str(p2.tau)}"] = rat_str(family_product(p1, p2))
-    return SuiteResult(
-        name="extensions",
-        passed=not failures,
-        counts={
-            "graph_points": config.samples,
-            "taus": len(config.taus),
-            "tau_pairs": len(products),
-            "failures": len(failures),
-        },
-        evidence={
-            "closure_margin": rat_str(expected),
-            "distinctness_products": products,
-        },
-        failures=failures[:MAX_FAILURES_SHOWN],
-    )
+    counts = {"graph_points": config.samples, "taus": len(config.taus), "tau_pairs": len(products)}
+    evidence = {"closure_margin": rat_str(expected), "distinctness_products": products}
+    return _result("extensions", failures, counts, evidence)
 
 
 def _run_gap(config: SuiteConfig) -> SuiteResult:
@@ -415,17 +393,9 @@ def _run_gap(config: SuiteConfig) -> SuiteResult:
             "self_pairing": rat_str(self_pairing),
             "gap": rat_str(gap),
         }
-    return SuiteResult(
-        name="gap",
-        passed=not failures,
-        counts={
-            "graph_points": config.samples,
-            "taus": len(config.taus),
-            "failures": len(failures),
-        },
-        evidence={"expected_gap": rat_str(expected), "per_tau": per_tau},
-        failures=failures[:MAX_FAILURES_SHOWN],
-    )
+    counts = {"graph_points": config.samples, "taus": len(config.taus)}
+    evidence = {"expected_gap": rat_str(expected), "per_tau": per_tau}
+    return _result("gap", failures, counts, evidence)
 
 
 _RUNNERS = {

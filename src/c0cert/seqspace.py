@@ -54,7 +54,6 @@ __all__ = [
     "rat_str",
     "pairing",
     "pairing_numerator",
-    "pairing_of_differences",
     "difference_terms",
     "sup_norm",
     "l1_norm",
@@ -201,10 +200,6 @@ class Seq:
             raise IndexError(f"index {i} out of range: indices start at 1")
         return Fraction(self.num[i - 1] if i <= len(self.num) else self.tnum, self.den)
 
-    @property
-    def finitely_supported(self) -> bool:
-        return self.tnum == 0
-
     def _combine(self, other: Seq, sign: int) -> Seq:
         """self + sign * other over the least common denominator."""
         g = gcd(self.den, other.den)
@@ -306,11 +301,6 @@ def pairing_numerator(x: Seq, y: Seq) -> int:
     if len(ys) > len(xs):
         total += x.tnum * sum(islice(ys, len(xs), None))
     return total
-
-
-def pairing_of_differences(a: Seq, b: Seq, c: Seq, d: Seq) -> Rational:
-    """``pairing(a - b, c - d)``: ``difference_terms`` reduced to one Fraction."""
-    return Fraction(*difference_terms(a, b, c, d))
 
 
 def difference_terms(a: Seq, b: Seq, c: Seq, d: Seq) -> tuple[int, int]:

@@ -100,10 +100,13 @@ def test_config_errors_name_the_field(obj, fragment):
         ("support_max", MAX_SUPPORT),
         ("coeff_bound", MAX_COEFF_BOUND),
         ("taus", MAX_TAUS),
+        ("ytilde", MAX_SUPPORT),
     ],
 )
 def test_config_bounds_the_requested_work(tmp_path, capsys, field, bound):
     def value(k):
+        if field == "ytilde":  # the raw length counts, trailing zeros included
+            return {"prefix": ["1"] + ["0"] * (k - 1), "tail": "0"}
         return [str(t) for t in range(1, k + 1)] if field == "taus" else k
 
     config_from_obj({field: value(bound)})  # the bound itself is admitted
@@ -130,6 +133,24 @@ def test_parse_config_bad_json(tmp_path):
     path.write_text("{", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "raw, fragment",
+    [
+        (b'{"seed": "\xff"}', "cannot read config"),  # not UTF-8
+        (b'{"seed": ' + b"1" * 4301 + b"}", "cannot be decoded"),  # past the int digit limit
+        (b"[" * 100_000 + b"]" * 100_000, "cannot be decoded"),  # nested too deep
+    ],
+    ids=["non-utf8", "long-integer", "deep-nesting"],
+)
+def test_undecodable_config_exits_2(tmp_path, capsys, raw, fragment):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(str(path))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_parse_config_stdin(monkeypatch):
@@ -319,8 +340,9 @@ def test_run_suite_records_the_crash_site(monkeypatch):
 # --- integer verdicts -------------------------------------------------------
 #
 # Each runner compares the certify layer's (numerator, denominator) results
-# as integers.  A core raised by exactly 1 must fail the suite with the
-# message text the Fraction comparisons produced.
+# as integers, or leaves the comparison to certify itself (the maximal
+# suite).  A core raised by exactly 1 must fail the suite with the message
+# text the Fraction comparisons produced.
 
 
 def raised_by_one(core):
@@ -355,22 +377,22 @@ def test_monotone_runner_reports_a_nonzero_product(monkeypatch):
 
 
 def test_maximal_runner_reports_a_failed_recheck(monkeypatch):
-    core = c0cert.cli.difference_terms
-    monkeypatch.setattr(c0cert.cli, "difference_terms", raised_by_one(core))
+    # violation_witness re-verifies each witness product itself; the runner
+    # records the raised AssertionError as the suite's one crash record
+    core = c0cert.certify.difference_terms
+    monkeypatch.setattr(c0cert.certify, "difference_terms", raised_by_one(core))
     (result,) = run_suite(fast_config(suites=["maximal"])).results
     assert not result.passed
-    assert result.counts["failures"] == 25
-    assert result.failures == [
-        f"witness product {product} failed re-verification"
-        for product in (
-            "-11449/148225",
-            "-1",
-            "-1",
-            "-241649224653595704001/629399993951602225",
-            "-1",
-        )
+    [message] = result.failures
+    found = re.fullmatch(
+        r"AssertionError: witness normalization failed \(certify\.py:(\d+)\)", message
+    )
+    assert found, message
+    line = Path(c0cert.certify.__file__).read_text(encoding="utf-8").splitlines()[
+        int(found.group(1)) - 1
     ]
-    assert result.evidence == {}
+    assert 'raise AssertionError("witness normalization failed")' in line
+    assert result.counts == {} and result.evidence == {}
 
 
 def test_gap_runner_reports_a_wrong_gap(monkeypatch):

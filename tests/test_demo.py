@@ -1,0 +1,35 @@
+"""The walkthrough script, run as a user runs it: in a child interpreter."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_counterexample.py"), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_demo_prints_the_suites_evidence():
+    done = run_demo("--samples", "5")
+    assert done.returncode == 0, done.stderr
+    assert "pairing(ones, ytilde) = 1 > 0" in done.stdout
+    assert "FAILURE" not in done.stdout
+
+
+def test_demo_rejects_rationals_outside_the_wire_format():
+    done = run_demo("--taus", "0.5,2")
+    assert done.returncode == 2
+    assert "config error" in done.stderr
+    assert done.stdout == ""

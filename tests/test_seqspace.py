@@ -22,7 +22,6 @@ from c0cert.seqspace import (
     l1_norm,
     pairing,
     pairing_numerator,
-    pairing_of_differences,
     rat,
     rat_str,
     sup_norm,
@@ -283,7 +282,7 @@ def test_pairing_and_sums_match_per_entry_reference(rx, tx, ry):
     eventually_constants(), eventually_constants(), raw_prefixes, raw_prefixes, rationals,
     st.booleans(),
 )
-def test_pairing_of_differences_matches_two_step_form(a, b, rc, rd, t, shared):
+def test_difference_terms_matches_two_step_form_on_tailed_sides(a, b, rc, rd, t, shared):
     """The fused kernel equals pairing(a - b, c - d), NonSummable included.
 
     c - d is finitely supported exactly when c and d share their tail.
@@ -294,9 +293,9 @@ def test_pairing_of_differences_matches_two_step_form(a, b, rc, rd, t, shared):
             expected = pairing(args[0] - args[1], args[2] - args[3])
         except NonSummable:
             with pytest.raises(NonSummable):
-                pairing_of_differences(*args)
+                difference_terms(*args)
         else:
-            assert pairing_of_differences(*args) == expected
+            assert Fraction(*difference_terms(*args)) == expected
 
 
 @given(
@@ -325,12 +324,12 @@ def test_difference_terms_matches_two_step_form_on_every_path(a, b, rc, rd, t, t
             assert Fraction(num, den) == expected
 
 
-def test_pairing_of_differences_examples():
-    assert pairing_of_differences(ONES, ZERO, unit(2), unit(1)) == 0
+def test_difference_terms_examples():
+    assert Fraction(*difference_terms(ONES, ZERO, unit(2), unit(1))) == 0
     # (0, 1, 1, 1, ...) against (0, 1, -2, 0, ...)
-    assert pairing_of_differences(ONES, unit(1), unit(2), 2 * unit(3)) == -1
+    assert Fraction(*difference_terms(ONES, unit(1), unit(2), 2 * unit(3))) == -1
     with pytest.raises(NonSummable):
-        pairing_of_differences(ONES, ZERO, ONES, unit(1))
+        difference_terms(ONES, ZERO, ONES, unit(1))
 
 
 @given(eventually_constants(), summables())
