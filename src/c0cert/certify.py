@@ -19,6 +19,9 @@ identities that are checked literally:
   through the Fitzpatrick function: the supremum of the graph evaluations
   stays short of the family point's self-pairing by an exactly computed
   positive gap.
+* ``uncertified_points`` proves the margin and the Fitzpatrick value of a
+  graph point for every tau > 0 at once, from four tau-free integers per
+  point, and returns the points where that proof does not go through.
 
 Each value-returning certificate has an integer core, named with a
 ``_terms`` suffix, that returns an unreduced numerator over a positive
@@ -75,6 +78,7 @@ __all__ = [
     "fitzpatrick_value",
     "fitzpatrick_value_terms",
     "fitzpatrick_gap",
+    "uncertified_points",
     "violation_witness",
 ]
 
@@ -166,7 +170,8 @@ def _family_components(tau: Rational, ytilde: Seq) -> tuple[Seq, Seq]:
     if pairing(ONES, ytilde) <= 0:
         raise InvalidParameter("pairing(ones, ytilde) must be positive")
     xstar = tau * ytilde
-    return xstar, -gossez_apply(xstar) + (Fraction(1) / tau) * ONES
+    # (1/tau) * ones, built canonical: tau > 0 is in lowest terms
+    return xstar, -gossez_apply(xstar) + Seq._of([], tau.denominator, tau.numerator)
 
 
 def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
@@ -221,8 +226,14 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     Equals pairing(ones, ep.ytilde) for every graph point: the graph part
     pairs off by skewness, graph values are zero-sum so they are orthogonal
     to the ones direction, and what remains is (1/tau) * pairing(tau *
-    ytilde, ones).  Constancy with strict positivity over arbitrary graph
-    samples certifies membership in the monotone closure of the graph.
+    ytilde, ones).  Constancy with strict positivity over the graph
+    certifies membership in the monotone closure of the graph.
+
+    This is the definition, evaluated directly.  The ``extensions`` suite
+    proves the constant margin for every tau > 0 on each sampled point with
+    ``uncertified_points``, and evaluates this directly on one point per tau
+    (the oracle that ties the proof to the definition) and on every point
+    the proof does not cover.
     """
     return Fraction(*closure_margin_terms(ep, p))
 
@@ -309,6 +320,12 @@ def fitzpatrick_gap(
 
     Constancy is checked while streaming over the sample, each evaluation
     cross-multiplied with the first; the gap is the one Fraction built.
+
+    Every point of ``sample`` is evaluated directly.  The ``gap`` suite
+    passes the first sampled point and the points ``uncertified_points``
+    returns, since it proves a Fitzpatrick value of 0 at every tau > 0 for
+    the rest; it evaluates the whole sample when the common value it gets
+    is not 0.
     """
     if not sample:
         raise EmptySample("need at least one graph point")
@@ -322,6 +339,51 @@ def fitzpatrick_gap(
         self_pairing = pairing(ep.xstar, ep.xstarstar)
     sp_num, sp_den = self_pairing.numerator, self_pairing.denominator
     return Fraction(sp_num * first_den - first_num * sp_den, sp_den * first_den)
+
+
+def uncertified_points(ytilde: Seq, sample: Sequence[GraphPoint]) -> list:
+    """The points of ``sample`` whose family certificate is not proven for every tau > 0.
+
+    For tau > 0 the family point along a finitely supported ytilde is
+    xs = tau * ytilde, xss = -tau * g + (1/tau) * ones with g = G(ytilde).
+    Take a point p = (x, y) with y finitely supported, and let
+
+        q = pairing(g, ytilde),  s = sum(ytilde),
+        a = pairing(g, y),  b = pairing(x, ytilde),  c = sum(y),  d = pairing(x, y).
+
+    Each pairing below has a finitely supported side, so the definitions
+    expand by bilinearity:
+
+        closure_margin(tau, p)    = pairing(xss - x, xs - y)
+                                  = -tau^2 q + s + tau (a - b) - c / tau + d
+        fitzpatrick_value(tau, p) = pairing(x, xs) + pairing(xss, y) - pairing(x, y)
+                                  = tau (b - a) + c / tau - d
+
+    None of q, s, a, b, c and d depends on tau.  Where q = 0, a = b, c = 0
+    and d = 0, the margin is s and the Fitzpatrick value is 0 at every
+    tau > 0 at once.  On the graph these are skewness (q = 0, d = 0), the
+    range law (c = 0) and the antisymmetry of G (a = b).
+
+    g is built once and q checked once; if q != 0, every point is returned.
+    Each point then costs three integer pairings and one sum: c and d must
+    have zero numerators, and a = b is compared cross-multiplied over the
+    two denominators.  A point whose y has a nonzero tail is returned
+    unchecked, since c and d need not exist.  The returned points keep
+    their sample order.
+    """
+    g = gossez_apply(ytilde)
+    if pairing_numerator(g, ytilde):
+        return list(sample)
+    gden, tden = g.den, ytilde.den
+    return [
+        p
+        for p in sample
+        if p.y.tnum
+        or sum(p.y.num)
+        or pairing_numerator(p.x, p.y)
+        or pairing_numerator(g, p.y) * p.x.den * tden
+        != pairing_numerator(p.x, ytilde) * gden * p.y.den
+    ]
 
 
 def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:

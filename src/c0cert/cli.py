@@ -43,6 +43,7 @@ from .certify import (
     random_graph_point,
     random_offgraph_pair,
     random_summable,
+    uncertified_points,
     violation_witness,
     Member,
     Violation,
@@ -81,10 +82,12 @@ SUITE_NAMES = ("extensions", "gap", "maximal", "monotone", "skew")
 # Cap on failure messages kept per suite; counts always carry the full number.
 MAX_FAILURES_SHOWN = 5
 
-# Upper bounds on the work a config may request.  Suite time grows linearly
-# with samples (and with the square of the number of taus, for the pairwise
-# distinctness products); support_max, the prefix length of ytilde and
-# coeff_bound set the length and the bit size of every exact entry.
+# Upper bounds on the work a config may request.  Sampled work grows with
+# samples + taus: each sampled point is certified once for every tau, and
+# each tau evaluates one point directly.  Only the pairwise distinctness
+# products grow with the square of the number of taus.  support_max, the
+# prefix length of ytilde and coeff_bound set the length and the bit size
+# of every exact entry.
 MAX_SAMPLES = 100_000
 MAX_SUPPORT = 256
 MAX_COEFF_BOUND = 10**6
@@ -353,9 +356,16 @@ def _run_extensions(config: SuiteConfig) -> SuiteResult:
     expected = pairing(ONES, config.ytilde)
     exp_num, exp_den = expected.numerator, expected.denominator
     points = [extension_point(tau, config.ytilde) for tau in config.taus]
+    # Past the first point, only the flagged ones can miss the margin at any
+    # tau.  The first point's direct margin is the oracle that ties the proof
+    # to the definition: where it misses, every point is evaluated directly.
+    flagged = uncertified_points(config.ytilde, sample[1:])
     for ep in points:
-        for p in sample:
-            num, den = closure_margin_terms(ep, p)
+        margins = [closure_margin_terms(ep, sample[0])]
+        num, den = margins[0]
+        rest = flagged if num * exp_den == exp_num * den else sample[1:]
+        margins += [closure_margin_terms(ep, p) for p in rest]
+        for num, den in margins:
             if num * exp_den != exp_num * den or num <= 0:
                 margin = Fraction(num, den)
                 failures.append(f"margin {margin} != {expected} at tau = {ep.tau}")
@@ -377,11 +387,18 @@ def _run_gap(config: SuiteConfig) -> SuiteResult:
     sample = _graph_sample(config, rng)
     expected = pairing(ONES, config.ytilde)
     per_tau = {}
+    # The points left out of `direct` have Fitzpatrick value 0 at every tau.
+    # So a common value of 0 over `direct` is the common value over the
+    # sample, values that differ over `direct` differ over the sample, and
+    # any other common value is recomputed over the whole sample.
+    direct = [sample[0], *uncertified_points(config.ytilde, sample[1:])]
     for tau in config.taus:
         ep = extension_point(tau, config.ytilde)
         self_pairing = pairing(ep.xstar, ep.xstarstar)
         try:
-            gap = fitzpatrick_gap(ep, sample, self_pairing)
+            gap = fitzpatrick_gap(ep, direct, self_pairing)
+            if gap != self_pairing:
+                gap = fitzpatrick_gap(ep, sample, self_pairing)
         except AssertionError:  # the evaluations differ across the sample
             failures.append(f"Fitzpatrick values not constant at tau = {tau}")
             continue

@@ -30,12 +30,14 @@ from c0cert.certify import (
     random_offgraph_pair,
     random_rational,
     random_summable,
+    uncertified_points,
     violation_witness,
 )
 from c0cert.gossez import gossez_apply, unit_u, unit_v
 from c0cert.seqspace import ONES, ZERO, NonSummable, Seq, pairing, total_sum, unit
 
 from strategies import (
+    eventually_constants,
     positive_sum_summables,
     positive_taus,
     summables,
@@ -118,6 +120,18 @@ def test_extension_point_rejects_tampered_fields():
         ExtensionPoint(ep.tau, ep.ytilde, ep.xstar + unit(1), ep.xstarstar)
     with pytest.raises(InvalidParameter):
         ExtensionPoint(ep.tau, ep.ytilde, ep.xstar, ep.xstarstar + unit(2))
+
+
+@pytest.mark.parametrize("tau", ["1", "2", "1/3", "7/2", "100/33", "1/1000"])
+def test_family_point_builds_its_ones_term_canonically(tau):
+    """(1/tau) * ones from tau's numerator and denominator, as scaling would build it."""
+    tau = Fraction(tau)
+    built = Seq._of([], tau.denominator, tau.numerator)
+    scaled = (Fraction(1) / tau) * ONES
+    assert (built.num, built.tnum, built.den) == (scaled.num, scaled.tnum, scaled.den)
+    ytilde = Seq(["3/7", "-1/5", "2/3"])
+    ep = extension_point(tau, ytilde)
+    assert ep.xstarstar == -gossez_apply(tau * ytilde) + scaled
 
 
 @given(positive_taus, positive_sum_summables())
@@ -255,6 +269,79 @@ def test_fitzpatrick_gap_equals_direction_total(tau, ytilde, ys):
     gap = fitzpatrick_gap(ep, sample)
     assert gap == pairing(ONES, ytilde)
     assert gap > 0
+
+
+# --- tau-free family certificate ---------------------------------------------
+
+
+def tau_free_terms(ytilde, p):
+    """q, s, a, b, c, d of the ``uncertified_points`` docstring, as Fractions."""
+    g = gossez_apply(ytilde)
+    return (
+        pairing(g, ytilde),
+        total_sum(ytilde),
+        pairing(g, p.y),
+        pairing(p.x, ytilde),
+        total_sum(p.y),
+        pairing(p.x, p.y),
+    )
+
+
+family_test_points = st.one_of(
+    zero_sum_summables().map(GraphPoint.from_y),
+    # off the graph: a != b, c != 0 and d != 0 in general
+    st.builds(lambda x, y: SimpleNamespace(x=x, y=y), eventually_constants(), summables()),
+    # x = -G(y) with sum(y) != 0 in general: c != 0 while a = b and d = 0
+    summables().map(lambda y: SimpleNamespace(x=-gossez_apply(y), y=y)),
+)
+
+
+@given(
+    st.lists(positive_taus, min_size=1, max_size=4),
+    positive_sum_summables(),
+    st.lists(family_test_points, min_size=1, max_size=5),
+)
+def test_uncertified_points_expansion_and_soundness(taus, ytilde, sample):
+    """The tau expansion equals the definitions; an unflagged point holds at every tau."""
+    flagged = uncertified_points(ytilde, sample)
+    terms = [tau_free_terms(ytilde, p) for p in sample]
+    q = terms[0][0]
+    assert flagged == [
+        p for p, (_, _, a, b, c, d) in zip(sample, terms) if q or a != b or c or d
+    ]
+    for tau in taus:
+        ep = extension_point(tau, ytilde)
+        for p, (q, s, a, b, c, d) in zip(sample, terms):
+            margin = -tau * tau * q + s + tau * (a - b) - c / tau + d
+            fitzpatrick = tau * (b - a) + c / tau - d
+            assert closure_margin(ep, p) == margin
+            assert fitzpatrick_value(ep, p) == fitzpatrick
+            if not any(f is p for f in flagged):
+                assert margin == s and fitzpatrick == 0
+
+
+def test_uncertified_points_flags_each_broken_identity():
+    """One failed identity is enough to flag a point, and each one moves the margin."""
+    ytilde = Seq([1, 2])  # s = 3
+    y = unit_u(3)
+    on_graph = GraphPoint.from_y(y)
+    broken = {
+        "a != b": SimpleNamespace(x=on_graph.x + unit(1), y=y),
+        "c != 0": SimpleNamespace(x=-gossez_apply(unit(3)), y=unit(3)),
+        "d != 0": SimpleNamespace(x=on_graph.x + unit(3), y=y),
+    }
+    tailed = SimpleNamespace(x=ZERO, y=ONES)  # c and d do not exist
+    sample = [on_graph, broken["a != b"], on_graph, broken["c != 0"], broken["d != 0"], tailed]
+    assert uncertified_points(ytilde, sample) == [*broken.values(), tailed]
+    ep = extension_point(2, ytilde)
+    assert [closure_margin(ep, p) for p in broken.values()] == [1, Fraction(5, 2), 2]
+
+
+def test_uncertified_points_flags_every_point_when_q_is_nonzero(monkeypatch):
+    """A direction map that is not skew (q != 0) proves nothing about any point."""
+    sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
+    monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
+    assert uncertified_points(unit(1), sample) == sample
 
 
 # --- maximality witness -----------------------------------------------------

@@ -7,12 +7,18 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import c0cert.certify
 import c0cert.cli
-from c0cert.certify import distinctness
+from c0cert.certify import (
+    closure_margin_terms,
+    distinctness,
+    extension_point,
+    fitzpatrick_gap,
+)
 from c0cert.cli import (
     MAX_COEFF_BOUND,
     MAX_SAMPLES,
@@ -29,7 +35,8 @@ from c0cert.cli import (
     render_markdown,
     run_suite,
 )
-from c0cert.seqspace import unit
+from c0cert.gossez import gossez_apply
+from c0cert.seqspace import ONES, pairing, rat_str, unit
 
 FAST = {"samples": 25}
 
@@ -409,3 +416,85 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
         "self_pairing": "1",
         "gap": "0",
     }
+
+
+# --- tau-free certificate fallback ------------------------------------------
+#
+# The extensions and gap suites prove their verdicts for every tau from four
+# integers per sampled point, and evaluate directly only the first point and
+# the points that proof flags.  Off-graph points swapped into the sample must
+# leave every failure message, count and evidence value exactly as the direct
+# per-(tau, point) loop gives them.
+
+
+def reference_family_verdicts(config, sample):
+    """The extensions failures and the gap failures and per-tau evidence, point by point."""
+    expected = pairing(ONES, config.ytilde)
+    margin_failures, gap_failures, per_tau = [], [], {}
+    for tau in config.taus:
+        ep = extension_point(tau, config.ytilde)
+        for p in sample:
+            margin = Fraction(*closure_margin_terms(ep, p))
+            if margin != expected or margin <= 0:
+                margin_failures.append(f"margin {margin} != {expected} at tau = {tau}")
+        self_pairing = pairing(ep.xstar, ep.xstarstar)
+        try:
+            gap = fitzpatrick_gap(ep, sample, self_pairing)
+        except AssertionError:
+            gap_failures.append(f"Fitzpatrick values not constant at tau = {tau}")
+            continue
+        if gap != expected or gap <= 0:
+            gap_failures.append(f"gap {gap} != expected {expected} at tau = {tau}")
+        per_tau[rat_str(tau)] = {
+            "fitzpatrick_value": rat_str(self_pairing - gap),
+            "self_pairing": rat_str(self_pairing),
+            "gap": rat_str(gap),
+        }
+    return margin_failures, gap_failures, per_tau
+
+
+# With ytilde (3/7, -1/5): x = -G(y) + delta for y = unit(4) has c = 1,
+# b - a = pairing(delta, ytilde) = 1 and d = pairing(delta, y) = 2.  Its
+# margin and Fitzpatrick value are right at tau = 1 and wrong at every other
+# tau, so it fails some taus and passes others.
+TAU_ONE_POINT = SimpleNamespace(
+    x=-gossez_apply(unit(4)) + Fraction(7, 3) * unit(1) + 2 * unit(4), y=unit(4)
+)
+# Fitzpatrick value pairing(unit(1), xstar) = 3/7 * tau, margin 8/35 - 3/7 * tau.
+SHIFTED_POINT = SimpleNamespace(x=unit(1), y=unit(4) - unit(5))
+
+
+@pytest.mark.parametrize(
+    "swaps",
+    [{0: TAU_ONE_POINT}, {11: TAU_ONE_POINT}, {0: SHIFTED_POINT, 11: TAU_ONE_POINT}],
+    ids=["first", "later", "both"],
+)
+def test_family_runners_match_the_direct_loop_off_the_graph(monkeypatch, swaps):
+    drawn = c0cert.cli._graph_sample
+
+    def swapped(config, rng):
+        sample = drawn(config, rng)
+        for i, p in swaps.items():
+            sample[i] = p
+        return sample
+
+    config = fast_config(
+        ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"},
+        taus=[1, 2, "1/3"],
+        suites=["extensions", "gap"],
+    )
+    clean = {r.name: r for r in run_suite(config).results}
+    monkeypatch.setattr(c0cert.cli, "_graph_sample", swapped)
+    results = {r.name: r for r in run_suite(config).results}
+    samples = {name: swapped(config, c0cert.cli._rng(config, name)) for name in results}
+    margin_failures, _, _ = reference_family_verdicts(config, samples["extensions"])
+    _, gap_failures, per_tau = reference_family_verdicts(config, samples["gap"])
+
+    ext, gap = results["extensions"], results["gap"]
+    assert margin_failures and gap_failures  # the swapped points are seen
+    assert ext.failures == margin_failures[:5]
+    assert ext.counts == {**clean["extensions"].counts, "failures": len(margin_failures)}
+    assert ext.evidence == clean["extensions"].evidence
+    assert gap.failures == gap_failures
+    assert gap.counts == {**clean["gap"].counts, "failures": len(gap_failures)}
+    assert gap.evidence == {**clean["gap"].evidence, "per_tau": per_tau}
