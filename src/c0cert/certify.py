@@ -9,7 +9,7 @@ identities that are checked literally:
   pair off the graph is refuted by an explicit graph point whose monotone
   product with the candidate is strictly negative (normalized to -1 whenever
   a difference-recurrence index witnesses the failure).
-* ``closure_margin`` and ``family_product`` handle the one-parameter family
+* ``closure_margin`` and ``family_products`` handle the one-parameter family
   of bidual points built from a positive-sum direction: each family point is
   monotone against the whole graph with one constant strictly positive
   margin, yet any two family points are strictly non-monotone against each
@@ -37,10 +37,10 @@ one generator per worker, with seeds derived by fixed splitting.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .gossez import gossez_apply, unit_u
 from .seqspace import (
@@ -74,6 +74,7 @@ __all__ = [
     "closure_margin",
     "closure_margin_terms",
     "family_product",
+    "family_products",
     "distinctness",
     "fitzpatrick_value",
     "fitzpatrick_value_terms",
@@ -167,11 +168,11 @@ def _family_components(tau: Rational, ytilde: Seq) -> tuple[Seq, Seq]:
         raise InvalidParameter(f"tau must be positive, got {tau}")
     if ytilde.tnum:
         raise InvalidParameter("ytilde must be finitely supported")
-    if pairing(ONES, ytilde) <= 0:
+    if sum(ytilde.num) <= 0:  # the numerator of pairing(ones, ytilde) over ytilde.den > 0
         raise InvalidParameter("pairing(ones, ytilde) must be positive")
     xstar = tau * ytilde
-    # (1/tau) * ones, built canonical: tau > 0 is in lowest terms
-    return xstar, -gossez_apply(xstar) + Seq._of([], tau.denominator, tau.numerator)
+    # (1/tau) * ones is canonical as built: tau > 0 is in lowest terms
+    return xstar, Seq._from_canonical((), tau.denominator, tau.numerator) - gossez_apply(xstar)
 
 
 def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
@@ -246,38 +247,87 @@ def closure_margin_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
 def family_product(p1: ExtensionPoint, p2: ExtensionPoint) -> Rational:
     """Monotone product between two family points, from the sequences themselves.
 
-    The points must share ytilde and differ in tau.  The value is checked
+    The two-point case of ``family_products``, which states and checks the
+    preconditions, the closed form and the strict sign.
+    """
+    return next(family_products((p1, p2)))[2]
+
+
+def family_products(
+    points: Sequence[ExtensionPoint],
+) -> Iterator[tuple[int, int, Rational]]:
+    """Every pairwise monotone product of family points, from the sequences themselves.
+
+    Yields ``(i, j, product)`` for i < j in the order of the nested loop
+    over i and then j > i, where, with xs = xstar and xss = xstarstar,
+
+        product = pairing(xss_i - xss_j, xs_i - xs_j) .
+
+    Each pair must share ytilde and differ in tau.  Its product is checked
     against the closed form
 
-        (tau1 - tau2) * (1/tau1 - 1/tau2) * pairing(ones, ytilde)
+        (tau_i - tau_j) * (1/tau_i - 1/tau_j) * pairing(ones, ytilde)
 
     and required to be strictly negative: the two points cannot live in a
     common monotone graph, so distinct parameters force distinct maximal
-    monotone extensions into the bidual.  Both checks run on integers; the
-    one Fraction built is the returned value.
+    monotone extensions into the bidual.  A failed check raises at the
+    first failing pair, with the message the pair alone would give.
+
+    The product expands by bilinearity into the four integer pairings
+    P(k, l) = pairing_numerator(xss_k, xs_l) for k, l in {i, j}, each
+    summed at C level since xs_l is finitely supported.  Each P(i, j) with
+    i != j serves one pair only, so it is computed there; the diagonal
+    P(k, k) is computed once for all pairs.  n points thus cost n^2
+    pairings, not the 4 per pair of ``difference_terms``, and the
+    numerator over the denominator is the one ``difference_terms`` builds.
+    Both checks run on integers; the one Fraction built per pair is the
+    yielded value.  Nothing is held per pair, so the caller decides what
+    to keep.
     """
-    if p1.ytilde != p2.ytilde:
-        raise InvalidParameter("family points must share their direction ytilde")
-    if p1.tau == p2.tau:
-        raise InvalidParameter("distinctness needs two different parameters")
-    num, den = difference_terms(p1.xstarstar, p2.xstarstar, p1.xstar, p2.xstar)
-    # With tau_i = a_i / b_i and pairing(ones, ytilde) = s / e, the closed form
-    # is -(a1 b2 - a2 b1)^2 s / (a1 a2 b1 b2 e); compare it cross-multiplied.
-    a1, b1, a2, b2 = p1.tau.numerator, p1.tau.denominator, p2.tau.numerator, p2.tau.denominator
-    k, s, e = a1 * b2 - a2 * b1, sum(p1.ytilde.num), p1.ytilde.den
-    closed_num, closed_den = -k * k * s, a1 * a2 * b1 * b2 * e
-    if num * closed_den != closed_num * den:
-        direct, closed = Fraction(num, den), Fraction(closed_num, closed_den)
-        raise AssertionError(f"distinctness mismatch: direct {direct} != closed {closed}")
-    if num >= 0:
-        raise AssertionError(f"distinctness product must be negative, got {Fraction(num, den)}")
-    return Fraction(num, den)
+    terms = [(p.ytilde, p.xstarstar, p.xstar, p.tau.numerator, p.tau.denominator) for p in points]
+    diagonal = [pairing_numerator(xss, xs) for _, xss, xs, _, _ in terms]
+    for i, (yt1, xss1, xs1, a1, b1) in enumerate(terms):
+        s, e, dss1, ds1 = sum(yt1.num), yt1.den, xss1.den, xs1.den
+        for j in range(i + 1, len(terms)):
+            yt2, xss2, xs2, a2, b2 = terms[j]
+            dss2, ds2 = xss2.den, xs2.den
+            if yt1 is not yt2 and yt1 != yt2:
+                raise InvalidParameter("family points must share their direction ytilde")
+            # tau_i = a_i / b_i in lowest terms, so k = 0 iff tau_i = tau_j
+            k = a1 * b2 - a2 * b1
+            if not k:
+                raise InvalidParameter("distinctness needs two different parameters")
+            # xss1 - xss2 has numerators xss1.num * fa - xss2.num * fb over
+            # dss1 * fa, and xs1 - xs2 alike with fc, fd, as in difference_terms
+            g = gcd(dss1, dss2)
+            fa, fb = dss2 // g, dss1 // g
+            g = gcd(ds1, ds2)
+            fc, fd = ds2 // g, ds1 // g
+            num = fa * (fc * diagonal[i] - fd * pairing_numerator(xss1, xs2)) - fb * (
+                fc * pairing_numerator(xss2, xs1) - fd * diagonal[j]
+            )
+            den = dss1 * fa * ds1 * fc
+            # With pairing(ones, ytilde) = s / e, the closed form is
+            # -(a1 b2 - a2 b1)^2 s / (a1 a2 b1 b2 e); compare it cross-multiplied.
+            closed_num, closed_den = -k * k * s, a1 * a2 * b1 * b2 * e
+            if num * closed_den != closed_num * den:
+                direct, closed = Fraction(num, den), Fraction(closed_num, closed_den)
+                raise AssertionError(f"distinctness mismatch: direct {direct} != closed {closed}")
+            if num >= 0:
+                raise AssertionError(
+                    f"distinctness product must be negative, got {Fraction(num, den)}"
+                )
+            yield i, j, Fraction(num, den)
 
 
 def distinctness(
     tau1: Rational | int | str, tau2: Rational | int | str, ytilde: Seq
 ) -> Rational:
-    """``family_product`` of the family points for tau1 and tau2 along ytilde."""
+    """``family_product`` of the family points for tau1 and tau2 along ytilde.
+
+    Builds both points; callers that pair many taus build each point once
+    and stream the pairs through ``family_products``.
+    """
     return family_product(extension_point(tau1, ytilde), extension_point(tau2, ytilde))
 
 

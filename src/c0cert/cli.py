@@ -37,7 +37,7 @@ from pathlib import Path
 from .certify import (
     extension_point,
     closure_margin_terms,
-    family_product,
+    family_products,
     fitzpatrick_gap,
     monotone_product_terms,
     random_graph_point,
@@ -84,10 +84,11 @@ MAX_FAILURES_SHOWN = 5
 
 # Upper bounds on the work a config may request.  Sampled work grows with
 # samples + taus: each sampled point is certified once for every tau, and
-# each tau evaluates one point directly.  Only the pairwise distinctness
-# products grow with the square of the number of taus.  support_max, the
-# prefix length of ytilde and coeff_bound set the length and the bit size
-# of every exact entry.
+# each tau builds one family point per report and evaluates one graph point
+# directly.  Only the distinctness products grow with the square of the
+# number n of taus: n * (n - 1) / 2 pairs from n**2 integer pairings.
+# support_max, the prefix length of ytilde and coeff_bound set the length
+# and the bit size of every exact entry.
 MAX_SAMPLES = 100_000
 MAX_SUPPORT = 256
 MAX_COEFF_BOUND = 10**6
@@ -349,13 +350,32 @@ def _run_maximal(config: SuiteConfig) -> SuiteResult:
     return _result("maximal", failures, counts, evidence)
 
 
-def _run_extensions(config: SuiteConfig) -> SuiteResult:
+class _FamilyPoints:
+    """The family points of one report, one per tau, built when first asked for.
+
+    ``run_suite`` makes one per report and hands it to the extensions and gap
+    suites, so each point is built once per report.  A build that raises keeps
+    nothing, so every suite that asks raises again and records the crash.
+    """
+
+    def __init__(self, config: SuiteConfig) -> None:
+        self._config = config
+        self._points = None
+
+    def __call__(self) -> list:
+        if self._points is None:
+            ytilde = self._config.ytilde
+            self._points = [extension_point(tau, ytilde) for tau in self._config.taus]
+        return self._points
+
+
+def _run_extensions(config: SuiteConfig, family: _FamilyPoints) -> SuiteResult:
     rng = _rng(config, "extensions")
     failures = []
     sample = _graph_sample(config, rng)
     expected = pairing(ONES, config.ytilde)
     exp_num, exp_den = expected.numerator, expected.denominator
-    points = [extension_point(tau, config.ytilde) for tau in config.taus]
+    points = family()
     # Past the first point, only the flagged ones can miss the margin at any
     # tau.  The first point's direct margin is the oracle that ties the proof
     # to the definition: where it misses, every point is evaluated directly.
@@ -369,19 +389,19 @@ def _run_extensions(config: SuiteConfig) -> SuiteResult:
             if num * exp_den != exp_num * den or num <= 0:
                 margin = Fraction(num, den)
                 failures.append(f"margin {margin} != {expected} at tau = {ep.tau}")
-    products = {}
     if len(points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
-    # family_product raises unless the product is negative and matches its closed form
-    for i, p1 in enumerate(points):
-        for p2 in points[i + 1 :]:
-            products[f"{rat_str(p1.tau)},{rat_str(p2.tau)}"] = rat_str(family_product(p1, p2))
+    keys = [rat_str(ep.tau) for ep in points]
+    # family_products raises unless each product is negative and matches its closed form
+    products = {
+        f"{keys[i]},{keys[j]}": rat_str(product) for i, j, product in family_products(points)
+    }
     counts = {"graph_points": config.samples, "taus": len(config.taus), "tau_pairs": len(products)}
     evidence = {"closure_margin": rat_str(expected), "distinctness_products": products}
     return _result("extensions", failures, counts, evidence)
 
 
-def _run_gap(config: SuiteConfig) -> SuiteResult:
+def _run_gap(config: SuiteConfig, family: _FamilyPoints) -> SuiteResult:
     rng = _rng(config, "gap")
     failures = []
     sample = _graph_sample(config, rng)
@@ -392,18 +412,17 @@ def _run_gap(config: SuiteConfig) -> SuiteResult:
     # sample, values that differ over `direct` differ over the sample, and
     # any other common value is recomputed over the whole sample.
     direct = [sample[0], *uncertified_points(config.ytilde, sample[1:])]
-    for tau in config.taus:
-        ep = extension_point(tau, config.ytilde)
+    for ep in family():
         self_pairing = pairing(ep.xstar, ep.xstarstar)
         try:
             gap = fitzpatrick_gap(ep, direct, self_pairing)
             if gap != self_pairing:
                 gap = fitzpatrick_gap(ep, sample, self_pairing)
         except AssertionError:  # the evaluations differ across the sample
-            failures.append(f"Fitzpatrick values not constant at tau = {tau}")
+            failures.append(f"Fitzpatrick values not constant at tau = {ep.tau}")
             continue
         if gap != expected or gap <= 0:
-            failures.append(f"gap {gap} != expected {expected} at tau = {tau}")
+            failures.append(f"gap {gap} != expected {expected} at tau = {ep.tau}")
         per_tau[rat_str(ep.tau)] = {
             # the common evaluation: the gap is self-pairing minus its value
             "fitzpatrick_value": rat_str(self_pairing - gap),
@@ -422,19 +441,24 @@ _RUNNERS = {
     "extensions": _run_extensions,
     "gap": _run_gap,
 }
+# The runners that also take the report's _FamilyPoints.
+_FAMILY_SUITES = frozenset({"extensions", "gap"})
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suites; certificate errors become suite failures.
 
     A crash is recorded as ``Type: message (file.py:LINE)``, naming the
-    innermost frame of its traceback.
+    innermost frame of its traceback.  The family points are built at most
+    once per call, for the first family suite that runs.
     """
     results = []
+    family = _FamilyPoints(config)
     for name in config.suites:
         started = time.perf_counter()
         try:
-            result = _RUNNERS[name](config)
+            runner = _RUNNERS[name]
+            result = runner(config, family) if name in _FAMILY_SUITES else runner(config)
         except Exception as exc:  # a crash is itself a failed certificate
             tb = exc.__traceback__
             while tb.tb_next is not None:  # walk to the innermost frame

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import c0cert.certify
 from c0cert.certify import (
     EmptySample,
     ExtensionPoint,
@@ -22,6 +23,7 @@ from c0cert.certify import (
     distinctness,
     extension_point,
     family_product,
+    family_products,
     fitzpatrick_gap,
     fitzpatrick_value,
     fitzpatrick_value_terms,
@@ -34,7 +36,16 @@ from c0cert.certify import (
     violation_witness,
 )
 from c0cert.gossez import gossez_apply, unit_u, unit_v
-from c0cert.seqspace import ONES, ZERO, NonSummable, Seq, pairing, total_sum, unit
+from c0cert.seqspace import (
+    ONES,
+    ZERO,
+    NonSummable,
+    Seq,
+    difference_terms,
+    pairing,
+    total_sum,
+    unit,
+)
 
 from strategies import (
     eventually_constants,
@@ -195,6 +206,88 @@ def test_family_product_checks_the_closed_form():
     object.__setattr__(p2, "xstarstar", p2.xstarstar + unit(1))  # bypass validation
     with pytest.raises(AssertionError, match="mismatch"):
         family_product(p1, p2)
+
+
+# The family_products kernel against the per-pair loop: the same values in
+# the same (i, j) order, and the same first failure.
+
+distinct_taus = st.lists(positive_taus, min_size=2, max_size=8, unique=True)
+
+
+def family_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@given(distinct_taus, positive_sum_summables())
+def test_family_products_match_the_per_pair_loop(taus, ytilde):
+    points = [extension_point(tau, ytilde) for tau in taus]
+    pairs = family_pairs(len(points))
+    assert list(family_products(points)) == [
+        (i, j, family_product(points[i], points[j])) for i, j in pairs
+    ]
+    # the direct product, four pairings per pair, with no shared diagonal
+    assert [product for _, _, product in family_products(points)] == [
+        Fraction(*difference_terms(p.xstarstar, q.xstarstar, p.xstar, q.xstar))
+        for p, q in ((points[i], points[j]) for i, j in pairs)
+    ]
+
+
+@given(distinct_taus, positive_sum_summables(), st.data())
+def test_family_products_fail_where_the_per_pair_loop_does(taus, ytilde, data):
+    points = [extension_point(tau, ytilde) for tau in taus]
+    k = data.draw(st.integers(0, len(points) - 1))
+    # moves each product of point k by (tau_k - tau_j) * sum(ytilde) != 0
+    object.__setattr__(points[k], "xstarstar", points[k].xstarstar + ONES)  # bypass validation
+    # every pair with point k fails, the first in row order is (0, k) or (0, 1)
+    pairs = family_pairs(len(points))
+    first = pairs.index((0, max(k, 1)))
+    passed = [(i, j, family_product(points[i], points[j])) for i, j in pairs[:first]]
+    i, j = pairs[first]
+    with pytest.raises(AssertionError, match="distinctness mismatch") as per_pair:
+        family_product(points[i], points[j])
+    kernel = family_products(points)
+    assert [next(kernel) for _ in passed] == passed
+    with pytest.raises(AssertionError) as raised:
+        next(kernel)
+    assert str(raised.value) == str(per_pair.value)
+
+
+@given(distinct_taus, positive_sum_summables(), st.data())
+def test_family_products_check_every_pair(taus, ytilde, data):
+    # One integer pairing, pairing_numerator(xss_i, xs_j), is off by one: the
+    # loop and the kernel must both fail at pair (i, j) and pass every other.
+    points = [extension_point(tau, ytilde) for tau in taus]
+    pairs = family_pairs(len(points))
+    i, j = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+    real = c0cert.certify.pairing_numerator
+
+    def off_by_one(x, y):
+        return real(x, y) + (x is points[i].xstarstar and y is points[j].xstar)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(c0cert.certify, "pairing_numerator", off_by_one)
+        products = {}
+        for k, l in pairs:
+            try:
+                products[k, l] = family_product(points[k], points[l])
+            except AssertionError as exc:
+                products[k, l] = str(exc)
+        assert [pair for pair, value in products.items() if isinstance(value, str)] == [(i, j)]
+        kernel = family_products(points)
+        passed = pairs[: pairs.index((i, j))]
+        assert [next(kernel) for _ in passed] == [(k, l, products[k, l]) for k, l in passed]
+        with pytest.raises(AssertionError) as raised:
+            next(kernel)
+    assert str(raised.value) == products[i, j]
+
+
+def test_family_products_reject_equal_taus_and_mismatched_ytilde():
+    one, two, three = (extension_point(tau, unit(1)) for tau in (1, 2, 3))
+    with pytest.raises(InvalidParameter, match="two different parameters"):
+        list(family_products([one, two, three, extension_point(2, unit(1))]))
+    with pytest.raises(InvalidParameter, match="share their direction"):
+        list(family_products([one, two, extension_point(3, 2 * unit(1))]))
+    assert list(family_products([one])) == []
 
 
 # --- Fitzpatrick gap --------------------------------------------------------

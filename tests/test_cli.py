@@ -124,6 +124,27 @@ def test_config_bounds_the_requested_work(tmp_path, capsys, field, bound):
     assert "config error" in err and field in err
 
 
+def test_extensions_at_the_tau_cap():
+    # k / (2k + 1) is increasing in k and in lowest terms: MAX_TAUS distinct taus
+    taus = [Fraction(k, 2 * k + 1) for k in range(1, MAX_TAUS + 1)]
+    ytilde = ["3/7", "-1/5", "2/3"]
+    config = fast_config(
+        samples=5,
+        taus=[rat_str(t) for t in taus],
+        ytilde={"prefix": ytilde, "tail": "0"},
+        suites=["extensions"],
+    )
+    (result,) = run_suite(config).results
+    assert result.passed
+    assert result.counts["tau_pairs"] == MAX_TAUS * (MAX_TAUS - 1) // 2 == 2016
+    total = sum(map(Fraction, ytilde))
+    assert result.evidence["distinctness_products"] == {
+        f"{rat_str(t1)},{rat_str(t2)}": rat_str((t1 - t2) * (1 / t1 - 1 / t2) * total)
+        for i, t1 in enumerate(taus)
+        for t2 in taus[i + 1 :]
+    }
+
+
 def test_parse_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3, "samples": 10}), encoding="utf-8")
@@ -342,6 +363,62 @@ def test_run_suite_records_the_crash_site(monkeypatch):
         int(found.group(1)) - 1
     ]
     assert "raise InvalidParameter" in line
+
+
+# --- family points ---------------------------------------------------------
+#
+# run_suite builds each family point at most once per report and shares it
+# between the extensions and gap suites; nothing is kept across reports.
+
+
+def counting_extension_point(monkeypatch) -> list:
+    built = []
+    real = c0cert.cli.extension_point
+
+    def counted(tau, ytilde):
+        built.append(tau)
+        return real(tau, ytilde)
+
+    monkeypatch.setattr(c0cert.cli, "extension_point", counted)
+    return built
+
+
+def test_family_points_are_built_once_per_report(monkeypatch):
+    built = counting_extension_point(monkeypatch)
+    taus = [1, 2, "1/3"]
+    assert run_suite(fast_config(taus=taus)).passed
+    assert len(built) == len(taus)
+    built.clear()
+    assert run_suite(fast_config(taus=taus, suites=["gap"])).passed
+    assert len(built) == len(taus)
+    built.clear()
+    config = fast_config(taus=taus, suites=["extensions", "gap"])
+    first, second = run_suite(config), run_suite(config)
+    assert len(built) == 2 * len(taus)
+    assert render_json(first, with_timing=False) == render_json(second, with_timing=False)
+
+
+def test_a_family_point_crash_fails_both_family_suites(monkeypatch, tmp_path, capsys):
+    def crashing(tau, ytilde):
+        raise ValueError(f"no family point at tau = {tau}")
+
+    monkeypatch.setattr(c0cert.cli, "extension_point", crashing)
+    report = run_suite(fast_config(suites=["extensions", "gap", "skew"]))
+    crashed = {r.name: r for r in report.results if not r.passed}
+    assert sorted(crashed) == ["extensions", "gap"]
+    line = crashing.__code__.co_firstlineno + 1  # the raise: the innermost frame
+    for result in crashed.values():
+        assert result.failures == [f"ValueError: no family point at tau = 1 (test_cli.py:{line})"]
+        assert result.counts == {} and result.evidence == {}
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 5}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["all", "--config", str(cfg), "--out", str(out), "--timestamp", "off"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    suites = {s["name"]: s for s in json.loads(out.read_text(encoding="utf-8"))["suites"]}
+    assert [n for n, s in sorted(suites.items()) if s["status"] == "fail"] == ["extensions", "gap"]
 
 
 # --- integer verdicts -------------------------------------------------------
