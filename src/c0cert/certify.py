@@ -41,10 +41,10 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import floordiv
 
-from .gossez import gossez_apply, unit_u
+from .gossez import gossez_apply
 from .seqspace import (
-    ONES,
     ZERO,
     NonSummable,
     Rational,
@@ -53,7 +53,6 @@ from .seqspace import (
     pairing,
     pairing_numerator,
     rat,
-    total_sum,
 )
 
 __all__ = [
@@ -209,6 +208,8 @@ WitnessVerdict = Member | Violation
 # The normalized product of every difference-recurrence witness, once its
 # recomputed numerator and denominator are seen to cancel to -1.
 _MINUS_ONE = Fraction(-1)
+# The witness of the origin branch, validated once, here.
+_ORIGIN = GraphPoint(ZERO, ZERO)
 
 
 def monotone_product(p: GraphPoint, q: GraphPoint) -> Rational:
@@ -447,6 +448,22 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     sum(y) != 0, the origin is a witness with product -(sum(y))^2.
     Otherwise x = -G(y) entrywise and the pair is a member of the graph.
 
+    Everything runs on integers.  With g = gcd(x.den, y.den), the scan
+    cross-multiplies by the reduced factors x.den / g and y.den / g, so
+
+        scaled_gap = gap_m * x.den * y.den / g
+
+    is an integer with gap_m's sign, and for a pair built from one graph
+    point, where both denominators are equal, both factors are 1.  With
+    pn = pairing_numerator(x, y) = pairing(x, y) * x.den * y.den,
+
+        lam = -(pairing(x, y) + 1) / gap_m = -(pn + x.den * y.den) / (g * scaled_gap) ,
+
+    and lam * u_m is built as one canonicalized sequence from that
+    numerator over that denominator, its sign moved to the numerator.  On
+    the origin branch, pairing(x, y) = -total^2 with total = sum(y) reads
+    pn * y.den = -total^2 * x.den, compared as integers.
+
     Every returned product is recomputed from the witness sequences, never
     from the closed form alone, and this recomputation is the re-verification
     of the witness: the product is exactly -1 once the recomputed numerator
@@ -457,29 +474,29 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     """
     if x.tnum or y.tnum:
         raise NonSummable("candidate pair must have zero tails")
-    # The scan runs on numerators, cross-multiplied by the other side's
-    # denominator: gap_m * x.den * y.den is an integer with gap_m's sign.
     dx, dy = x.den, y.den
+    g = gcd(dx, dy)
+    fx, fy = dx // g, dy // g
     width = max(len(x.num), len(y.num)) + 2
     xs = list(x.num) + [0] * (width - len(x.num))
     ys = list(y.num) + [0] * (width - len(y.num))
     for m in range(1, width):
-        scaled_gap = (ys[m] + ys[m - 1]) * dx - (xs[m] - xs[m - 1]) * dy
+        scaled_gap = (ys[m] + ys[m - 1]) * fx - (xs[m] - xs[m - 1]) * fy
         if scaled_gap:
-            gap = Fraction(scaled_gap, dx * dy)
-            lam = -(pairing(x, y) + 1) / gap
-            witness = GraphPoint.from_y(lam * unit_u(m))
+            lam_num = -(pairing_numerator(x, y) + dx * dy)
+            lam_den = g * scaled_gap
+            if lam_den < 0:
+                lam_num, lam_den = -lam_num, -lam_den
+            witness = GraphPoint.from_y(Seq._of([0] * (m - 1) + [-lam_num, lam_num], 0, lam_den))
             num, den = difference_terms(x, witness.x, y, witness.y)
             if num != -den:
                 raise AssertionError("witness normalization failed")
             return Violation(witness, _MINUS_ONE)
-    total = total_sum(y)
-    if total != 0:
-        witness = GraphPoint(ZERO, ZERO)
-        product = pairing(x, y)
-        if product != -total * total:
+    total = sum(y.num)
+    if total:
+        if pairing_numerator(x, y) * dy != -total * total * dx:
             raise AssertionError("origin-witness product mismatch")
-        return Violation(witness, product)
+        return Violation(_ORIGIN, Fraction(-total * total, dy * dy))
     if x != -gossez_apply(y):
         raise AssertionError("membership reconstruction failed")
     return Member()
@@ -506,13 +523,15 @@ def random_rational(rng: random.Random, coeff_bound: int) -> Rational:
 
 def _draw_summable(
     rng: random.Random, support_max: int, coeff_bound: int
-) -> tuple[list[int], int]:
-    """The numerators and the common denominator of one ``random_summable`` draw.
+) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of one ``random_summable`` draw.
 
-    Entry i is the i-th ``random_rational`` draw, taken as integers and put
-    over the least common denominator of all draws.  The list is raw: not
-    trimmed and not reduced.  The ``_below`` loop is inlined with its bit
-    widths computed once, so each entry costs no Python call of its own.
+    Entry i is the i-th ``random_rational`` draw in lowest terms: p // g
+    over q // g with g = gcd(p, q) > 0, so a zero entry is 0 over 1.  The
+    lists are raw: not trimmed and not over a common denominator.  The
+    ``_below`` loop is inlined with its bit widths computed once, so each
+    entry costs no Python call of its own; the reduction runs after the
+    draws and consumes no random bits.
     """
     width = _below(rng, support_max + 1)
     span = 2 * coeff_bound + 1
@@ -531,18 +550,44 @@ def _draw_summable(
         while r >= coeff_bound:
             r = getrandbits(kden)
         dens.append(r + 1)
+    gs = list(map(gcd, nums, dens))
+    nums = list(map(floordiv, nums, gs))
+    dens = list(map(floordiv, dens, gs))
+    return nums, dens
+
+
+def _over_lcm(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
+    """Lowest-terms fractions nums[i] / dens[i] as numerators over their lcm.
+
+    The result is canonical up to trailing zeros: a prime r dividing the
+    lcm divides some dens[j] to its full power there, and nums[j] * (lcm //
+    dens[j]) is then prime to r, since lcm // dens[j] is and nums[j] is
+    coprime to dens[j].  So the gcd of the lcm and the numerators is 1.
+    """
     den = lcm(*dens)
     return [p * (den // q) for p, q in zip(nums, dens)], den
+
+
+def _trimmed(num: list[int]) -> tuple[int, ...]:
+    """``num`` without its trailing zeros, as the tuple a zero-tail ``Seq`` holds.
+
+    ``num`` must be a fresh list: it is trimmed in place.
+    """
+    while num and not num[-1]:
+        num.pop()
+    return tuple(num)
 
 
 def random_summable(rng: random.Random, support_max: int, coeff_bound: int) -> Seq:
     """A random finitely supported sequence with support inside 1..support_max.
 
     Entry i is the i-th ``random_rational`` draw, over the least common
-    denominator of all draws.
+    denominator of all draws.  That form is canonical once trailing zeros
+    are trimmed (see ``_over_lcm``), so it is wrapped without a gcd pass.
+    A zero entry has denominator 1, so an all-zero draw is 0 over 1.
     """
-    num, den = _draw_summable(rng, support_max, coeff_bound)
-    return Seq._of(num, 0, den)
+    num, den = _over_lcm(*_draw_summable(rng, support_max, coeff_bound))
+    return Seq._from_canonical(_trimmed(num), 0, den)
 
 
 def random_graph_point(
@@ -553,18 +598,26 @@ def random_graph_point(
     Draws a random finitely supported direction, rebalances its last nonzero
     entry so the total vanishes (the exact range constraint), and pairs it
     with its image under -G.
+
+    The rebalanced entry k is minus the sum of the other entries, whatever
+    was drawn there, and the entries past k are zero.  So y is entries 1..k-1
+    over the lcm of their lowest-terms denominators, with entry k the
+    negated sum of their numerators, then trimmed.  That form is canonical:
+    a prime dividing the lcm leaves some entry j < k with a numerator it
+    does not divide (see ``_over_lcm``), and entry k, a combination of the
+    others, cannot restore a common factor.  An all-zero draw gives the
+    origin.
     """
     if support_max < 2:
         raise InvalidParameter(f"support_max must be at least 2, got {support_max}")
-    num, den = _draw_summable(rng, support_max, coeff_bound)
-    total = sum(num)
-    if total:
-        # some entry is nonzero; the raw list may end in zeros
-        i = len(num) - 1
-        while not num[i]:
-            i -= 1
-        num[i] -= total
-    return GraphPoint.from_y(Seq._of(num, 0, den))
+    nums, dens = _draw_summable(rng, support_max, coeff_bound)
+    k = len(nums)
+    while k and not nums[k - 1]:
+        k -= 1
+    # entry k, the last nonzero one, becomes minus the sum of entries 1..k-1
+    num, den = _over_lcm(nums[: k - 1], dens[: k - 1]) if k else ([], 1)
+    num.append(-sum(num))
+    return GraphPoint.from_y(Seq._from_canonical(_trimmed(num), 0, den))
 
 
 def random_offgraph_pair(
@@ -588,10 +641,11 @@ def random_offgraph_pair(
         mode = _below(rng, 3)
         if mode == 2:
             y = random_summable(rng, support_max, coeff_bound)
-            total = total_sum(y)
-            if total == 0:
+            total = sum(y.num)
+            if not total:
                 continue
-            x = -gossez_apply(y) - total * ONES
+            # -G(y) - (total / y.den) * ones, entrywise over y.den
+            x = Seq._of([-v - total for v in gossez_apply(y).num], 0, y.den)
         else:
             base = random_graph_point(rng, support_max, coeff_bound)
             delta = random_summable(rng, support_max, coeff_bound)

@@ -511,6 +511,93 @@ def test_witness_sound_on_sum_breaking_pairs(y):
     assert verdict.product == -(total**2)
 
 
+def fraction_witness(x, y):
+    """The witness's y and the product, from the Fraction formulas; None for a member.
+
+    At the first m with gap_m = (y_m + y_{m+1}) - (x_{m+1} - x_m) != 0 the
+    witness is lam * u_m with lam = -(pairing(x, y) + 1) / gap_m and product
+    -1; past the support, a nonzero sum(y) gives the origin and pairing(x, y).
+    """
+    for m in range(1, max(len(x.num), len(y.num)) + 2):
+        gap = y.entry(m) + y.entry(m + 1) - (x.entry(m + 1) - x.entry(m))
+        if gap:
+            return -(pairing(x, y) + 1) / gap * unit_u(m), Fraction(-1)
+    if total_sum(y):
+        return ZERO, pairing(x, y)
+    return None
+
+
+def assert_fraction_witness(x, y):
+    verdict = violation_witness(x, y)
+    expected = fraction_witness(x, y)
+    if expected is None:
+        assert isinstance(verdict, Member)
+        return
+    witness_y, product = expected
+    assert isinstance(verdict, Violation)
+    assert verdict.witness.y == witness_y
+    assert verdict.witness.x == -gossez_apply(witness_y)
+    assert verdict.product == product < 0
+
+
+@given(zero_sum_summables(), summables(), st.integers(min_value=0, max_value=2))
+def test_witness_matches_the_fraction_formula_on_each_offgraph_shape(y, delta, shape):
+    # the three shapes of random_offgraph_pair, from a graph point and a delta
+    p = GraphPoint.from_y(y)
+    if shape == 2:
+        assume(total_sum(delta) != 0)
+        x, y = -gossez_apply(delta) - total_sum(delta) * ONES, delta
+    else:
+        assume(delta != ZERO)
+        x, y = (p.x + delta, p.y) if shape == 0 else (p.x, p.y + delta)
+    assert fraction_witness(x, y) is not None
+    assert_fraction_witness(x, y)
+
+
+@given(summables(), summables())
+def test_witness_matches_the_fraction_formula_on_any_pair(x, y):
+    # independent draws: the two denominators differ, and members are rare
+    assert_fraction_witness(x, y)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([2, 16, 64]),
+    st.sampled_from([1, 100, 10**6]),
+)
+def test_witness_matches_the_fraction_formula_on_sampled_pairs(seed, support_max, coeff_bound):
+    rng = random.Random(seed)
+    for _ in range(6):
+        assert_fraction_witness(*random_offgraph_pair(rng, support_max, coeff_bound))
+
+
+def test_witness_matches_the_fraction_formula_over_different_denominators():
+    x, y = Seq(["1/3", "2/5"]), Seq(["1/7", "0", "-3/4"])
+    assert x.den != y.den
+    assert_fraction_witness(x, y)
+    assert_fraction_witness(y, x)
+
+
+def test_witness_scale_zero_gives_the_origin():
+    # pairing(x, y) = -1, so lam = 0 at the first failing index, m = 1
+    verdict = violation_witness(-unit(2), unit(2))
+    assert isinstance(verdict, Violation)
+    assert verdict.witness == ORIGIN
+    assert verdict.product == -1
+    assert_fraction_witness(-unit(2), unit(2))
+
+
+def test_an_off_by_one_pairing_trips_both_witness_checks(monkeypatch):
+    core = c0cert.certify.pairing_numerator
+    monkeypatch.setattr(c0cert.certify, "pairing_numerator", lambda a, b: core(a, b) + 1)
+    # the recurrence holds and sum(y) = 1: the origin branch
+    with pytest.raises(AssertionError, match="origin-witness product mismatch"):
+        violation_witness(-unit(1), unit(1))
+    # the recurrence fails at m = 1: the scale is off, and the recomputed product shows it
+    with pytest.raises(AssertionError, match="witness normalization failed"):
+        violation_witness(unit(1), ZERO)
+
+
 # --- samplers ---------------------------------------------------------------
 
 
@@ -556,6 +643,27 @@ def test_offgraph_sampler_never_lands_on_the_graph(seed, support_max, coeff_boun
         for _ in range(6):
             x, y = random_offgraph_pair(rng, support_max, bound)
             assert x != -gossez_apply(y)
+
+
+def assert_canonical(s):
+    # the fields the canonicalizer gives for the same numerators over the same denominator
+    ref = Seq._of(list(s.num), s.tnum, s.den)
+    assert (s.num, s.tnum, s.den) == (ref.num, ref.tnum, ref.den)
+    assert type(s.num) is tuple
+
+
+@pytest.mark.parametrize("support_max", [2, 256])
+@pytest.mark.parametrize("coeff_bound", [1, 10**6])
+def test_samplers_are_canonical_as_built(support_max, coeff_bound):
+    # coefficient bound 1 draws zero entries often: all-zero draws and trailing zeros
+    rng = random.Random(support_max + coeff_bound)
+    for _ in range(25):
+        assert_canonical(random_summable(rng, support_max, coeff_bound))
+        p = random_graph_point(rng, support_max, coeff_bound)
+        assert_canonical(p.y)
+        assert_canonical(p.x)
+        for s in random_offgraph_pair(rng, support_max, coeff_bound):
+            assert_canonical(s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 1024, 2**20, 3, 5, 1025, 2**20 + 1, 2 * 10**4 + 1])

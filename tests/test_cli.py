@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -342,6 +343,21 @@ def test_main_stdin_config(monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"samples": 25})))
     out = tmp_path / "report.json"
     assert main(["gap", "--config", "-", "--out", str(out), "--timestamp", "off"]) == 0
+
+
+# sha256 of the stdout of `certify run --config - --timestamp off` for this
+# config: every field at its cap, where numerators and denominators run to
+# hundreds of bits.  A kernel change must keep these bytes.
+CAP_CONFIG = {"samples": 20, "support_max": MAX_SUPPORT, "coeff_bound": MAX_COEFF_BOUND}
+CAP_REPORT_SHA256 = "89e31e0fce4bdd4506f60e28d43df84c8d614215560e60ec97c3d3ac24bdbc82"
+
+
+def test_report_at_the_config_caps_is_byte_identical(monkeypatch, capsys):
+    assert CAP_CONFIG == {"samples": 20, "support_max": 256, "coeff_bound": 1000000}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(CAP_CONFIG)))
+    assert main(["run", "--config", "-", "--timestamp", "off"]) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() == CAP_REPORT_SHA256
 
 
 def test_run_suite_records_the_crash_site(monkeypatch):
