@@ -9,97 +9,15 @@ the extension family, pairwise incompatibility, and the strict Fitzpatrick
 gap) is machine-checked exactly, with no tolerances.
 """
 
-from .seqspace import (
-    Rational,
-    NonSummable,
-    Seq,
-    ZERO,
-    ONES,
-    rat,
-    rat_str,
-    pairing,
-    pairing_numerator,
-    difference_terms,
-    sup_norm,
-    l1_norm,
-    total_sum,
-    unit,
-    constant,
-)
-from .gossez import NotInDomain, gossez_apply, t_solve, unit_u, unit_v, range_member
-from .certify import (
-    InvalidParameter,
-    EmptySample,
-    GraphPoint,
-    ExtensionPoint,
-    Member,
-    Violation,
-    WitnessVerdict,
-    random_rational,
-    random_summable,
-    random_graph_point,
-    random_offgraph_pair,
-    monotone_product,
-    monotone_product_terms,
-    extension_point,
-    closure_margin,
-    closure_margin_terms,
-    family_product,
-    family_products,
-    distinctness,
-    fitzpatrick_value,
-    fitzpatrick_value_terms,
-    fitzpatrick_gap,
-    uncertified_points,
-    violation_witness,
-)
+from . import certify, gossez, seqspace
+from .seqspace import *
+from .gossez import *
+from .certify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rational",
-    "NonSummable",
-    "Seq",
-    "ZERO",
-    "ONES",
-    "rat",
-    "rat_str",
-    "pairing",
-    "pairing_numerator",
-    "difference_terms",
-    "sup_norm",
-    "l1_norm",
-    "total_sum",
-    "unit",
-    "constant",
-    "NotInDomain",
-    "gossez_apply",
-    "t_solve",
-    "unit_u",
-    "unit_v",
-    "range_member",
-    "InvalidParameter",
-    "EmptySample",
-    "GraphPoint",
-    "ExtensionPoint",
-    "Member",
-    "Violation",
-    "WitnessVerdict",
-    "random_rational",
-    "random_summable",
-    "random_graph_point",
-    "random_offgraph_pair",
-    "monotone_product",
-    "monotone_product_terms",
-    "extension_point",
-    "closure_margin",
-    "closure_margin_terms",
-    "family_product",
-    "family_products",
-    "distinctness",
-    "fitzpatrick_value",
-    "fitzpatrick_value_terms",
-    "fitzpatrick_gap",
-    "uncertified_points",
-    "violation_witness",
-]
+# The package exports each module's public names, in module order.
+__all__ = []
+__all__ += seqspace.__all__
+__all__ += gossez.__all__
+__all__ += certify.__all__

@@ -29,9 +29,11 @@ import json
 import random
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .certify import (
@@ -350,26 +352,7 @@ def _run_maximal(config: SuiteConfig) -> SuiteResult:
     return _result("maximal", failures, counts, evidence)
 
 
-class _FamilyPoints:
-    """The family points of one report, one per tau, built when first asked for.
-
-    ``run_suite`` makes one per report and hands it to the extensions and gap
-    suites, so each point is built once per report.  A build that raises keeps
-    nothing, so every suite that asks raises again and records the crash.
-    """
-
-    def __init__(self, config: SuiteConfig) -> None:
-        self._config = config
-        self._points = None
-
-    def __call__(self) -> list:
-        if self._points is None:
-            ytilde = self._config.ytilde
-            self._points = [extension_point(tau, ytilde) for tau in self._config.taus]
-        return self._points
-
-
-def _run_extensions(config: SuiteConfig, family: _FamilyPoints) -> SuiteResult:
+def _run_extensions(config: SuiteConfig, family: Callable[[], list]) -> SuiteResult:
     rng = _rng(config, "extensions")
     failures = []
     sample = _graph_sample(config, rng)
@@ -401,7 +384,7 @@ def _run_extensions(config: SuiteConfig, family: _FamilyPoints) -> SuiteResult:
     return _result("extensions", failures, counts, evidence)
 
 
-def _run_gap(config: SuiteConfig, family: _FamilyPoints) -> SuiteResult:
+def _run_gap(config: SuiteConfig, family: Callable[[], list]) -> SuiteResult:
     rng = _rng(config, "gap")
     failures = []
     sample = _graph_sample(config, rng)
@@ -441,7 +424,7 @@ _RUNNERS = {
     "extensions": _run_extensions,
     "gap": _run_gap,
 }
-# The runners that also take the report's _FamilyPoints.
+# The runners that also take the report's family points.
 _FAMILY_SUITES = frozenset({"extensions", "gap"})
 
 
@@ -449,11 +432,16 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suites; certificate errors become suite failures.
 
     A crash is recorded as ``Type: message (file.py:LINE)``, naming the
-    innermost frame of its traceback.  The family points are built at most
-    once per call, for the first family suite that runs.
+    innermost frame of its traceback.  The family points, one per tau, are
+    built at most once per call, for the first family suite that runs.  A
+    build that raises is not cached, so each family suite records the crash.
     """
+
+    @cache
+    def family() -> list:
+        return [extension_point(tau, config.ytilde) for tau in config.taus]
+
     results = []
-    family = _FamilyPoints(config)
     for name in config.suites:
         started = time.perf_counter()
         try:

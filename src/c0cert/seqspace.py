@@ -40,7 +40,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
@@ -306,43 +306,26 @@ def pairing_numerator(x: Seq, y: Seq) -> int:
 def difference_terms(a: Seq, b: Seq, c: Seq, d: Seq) -> tuple[int, int]:
     """``pairing(a - b, c - d)`` as an unreduced numerator over a positive denominator.
 
-    Neither difference is built.  When one side's two sequences both have
-    zero tails, the product expands into four ``pairing_numerator`` calls,
-    each summed at C level.  Otherwise both sides carry a tail; the entries
-    are then summed over the window where the finitely supported difference
-    lives.  Raises NonSummable exactly where the two-step form does: when
-    both differences have nonzero tails.
+    When one side's two sequences both have zero tails, neither difference
+    is built: the product expands into four ``pairing_numerator`` calls,
+    each summed at C level.  When both sides carry tails, they are paired
+    as built differences, the two-step definition itself.  Raises
+    NonSummable exactly where the two-step form does: when both
+    differences have nonzero tails.
     """
+    if (a.tnum or b.tnum) and (c.tnum or d.tnum):
+        x, y = a - b, c - d
+        return pairing_numerator(x, y), x.den * y.den
     # a - b has numerators a.num * fa - b.num * fb over a.den * fa; c - d alike
     g = gcd(a.den, b.den)
     fa, fb = b.den // g, a.den // g
     g = gcd(c.den, d.den)
     fc, fd = d.den // g, c.den // g
-    den = a.den * fa * c.den * fc
-    if not (c.tnum or d.tnum) or not (a.tnum or b.tnum):
-        # every one of the four pairings has a finitely supported argument
-        num = fa * (fc * pairing_numerator(a, c) - fd * pairing_numerator(a, d)) - fb * (
-            fc * pairing_numerator(b, c) - fd * pairing_numerator(b, d)
-        )
-        return num, den
-    if c.tnum * fc != d.tnum * fd:
-        if a.tnum * fa != b.tnum * fb:
-            raise NonSummable("pairing of two sequences with nonzero tails diverges")
-        a, b, c, d, fa, fb, fc, fd = c, d, a, b, fc, fd, fa, fb
-    # c - d is finitely supported, so it vanishes past entry n; the windows
-    # of c and d both end there, and zip stops with them.
-    n = max(len(c.num), len(d.num))
-    num = sum(
-        (p * fa - q * fb) * (r * fc - s * fd)
-        for p, q, r, s in zip(_window(a, n), _window(b, n), _window(c, n), _window(d, n))
+    # every one of the four pairings has a finitely supported argument
+    num = fa * (fc * pairing_numerator(a, c) - fd * pairing_numerator(a, d)) - fb * (
+        fc * pairing_numerator(b, c) - fd * pairing_numerator(b, d)
     )
-    return num, den
-
-
-def _window(s: Seq, n: int) -> Iterable[int]:
-    """At least the first n numerators of s: its prefix, then its tail."""
-    k = len(s.num)
-    return s.num if k >= n else chain(s.num, repeat(s.tnum, n - k))
+    return num, a.den * fa * c.den * fc
 
 
 def sup_norm(a: Seq) -> Rational:

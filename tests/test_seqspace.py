@@ -307,7 +307,7 @@ def test_difference_terms_matches_two_step_form_on_every_path(a, b, rc, rd, t, t
 
     Zero tails on c and d take the four-pairing path, in either argument
     order.  A shared tail makes c - d finitely supported while both sides
-    carry tails: the windowed path.  Distinct tails make c - d tailed, so
+    carry tails: the path that pairs the built differences.  Distinct tails make c - d tailed, so
     the kernel must raise NonSummable exactly where the two-step form does.
     """
     tc, td = {"zero": (0, 0), "shared": (t, t), "distinct": (t, t + 1)}[tails]
@@ -328,6 +328,11 @@ def test_difference_terms_examples():
     assert Fraction(*difference_terms(ONES, ZERO, unit(2), unit(1))) == 0
     # (0, 1, 1, 1, ...) against (0, 1, -2, 0, ...)
     assert Fraction(*difference_terms(ONES, unit(1), unit(2), 2 * unit(3))) == -1
+    # tails on both sides, finite results: ONES against -unit(2), in either order
+    for args in ((ONES, ZERO, ONES, ONES + unit(2)), (ONES, ONES + unit(2), ONES, ZERO)):
+        num, den = difference_terms(*args)
+        assert den > 0
+        assert Fraction(num, den) == -1
     with pytest.raises(NonSummable):
         difference_terms(ONES, ZERO, ONES, unit(1))
 
