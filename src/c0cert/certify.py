@@ -10,7 +10,8 @@ identities that are checked literally:
   product with the candidate is strictly negative (normalized to -1 whenever
   a difference-recurrence index witnesses the failure).
 * ``closure_margin`` and ``family_products`` handle the one-parameter family
-  of bidual points built from a positive-sum direction: each family point is
+  of bidual points built from a positive-sum direction, whose shared values
+  ``extension_family`` computes once: each family point is
   monotone against the whole graph with one constant strictly positive
   margin, yet any two family points are strictly non-monotone against each
   other, so no single monotone extension of the graph can contain two of
@@ -60,6 +61,7 @@ __all__ = [
     "EmptySample",
     "GraphPoint",
     "ExtensionPoint",
+    "ExtensionFamily",
     "Member",
     "Violation",
     "WitnessVerdict",
@@ -70,6 +72,7 @@ __all__ = [
     "monotone_product",
     "monotone_product_terms",
     "extension_point",
+    "extension_family",
     "closure_margin",
     "closure_margin_terms",
     "family_product",
@@ -185,6 +188,50 @@ def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
     return _derived(ExtensionPoint, tau=tau, ytilde=ytilde, xstar=xstar, xstarstar=xstarstar)
 
 
+@dataclass(frozen=True, slots=True)
+class ExtensionFamily:
+    """Family points along one direction, with the tau-free values they share.
+
+    With xs_k = xstar and xss_k = xstarstar of ``points[k]``:
+
+    * ``points``: the family points, in the order they were given;
+    * ``ytilde``: their common direction;
+    * ``total``: s = pairing(ones, ytilde) > 0, the closure margin and the
+      Fitzpatrick gap of every point;
+    * ``g``: G(ytilde), and ``q``: the integer pairing_numerator(g, ytilde),
+      which skewness makes 0;
+    * ``diagonal``: the integers pairing_numerator(xss_k, xs_k), so the
+      self-pairing pairing(xs_k, xss_k) is diagonal[k] / (xs_k.den * xss_k.den).
+
+    ``extension_family`` builds it, computing each value once.
+    """
+
+    points: tuple[ExtensionPoint, ...]
+    ytilde: Seq
+    total: Rational
+    g: Seq
+    q: int
+    diagonal: tuple[int, ...]
+
+
+def extension_family(points: Sequence[ExtensionPoint]) -> ExtensionFamily:
+    """The family of ``points``, which must be nonempty and share their direction ytilde."""
+    if not points:
+        raise InvalidParameter("a family needs at least one point")
+    ytilde = points[0].ytilde
+    if any(p.ytilde is not ytilde and p.ytilde != ytilde for p in points):
+        raise InvalidParameter("family points must share their direction ytilde")
+    g = gossez_apply(ytilde)
+    return ExtensionFamily(
+        points=tuple(points),
+        ytilde=ytilde,
+        total=Fraction(sum(ytilde.num), ytilde.den),
+        g=g,
+        q=pairing_numerator(g, ytilde),
+        diagonal=tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points),
+    )
+
+
 @dataclass(frozen=True)
 class Member:
     """Verdict: the candidate pair lies on the graph."""
@@ -251,21 +298,20 @@ def family_product(p1: ExtensionPoint, p2: ExtensionPoint) -> Rational:
     The two-point case of ``family_products``, which states and checks the
     preconditions, the closed form and the strict sign.
     """
-    return next(family_products((p1, p2)))[2]
+    return next(family_products(extension_family((p1, p2))))[2]
 
 
-def family_products(
-    points: Sequence[ExtensionPoint],
-) -> Iterator[tuple[int, int, Rational]]:
+def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, Rational]]:
     """Every pairwise monotone product of family points, from the sequences themselves.
 
     Yields ``(i, j, product)`` for i < j in the order of the nested loop
-    over i and then j > i, where, with xs = xstar and xss = xstarstar,
+    over i and then j > i, where, with xs = xstar and xss = xstarstar of
+    ``family.points``,
 
         product = pairing(xss_i - xss_j, xs_i - xs_j) .
 
-    Each pair must share ytilde and differ in tau.  Its product is checked
-    against the closed form
+    The points share ytilde (``extension_family`` checks that) and each
+    pair must differ in tau.  Its product is checked against the closed form
 
         (tau_i - tau_j) * (1/tau_i - 1/tau_j) * pairing(ones, ytilde)
 
@@ -278,22 +324,21 @@ def family_products(
     P(k, l) = pairing_numerator(xss_k, xs_l) for k, l in {i, j}, each
     summed at C level since xs_l is finitely supported.  Each P(i, j) with
     i != j serves one pair only, so it is computed there; the diagonal
-    P(k, k) is computed once for all pairs.  n points thus cost n^2
-    pairings, not the 4 per pair of ``difference_terms``, and the
-    numerator over the denominator is the one ``difference_terms`` builds.
+    P(k, k) is the family's ``diagonal``, computed once for all pairs.  n
+    points thus cost n^2 pairings, not the 4 per pair of
+    ``difference_terms``, and the numerator over the denominator is the one
+    ``difference_terms`` builds.
     Both checks run on integers; the one Fraction built per pair is the
     yielded value.  Nothing is held per pair, so the caller decides what
     to keep.
     """
-    terms = [(p.ytilde, p.xstarstar, p.xstar, p.tau.numerator, p.tau.denominator) for p in points]
-    diagonal = [pairing_numerator(xss, xs) for _, xss, xs, _, _ in terms]
-    for i, (yt1, xss1, xs1, a1, b1) in enumerate(terms):
-        s, e, dss1, ds1 = sum(yt1.num), yt1.den, xss1.den, xs1.den
+    terms = [(p.xstarstar, p.xstar, p.tau.numerator, p.tau.denominator) for p in family.points]
+    diagonal, s, e = family.diagonal, family.total.numerator, family.total.denominator
+    for i, (xss1, xs1, a1, b1) in enumerate(terms):
+        dss1, ds1 = xss1.den, xs1.den
         for j in range(i + 1, len(terms)):
-            yt2, xss2, xs2, a2, b2 = terms[j]
+            xss2, xs2, a2, b2 = terms[j]
             dss2, ds2 = xss2.den, xs2.den
-            if yt1 is not yt2 and yt1 != yt2:
-                raise InvalidParameter("family points must share their direction ytilde")
             # tau_i = a_i / b_i in lowest terms, so k = 0 iff tau_i = tau_j
             k = a1 * b2 - a2 * b1
             if not k:
@@ -326,8 +371,8 @@ def distinctness(
 ) -> Rational:
     """``family_product`` of the family points for tau1 and tau2 along ytilde.
 
-    Builds both points; callers that pair many taus build each point once
-    and stream the pairs through ``family_products``.
+    Builds both points; callers that pair many taus build one
+    ``extension_family`` and stream the pairs through ``family_products``.
     """
     return family_product(extension_point(tau1, ytilde), extension_point(tau2, ytilde))
 
@@ -365,9 +410,9 @@ def fitzpatrick_gap(
     The per-point evaluations must all coincide; the gap then equals
     pairing(ones, ep.ytilde) > 0.  Strict positivity means the supremum over
     the whole graph stays short of pairing(xstar, xstarstar), which is the
-    machine-checkable failure-of-unique-extension certificate.  A caller
-    that already holds pairing(ep.xstar, ep.xstarstar) may pass it as
-    ``self_pairing``; otherwise it is computed here.
+    machine-checkable failure-of-unique-extension certificate.  The ``gap``
+    suite passes pairing(ep.xstar, ep.xstarstar), read from its family's
+    ``diagonal``, as ``self_pairing``; without it, it is computed here.
 
     Constancy is checked while streaming over the sample, each evaluation
     cross-multiplied with the first; the gap is the one Fraction built.
@@ -392,10 +437,10 @@ def fitzpatrick_gap(
     return Fraction(sp_num * first_den - first_num * sp_den, sp_den * first_den)
 
 
-def uncertified_points(ytilde: Seq, sample: Sequence[GraphPoint]) -> list:
+def uncertified_points(family: ExtensionFamily, sample: Sequence[GraphPoint]) -> list:
     """The points of ``sample`` whose family certificate is not proven for every tau > 0.
 
-    For tau > 0 the family point along a finitely supported ytilde is
+    For tau > 0 the family point along the family's direction ytilde is
     xs = tau * ytilde, xss = -tau * g + (1/tau) * ones with g = G(ytilde).
     Take a point p = (x, y) with y finitely supported, and let
 
@@ -415,16 +460,16 @@ def uncertified_points(ytilde: Seq, sample: Sequence[GraphPoint]) -> list:
     tau > 0 at once.  On the graph these are skewness (q = 0, d = 0), the
     range law (c = 0) and the antisymmetry of G (a = b).
 
-    g is built once and q checked once; if q != 0, every point is returned.
+    g and q come from ``family``, built once; if q != 0, every point is returned.
     Each point then costs three integer pairings and one sum: c and d must
     have zero numerators, and a = b is compared cross-multiplied over the
     two denominators.  A point whose y has a nonzero tail is returned
     unchecked, since c and d need not exist.  The returned points keep
     their sample order.
     """
-    g = gossez_apply(ytilde)
-    if pairing_numerator(g, ytilde):
+    if family.q:
         return list(sample)
+    g, ytilde = family.g, family.ytilde
     gden, tden = g.den, ytilde.den
     return [
         p

@@ -37,6 +37,7 @@ from functools import cache
 from pathlib import Path
 
 from .certify import (
+    extension_family,
     extension_point,
     closure_margin_terms,
     family_products,
@@ -47,6 +48,7 @@ from .certify import (
     random_summable,
     uncertified_points,
     violation_witness,
+    ExtensionFamily,
     Member,
     Violation,
 )
@@ -297,7 +299,7 @@ def _result(name: str, failures: list, counts: dict, evidence: dict) -> SuiteRes
     )
 
 
-def _run_skew(config: SuiteConfig) -> SuiteResult:
+def _run_skew(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
     rng = _rng(config, "skew")
     failures = []
     seen = set()
@@ -313,7 +315,7 @@ def _run_skew(config: SuiteConfig) -> SuiteResult:
     return _result("skew", failures, {"samples": config.samples}, evidence)
 
 
-def _run_monotone(config: SuiteConfig) -> SuiteResult:
+def _run_monotone(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
     rng = _rng(config, "monotone")
     failures = []
     seen = set()
@@ -329,7 +331,7 @@ def _run_monotone(config: SuiteConfig) -> SuiteResult:
     return _result("monotone", failures, {"pairs": config.samples}, evidence)
 
 
-def _run_maximal(config: SuiteConfig) -> SuiteResult:
+def _run_maximal(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
     rng = _rng(config, "maximal")
     failures = []
     worst = None  # violation product closest to zero; must stay negative
@@ -352,18 +354,18 @@ def _run_maximal(config: SuiteConfig) -> SuiteResult:
     return _result("maximal", failures, counts, evidence)
 
 
-def _run_extensions(config: SuiteConfig, family: Callable[[], list]) -> SuiteResult:
+def _run_extensions(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
     rng = _rng(config, "extensions")
     failures = []
     sample = _graph_sample(config, rng)
-    expected = pairing(ONES, config.ytilde)
+    fam = family()
+    expected = fam.total
     exp_num, exp_den = expected.numerator, expected.denominator
-    points = family()
     # Past the first point, only the flagged ones can miss the margin at any
     # tau.  The first point's direct margin is the oracle that ties the proof
     # to the definition: where it misses, every point is evaluated directly.
-    flagged = uncertified_points(config.ytilde, sample[1:])
-    for ep in points:
+    flagged = uncertified_points(fam, sample[1:])
+    for ep in fam.points:
         margins = [closure_margin_terms(ep, sample[0])]
         num, den = margins[0]
         rest = flagged if num * exp_den == exp_num * den else sample[1:]
@@ -372,31 +374,31 @@ def _run_extensions(config: SuiteConfig, family: Callable[[], list]) -> SuiteRes
             if num * exp_den != exp_num * den or num <= 0:
                 margin = Fraction(num, den)
                 failures.append(f"margin {margin} != {expected} at tau = {ep.tau}")
-    if len(points) < 2:
+    if len(fam.points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
-    keys = [rat_str(ep.tau) for ep in points]
+    keys = [rat_str(ep.tau) for ep in fam.points]
     # family_products raises unless each product is negative and matches its closed form
     products = {
-        f"{keys[i]},{keys[j]}": rat_str(product) for i, j, product in family_products(points)
+        f"{keys[i]},{keys[j]}": rat_str(product) for i, j, product in family_products(fam)
     }
     counts = {"graph_points": config.samples, "taus": len(config.taus), "tau_pairs": len(products)}
     evidence = {"closure_margin": rat_str(expected), "distinctness_products": products}
     return _result("extensions", failures, counts, evidence)
 
 
-def _run_gap(config: SuiteConfig, family: Callable[[], list]) -> SuiteResult:
+def _run_gap(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
     rng = _rng(config, "gap")
     failures = []
     sample = _graph_sample(config, rng)
-    expected = pairing(ONES, config.ytilde)
+    fam = family()
     per_tau = {}
     # The points left out of `direct` have Fitzpatrick value 0 at every tau.
     # So a common value of 0 over `direct` is the common value over the
     # sample, values that differ over `direct` differ over the sample, and
     # any other common value is recomputed over the whole sample.
-    direct = [sample[0], *uncertified_points(config.ytilde, sample[1:])]
-    for ep in family():
-        self_pairing = pairing(ep.xstar, ep.xstarstar)
+    direct = [sample[0], *uncertified_points(fam, sample[1:])]
+    for ep, diagonal in zip(fam.points, fam.diagonal):
+        self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
         try:
             gap = fitzpatrick_gap(ep, direct, self_pairing)
             if gap != self_pairing:
@@ -404,8 +406,8 @@ def _run_gap(config: SuiteConfig, family: Callable[[], list]) -> SuiteResult:
         except AssertionError:  # the evaluations differ across the sample
             failures.append(f"Fitzpatrick values not constant at tau = {ep.tau}")
             continue
-        if gap != expected or gap <= 0:
-            failures.append(f"gap {gap} != expected {expected} at tau = {ep.tau}")
+        if gap != fam.total or gap <= 0:
+            failures.append(f"gap {gap} != expected {fam.total} at tau = {ep.tau}")
         per_tau[rat_str(ep.tau)] = {
             # the common evaluation: the gap is self-pairing minus its value
             "fitzpatrick_value": rat_str(self_pairing - gap),
@@ -413,7 +415,7 @@ def _run_gap(config: SuiteConfig, family: Callable[[], list]) -> SuiteResult:
             "gap": rat_str(gap),
         }
     counts = {"graph_points": config.samples, "taus": len(config.taus)}
-    evidence = {"expected_gap": rat_str(expected), "per_tau": per_tau}
+    evidence = {"expected_gap": rat_str(fam.total), "per_tau": per_tau}
     return _result("gap", failures, counts, evidence)
 
 
@@ -424,29 +426,27 @@ _RUNNERS = {
     "extensions": _run_extensions,
     "gap": _run_gap,
 }
-# The runners that also take the report's family points.
-_FAMILY_SUITES = frozenset({"extensions", "gap"})
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suites; certificate errors become suite failures.
 
     A crash is recorded as ``Type: message (file.py:LINE)``, naming the
-    innermost frame of its traceback.  The family points, one per tau, are
-    built at most once per call, for the first family suite that runs.  A
-    build that raises is not cached, so each family suite records the crash.
+    innermost frame of its traceback.  Every runner takes the config and
+    ``family``, which returns the report's ``ExtensionFamily``, built at most
+    once per call, for the first family suite that runs.  A build that raises
+    is not cached, so each family suite records the crash.
     """
 
     @cache
-    def family() -> list:
-        return [extension_point(tau, config.ytilde) for tau in config.taus]
+    def family() -> ExtensionFamily:
+        return extension_family([extension_point(tau, config.ytilde) for tau in config.taus])
 
     results = []
     for name in config.suites:
         started = time.perf_counter()
         try:
-            runner = _RUNNERS[name]
-            result = runner(config, family) if name in _FAMILY_SUITES else runner(config)
+            result = _RUNNERS[name](config, family)
         except Exception as exc:  # a crash is itself a failed certificate
             tb = exc.__traceback__
             while tb.tb_next is not None:  # walk to the innermost frame

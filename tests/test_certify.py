@@ -21,6 +21,7 @@ from c0cert.certify import (
     _below,
     closure_margin,
     distinctness,
+    extension_family,
     extension_point,
     family_product,
     family_products,
@@ -222,11 +223,11 @@ def family_pairs(n):
 def test_family_products_match_the_per_pair_loop(taus, ytilde):
     points = [extension_point(tau, ytilde) for tau in taus]
     pairs = family_pairs(len(points))
-    assert list(family_products(points)) == [
+    assert list(family_products(extension_family(points))) == [
         (i, j, family_product(points[i], points[j])) for i, j in pairs
     ]
     # the direct product, four pairings per pair, with no shared diagonal
-    assert [product for _, _, product in family_products(points)] == [
+    assert [product for _, _, product in family_products(extension_family(points))] == [
         Fraction(*difference_terms(p.xstarstar, q.xstarstar, p.xstar, q.xstar))
         for p, q in ((points[i], points[j]) for i, j in pairs)
     ]
@@ -245,7 +246,7 @@ def test_family_products_fail_where_the_per_pair_loop_does(taus, ytilde, data):
     i, j = pairs[first]
     with pytest.raises(AssertionError, match="distinctness mismatch") as per_pair:
         family_product(points[i], points[j])
-    kernel = family_products(points)
+    kernel = family_products(extension_family(points))
     assert [next(kernel) for _ in passed] == passed
     with pytest.raises(AssertionError) as raised:
         next(kernel)
@@ -273,7 +274,7 @@ def test_family_products_check_every_pair(taus, ytilde, data):
             except AssertionError as exc:
                 products[k, l] = str(exc)
         assert [pair for pair, value in products.items() if isinstance(value, str)] == [(i, j)]
-        kernel = family_products(points)
+        kernel = family_products(extension_family(points))
         passed = pairs[: pairs.index((i, j))]
         assert [next(kernel) for _ in passed] == [(k, l, products[k, l]) for k, l in passed]
         with pytest.raises(AssertionError) as raised:
@@ -284,10 +285,41 @@ def test_family_products_check_every_pair(taus, ytilde, data):
 def test_family_products_reject_equal_taus_and_mismatched_ytilde():
     one, two, three = (extension_point(tau, unit(1)) for tau in (1, 2, 3))
     with pytest.raises(InvalidParameter, match="two different parameters"):
-        list(family_products([one, two, three, extension_point(2, unit(1))]))
+        list(family_products(extension_family([one, two, three, extension_point(2, unit(1))])))
     with pytest.raises(InvalidParameter, match="share their direction"):
-        list(family_products([one, two, extension_point(3, 2 * unit(1))]))
-    assert list(family_products([one])) == []
+        list(family_products(extension_family([one, two, extension_point(3, 2 * unit(1))])))
+    assert list(family_products(extension_family([one]))) == []
+
+
+@given(
+    st.lists(positive_taus, min_size=1, max_size=6),
+    positive_sum_summables(),
+    positive_sum_summables(),
+    st.data(),
+)
+def test_extension_family_against_independent_oracles(taus, ytilde, other, data):
+    points = [extension_point(tau, ytilde) for tau in taus]
+    family = extension_family(points)
+    assert family.points == tuple(points) and family.ytilde == ytilde
+    assert family.g == gossez_apply(ytilde)
+    assert family.q == 0
+    assert family.total == pairing(ONES, ytilde)
+    # the self-pairing of tau * ytilde against -tau * g + (1/tau) * ones, by bilinearity
+    s, q = pairing(ONES, ytilde), pairing(gossez_apply(ytilde), ytilde)
+    for tau, p, num in zip(taus, points, family.diagonal):
+        self_pairing = Fraction(num, p.xstar.den * p.xstarstar.den)
+        assert self_pairing == pairing(p.xstar, p.xstarstar)
+        assert self_pairing == s - tau * tau * q
+    assume(other != ytilde)
+    k = data.draw(st.integers(0, len(points)))
+    stranger = extension_point(data.draw(positive_taus), other)
+    with pytest.raises(InvalidParameter, match="share their direction"):
+        extension_family(points[:k] + [stranger] + points[k:])
+
+
+def test_extension_family_needs_a_point():
+    with pytest.raises(InvalidParameter, match="at least one point"):
+        extension_family([])
 
 
 # --- Fitzpatrick gap --------------------------------------------------------
@@ -396,7 +428,7 @@ family_test_points = st.one_of(
 )
 def test_uncertified_points_expansion_and_soundness(taus, ytilde, sample):
     """The tau expansion equals the definitions; an unflagged point holds at every tau."""
-    flagged = uncertified_points(ytilde, sample)
+    flagged = uncertified_points(extension_family([extension_point(taus[0], ytilde)]), sample)
     terms = [tau_free_terms(ytilde, p) for p in sample]
     q = terms[0][0]
     assert flagged == [
@@ -425,7 +457,10 @@ def test_uncertified_points_flags_each_broken_identity():
     }
     tailed = SimpleNamespace(x=ZERO, y=ONES)  # c and d do not exist
     sample = [on_graph, broken["a != b"], on_graph, broken["c != 0"], broken["d != 0"], tailed]
-    assert uncertified_points(ytilde, sample) == [*broken.values(), tailed]
+    assert uncertified_points(extension_family([extension_point(2, ytilde)]), sample) == [
+        *broken.values(),
+        tailed,
+    ]
     ep = extension_point(2, ytilde)
     assert [closure_margin(ep, p) for p in broken.values()] == [1, Fraction(5, 2), 2]
 
@@ -434,7 +469,7 @@ def test_uncertified_points_flags_every_point_when_q_is_nonzero(monkeypatch):
     """A direction map that is not skew (q != 0) proves nothing about any point."""
     sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
-    assert uncertified_points(unit(1), sample) == sample
+    assert uncertified_points(extension_family([extension_point(1, unit(1))]), sample) == sample
 
 
 # --- maximality witness -----------------------------------------------------

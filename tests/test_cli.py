@@ -361,7 +361,7 @@ def test_report_at_the_config_caps_is_byte_identical(monkeypatch, capsys):
 
 
 def test_run_suite_records_the_crash_site(monkeypatch):
-    def crashing_runner(config):
+    def crashing_runner(config, family):
         return distinctness(1, 1, unit(1))
 
     monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", crashing_runner)
@@ -412,6 +412,31 @@ def test_family_points_are_built_once_per_report(monkeypatch):
     first, second = run_suite(config), run_suite(config)
     assert len(built) == 2 * len(taus)
     assert render_json(first, with_timing=False) == render_json(second, with_timing=False)
+
+
+def test_family_values_are_computed_once_per_report(monkeypatch):
+    # No tau is 1, so no family point evaluates G on ytilde itself, and the
+    # default ytilde unit(1) has sum 1, so no zero-sum graph y equals it.
+    config = fast_config(taus=[2, "1/3"], suites=["extensions", "gap"])
+    ytilde = config.ytilde
+    on_ytilde, families = [], []
+    real_apply, real_family = c0cert.certify.gossez_apply, c0cert.cli.extension_family
+
+    def counted_apply(y):
+        if y == ytilde:
+            on_ytilde.append(y)
+        return real_apply(y)
+
+    def counted_family(points):
+        families.append(points)
+        return real_family(points)
+
+    monkeypatch.setattr(c0cert.certify, "gossez_apply", counted_apply)
+    monkeypatch.setattr(c0cert.cli, "extension_family", counted_family)
+    assert run_suite(config).passed
+    assert len(on_ytilde) == 1 and len(families) == 1
+    assert run_suite(config).passed
+    assert len(on_ytilde) == 2 and len(families) == 2
 
 
 def test_a_family_point_crash_fails_both_family_suites(monkeypatch, tmp_path, capsys):
