@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from c0cert.certify import extension_point
+from c0cert.certify import extension_family
 from c0cert.cli import ConfigError, SuiteResult, config_from_obj, run_suite
 from c0cert.gossez import gossez_apply, t_solve, unit_u, unit_v
 from c0cert.seqspace import rat_str
@@ -67,9 +67,8 @@ def main() -> int:
         print("every graph point is a member and every perturbed pair is refuted;")
         print(f"worst (closest to zero) witness product: {worst}")
     if section(extensions, "the extension family"):
-        for tau in config.taus:
-            xss = extension_point(tau, config.ytilde).xstarstar
-            print(f"tau = {rat_str(tau):>4}:  x** = {xss}")
+        for ep in extension_family(config.taus, config.ytilde).points:
+            print(f"tau = {rat_str(ep.tau):>4}:  x** = {ep.xstarstar}")
         margin = extensions.evidence["closure_margin"]
         print(f"margin on every sampled graph point = pairing(ones, ytilde) = {margin} > 0")
         print("pairwise incompatibility:")

@@ -10,12 +10,12 @@ identities that are checked literally:
   product with the candidate is strictly negative (normalized to -1 whenever
   a difference-recurrence index witnesses the failure).
 * ``closure_margin`` and ``family_products`` handle the one-parameter family
-  of bidual points built from a positive-sum direction, whose shared values
-  ``extension_family`` computes once: each family point is
-  monotone against the whole graph with one constant strictly positive
-  margin, yet any two family points are strictly non-monotone against each
-  other, so no single monotone extension of the graph can contain two of
-  them.
+  of bidual points along a positive-sum direction, which
+  ``extension_family`` builds from one evaluation of G, with the values the
+  points share computed once: each family point is monotone against the
+  whole graph with one constant strictly positive margin, yet any two
+  family points are strictly non-monotone against each other, so no single
+  monotone extension of the graph can contain two of them.
 * ``fitzpatrick_value`` and ``fitzpatrick_gap`` certify the same failure
   through the Fitzpatrick function: the supremum of the graph evaluations
   stays short of the family point's self-pairing by an exactly computed
@@ -75,7 +75,6 @@ __all__ = [
     "extension_family",
     "closure_margin",
     "closure_margin_terms",
-    "family_product",
     "family_products",
     "distinctness",
     "fitzpatrick_value",
@@ -147,8 +146,9 @@ class ExtensionPoint:
 
     The first component stays summable; the second has constant tail
     tau * sum(ytilde) + 1/tau > 0, so it is bounded but not a null sequence.
-    All fields are recomputable from (tau, ytilde); direct construction
-    re-derives and compares them.
+    ``extension_family`` builds these points.  All fields are recomputable
+    from (tau, ytilde); direct construction re-derives them through
+    ``extension_point`` and compares.
     """
 
     tau: Rational
@@ -157,35 +157,11 @@ class ExtensionPoint:
     xstarstar: Seq
 
     def __post_init__(self) -> None:
-        xstar, xstarstar = _family_components(self.tau, self.ytilde)
-        if self.xstar != xstar:
+        derived = extension_point(self.tau, self.ytilde)
+        if self.xstar != derived.xstar:
             raise InvalidParameter("xstar != tau * ytilde")
-        if self.xstarstar != xstarstar:
+        if self.xstarstar != derived.xstarstar:
             raise InvalidParameter("xstarstar does not match its construction")
-
-
-def _family_components(tau: Rational, ytilde: Seq) -> tuple[Seq, Seq]:
-    """Check the family's preconditions on (tau, ytilde); return (xstar, xstarstar)."""
-    if tau <= 0:
-        raise InvalidParameter(f"tau must be positive, got {tau}")
-    if ytilde.tnum:
-        raise InvalidParameter("ytilde must be finitely supported")
-    if sum(ytilde.num) <= 0:  # the numerator of pairing(ones, ytilde) over ytilde.den > 0
-        raise InvalidParameter("pairing(ones, ytilde) must be positive")
-    xstar = tau * ytilde
-    # (1/tau) * ones is canonical as built: tau > 0 is in lowest terms
-    return xstar, Seq._from_canonical((), tau.denominator, tau.numerator) - gossez_apply(xstar)
-
-
-def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
-    """Build the family point for parameter tau > 0 and direction ytilde.
-
-    The positive total pairing(ones, ytilde) is exactly the closure margin
-    and the Fitzpatrick gap this point certifies.
-    """
-    tau = rat(tau)
-    xstar, xstarstar = _family_components(tau, ytilde)
-    return _derived(ExtensionPoint, tau=tau, ytilde=ytilde, xstar=xstar, xstarstar=xstarstar)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +170,7 @@ class ExtensionFamily:
 
     With xs_k = xstar and xss_k = xstarstar of ``points[k]``:
 
-    * ``points``: the family points, in the order they were given;
+    * ``points``: the family points, in ``taus`` order;
     * ``ytilde``: their common direction;
     * ``total``: s = pairing(ones, ytilde) > 0, the closure margin and the
       Fitzpatrick gap of every point;
@@ -214,14 +190,39 @@ class ExtensionFamily:
     diagonal: tuple[int, ...]
 
 
-def extension_family(points: Sequence[ExtensionPoint]) -> ExtensionFamily:
-    """The family of ``points``, which must be nonempty and share their direction ytilde."""
-    if not points:
+def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> ExtensionFamily:
+    """The family points for ``taus`` along ytilde, with the values they share.
+
+    ``taus`` must be nonempty and each tau positive; ytilde must be finitely
+    supported with pairing(ones, ytilde) > 0.  Both are checked once per
+    family.  G is linear, so with g = G(ytilde), evaluated once,
+
+        xstarstar = (1/tau) * ones - tau * g ,
+
+    built from integers: with tau = a / b in lowest terms, each entry v / g.den
+    of g gives (b^2 g.den - a^2 v) / (a b g.den), and the tail likewise.
+    """
+    if not taus:
         raise InvalidParameter("a family needs at least one point")
-    ytilde = points[0].ytilde
-    if any(p.ytilde is not ytilde and p.ytilde != ytilde for p in points):
-        raise InvalidParameter("family points must share their direction ytilde")
+    if ytilde.tnum:
+        raise InvalidParameter("ytilde must be finitely supported")
+    if sum(ytilde.num) <= 0:  # the numerator of pairing(ones, ytilde) over ytilde.den > 0
+        raise InvalidParameter("pairing(ones, ytilde) must be positive")
+    taus = [rat(tau) for tau in taus]
+    for tau in taus:
+        if tau <= 0:
+            raise InvalidParameter(f"tau must be positive, got {tau}")
     g = gossez_apply(ytilde)
+    d = g.den
+    points = []
+    for tau in taus:
+        a, b = tau.numerator, tau.denominator
+        # over a * b * d, 1/tau is b * b * d and tau * v / d is a * a * v
+        inv, aa = b * b * d, a * a
+        xstarstar = Seq._of([inv - aa * v for v in g.num], inv - aa * g.tnum, a * b * d)
+        points.append(
+            _derived(ExtensionPoint, tau=tau, ytilde=ytilde, xstar=tau * ytilde, xstarstar=xstarstar)
+        )
     return ExtensionFamily(
         points=tuple(points),
         ytilde=ytilde,
@@ -230,6 +231,16 @@ def extension_family(points: Sequence[ExtensionPoint]) -> ExtensionFamily:
         q=pairing_numerator(g, ytilde),
         diagonal=tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points),
     )
+
+
+def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
+    """Build the family point for parameter tau > 0 and direction ytilde.
+
+    The positive total pairing(ones, ytilde) is exactly the closure margin
+    and the Fitzpatrick gap this point certifies.  The one-point case of
+    ``extension_family``.
+    """
+    return extension_family((tau,), ytilde).points[0]
 
 
 @dataclass(frozen=True)
@@ -292,15 +303,6 @@ def closure_margin_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
     return difference_terms(ep.xstarstar, p.x, ep.xstar, p.y)
 
 
-def family_product(p1: ExtensionPoint, p2: ExtensionPoint) -> Rational:
-    """Monotone product between two family points, from the sequences themselves.
-
-    The two-point case of ``family_products``, which states and checks the
-    preconditions, the closed form and the strict sign.
-    """
-    return next(family_products(extension_family((p1, p2))))[2]
-
-
 def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, Rational]]:
     """Every pairwise monotone product of family points, from the sequences themselves.
 
@@ -310,8 +312,8 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, Rationa
 
         product = pairing(xss_i - xss_j, xs_i - xs_j) .
 
-    The points share ytilde (``extension_family`` checks that) and each
-    pair must differ in tau.  Its product is checked against the closed form
+    The points share ytilde by construction, and each pair must differ in
+    tau.  Its product is checked against the closed form
 
         (tau_i - tau_j) * (1/tau_i - 1/tau_j) * pairing(ones, ytilde)
 
@@ -369,12 +371,13 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, Rationa
 def distinctness(
     tau1: Rational | int | str, tau2: Rational | int | str, ytilde: Seq
 ) -> Rational:
-    """``family_product`` of the family points for tau1 and tau2 along ytilde.
+    """Monotone product of the family points for tau1 and tau2 along ytilde.
 
-    Builds both points; callers that pair many taus build one
-    ``extension_family`` and stream the pairs through ``family_products``.
+    The two-point case of ``family_products``, which states and checks the
+    preconditions, the closed form and the strict sign.  Callers that pair
+    many taus build one ``extension_family`` and stream its pairs.
     """
-    return family_product(extension_point(tau1, ytilde), extension_point(tau2, ytilde))
+    return next(family_products(extension_family((tau1, tau2), ytilde)))[2]
 
 
 def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:

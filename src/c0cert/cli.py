@@ -38,7 +38,6 @@ from pathlib import Path
 
 from .certify import (
     extension_family,
-    extension_point,
     closure_margin_terms,
     family_products,
     fitzpatrick_gap,
@@ -440,7 +439,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     @cache
     def family() -> ExtensionFamily:
-        return extension_family([extension_point(tau, config.ytilde) for tau in config.taus])
+        return extension_family(config.taus, config.ytilde)
 
     results = []
     for name in config.suites:
@@ -580,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config) if args.config else default_config()
+        config = parse_config(args.config) if args.config is not None else default_config()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,7 +24,6 @@ from c0cert.certify import (
     distinctness,
     extension_family,
     extension_point,
-    family_product,
     family_products,
     fitzpatrick_gap,
     fitzpatrick_value,
@@ -44,6 +44,7 @@ from c0cert.seqspace import (
     Seq,
     difference_terms,
     pairing,
+    pairing_numerator,
     total_sum,
     unit,
 )
@@ -123,6 +124,8 @@ def test_extension_point_rejects_nonpositive_tau():
         extension_point(0, unit(1))
     with pytest.raises(InvalidParameter):
         extension_point(-2, unit(1))
+    with pytest.raises(InvalidParameter, match="tau must be positive, got -1/2"):
+        extension_family([1, 2, "-1/2"], unit(1))
 
 
 def test_extension_point_rejects_tampered_fields():
@@ -136,14 +139,12 @@ def test_extension_point_rejects_tampered_fields():
 
 @pytest.mark.parametrize("tau", ["1", "2", "1/3", "7/2", "100/33", "1/1000"])
 def test_family_point_builds_its_ones_term_canonically(tau):
-    """(1/tau) * ones from tau's numerator and denominator, as scaling would build it."""
+    """x** from integers holds the canonical fields of its definition, ones term included."""
     tau = Fraction(tau)
-    built = Seq._of([], tau.denominator, tau.numerator)
-    scaled = (Fraction(1) / tau) * ONES
-    assert (built.num, built.tnum, built.den) == (scaled.num, scaled.tnum, scaled.den)
     ytilde = Seq(["3/7", "-1/5", "2/3"])
-    ep = extension_point(tau, ytilde)
-    assert ep.xstarstar == -gossez_apply(tau * ytilde) + scaled
+    xss = extension_point(tau, ytilde).xstarstar
+    expected = -gossez_apply(tau * ytilde) + (Fraction(1) / tau) * ONES
+    assert (xss.num, xss.tnum, xss.den) == (expected.num, expected.tnum, expected.den)
 
 
 @given(positive_taus, positive_sum_summables())
@@ -183,30 +184,26 @@ def test_distinctness_sign_and_closed_form(tau1, tau2, ytilde):
     value = distinctness(tau1, tau2, ytilde)
     assert value == (tau1 - tau2) * (1 / tau1 - 1 / tau2) * pairing(ONES, ytilde)
     assert value < 0
+    assert value == distinctness(tau2, tau1, ytilde)
 
 
-@given(positive_taus, positive_taus, positive_sum_summables())
-def test_family_product_matches_distinctness(tau1, tau2, ytilde):
-    assume(tau1 != tau2)
-    p1, p2 = extension_point(tau1, ytilde), extension_point(tau2, ytilde)
-    assert family_product(p1, p2) == family_product(p2, p1) == distinctness(tau1, tau2, ytilde)
+def tampered(family, points):
+    """``family`` with ``points`` in place of its own, and their diagonal recomputed."""
+    diagonal = tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points)
+    return replace(family, points=tuple(points), diagonal=diagonal)
 
 
-def test_family_product_rejects_equal_taus_and_mismatched_ytilde():
-    p = extension_point(1, unit(1))
-    with pytest.raises(InvalidParameter):
-        family_product(p, p)
-    with pytest.raises(InvalidParameter):
-        family_product(p, extension_point(1, unit(1)))
-    with pytest.raises(InvalidParameter):
-        family_product(p, extension_point(2, 2 * unit(1)))
+def pair_product(family, i, j):
+    """The product of points i and j of ``family`` alone, from a two-point family."""
+    return next(family_products(tampered(family, (family.points[i], family.points[j]))))[2]
 
 
 def test_family_product_checks_the_closed_form():
-    p1, p2 = extension_point(1, unit(1)), extension_point(2, unit(1))
+    family = extension_family([1, 2], unit(1))
+    p1, p2 = family.points
     object.__setattr__(p2, "xstarstar", p2.xstarstar + unit(1))  # bypass validation
     with pytest.raises(AssertionError, match="mismatch"):
-        family_product(p1, p2)
+        next(family_products(tampered(family, (p1, p2))))
 
 
 # The family_products kernel against the per-pair loop: the same values in
@@ -221,13 +218,13 @@ def family_pairs(n):
 
 @given(distinct_taus, positive_sum_summables())
 def test_family_products_match_the_per_pair_loop(taus, ytilde):
-    points = [extension_point(tau, ytilde) for tau in taus]
-    pairs = family_pairs(len(points))
-    assert list(family_products(extension_family(points))) == [
-        (i, j, family_product(points[i], points[j])) for i, j in pairs
+    family = extension_family(taus, ytilde)
+    points, pairs = family.points, family_pairs(len(taus))
+    assert list(family_products(family)) == [
+        (i, j, distinctness(taus[i], taus[j], ytilde)) for i, j in pairs
     ]
     # the direct product, four pairings per pair, with no shared diagonal
-    assert [product for _, _, product in family_products(extension_family(points))] == [
+    assert [product for _, _, product in family_products(family)] == [
         Fraction(*difference_terms(p.xstarstar, q.xstarstar, p.xstar, q.xstar))
         for p, q in ((points[i], points[j]) for i, j in pairs)
     ]
@@ -235,18 +232,20 @@ def test_family_products_match_the_per_pair_loop(taus, ytilde):
 
 @given(distinct_taus, positive_sum_summables(), st.data())
 def test_family_products_fail_where_the_per_pair_loop_does(taus, ytilde, data):
-    points = [extension_point(tau, ytilde) for tau in taus]
-    k = data.draw(st.integers(0, len(points) - 1))
+    family = extension_family(taus, ytilde)
+    k = data.draw(st.integers(0, len(taus) - 1))
     # moves each product of point k by (tau_k - tau_j) * sum(ytilde) != 0
-    object.__setattr__(points[k], "xstarstar", points[k].xstarstar + ONES)  # bypass validation
+    xss = family.points[k].xstarstar + ONES
+    object.__setattr__(family.points[k], "xstarstar", xss)  # bypass validation
+    family = tampered(family, family.points)
     # every pair with point k fails, the first in row order is (0, k) or (0, 1)
-    pairs = family_pairs(len(points))
+    pairs = family_pairs(len(taus))
     first = pairs.index((0, max(k, 1)))
-    passed = [(i, j, family_product(points[i], points[j])) for i, j in pairs[:first]]
+    passed = [(i, j, distinctness(taus[i], taus[j], ytilde)) for i, j in pairs[:first]]
     i, j = pairs[first]
     with pytest.raises(AssertionError, match="distinctness mismatch") as per_pair:
-        family_product(points[i], points[j])
-    kernel = family_products(extension_family(points))
+        pair_product(family, i, j)
+    kernel = family_products(family)
     assert [next(kernel) for _ in passed] == passed
     with pytest.raises(AssertionError) as raised:
         next(kernel)
@@ -257,8 +256,8 @@ def test_family_products_fail_where_the_per_pair_loop_does(taus, ytilde, data):
 def test_family_products_check_every_pair(taus, ytilde, data):
     # One integer pairing, pairing_numerator(xss_i, xs_j), is off by one: the
     # loop and the kernel must both fail at pair (i, j) and pass every other.
-    points = [extension_point(tau, ytilde) for tau in taus]
-    pairs = family_pairs(len(points))
+    family = extension_family(taus, ytilde)
+    points, pairs = family.points, family_pairs(len(taus))
     i, j = pairs[data.draw(st.integers(0, len(pairs) - 1))]
     real = c0cert.certify.pairing_numerator
 
@@ -270,11 +269,11 @@ def test_family_products_check_every_pair(taus, ytilde, data):
         products = {}
         for k, l in pairs:
             try:
-                products[k, l] = family_product(points[k], points[l])
+                products[k, l] = pair_product(family, k, l)
             except AssertionError as exc:
                 products[k, l] = str(exc)
         assert [pair for pair, value in products.items() if isinstance(value, str)] == [(i, j)]
-        kernel = family_products(extension_family(points))
+        kernel = family_products(family)
         passed = pairs[: pairs.index((i, j))]
         assert [next(kernel) for _ in passed] == [(k, l, products[k, l]) for k, l in passed]
         with pytest.raises(AssertionError) as raised:
@@ -282,25 +281,25 @@ def test_family_products_check_every_pair(taus, ytilde, data):
     assert str(raised.value) == products[i, j]
 
 
-def test_family_products_reject_equal_taus_and_mismatched_ytilde():
-    one, two, three = (extension_point(tau, unit(1)) for tau in (1, 2, 3))
+def test_family_products_reject_equal_taus():
     with pytest.raises(InvalidParameter, match="two different parameters"):
-        list(family_products(extension_family([one, two, three, extension_point(2, unit(1))])))
-    with pytest.raises(InvalidParameter, match="share their direction"):
-        list(family_products(extension_family([one, two, extension_point(3, 2 * unit(1))])))
-    assert list(family_products(extension_family([one]))) == []
+        list(family_products(extension_family([1, 2, 3, 2], unit(1))))
+    assert list(family_products(extension_family([1], unit(1)))) == []
 
 
-@given(
-    st.lists(positive_taus, min_size=1, max_size=6),
-    positive_sum_summables(),
-    positive_sum_summables(),
-    st.data(),
-)
-def test_extension_family_against_independent_oracles(taus, ytilde, other, data):
-    points = [extension_point(tau, ytilde) for tau in taus]
-    family = extension_family(points)
-    assert family.points == tuple(points) and family.ytilde == ytilde
+@given(st.lists(positive_taus, min_size=1, max_size=6), positive_sum_summables())
+def test_extension_family_against_independent_oracles(taus, ytilde):
+    evaluated = []
+    real = c0cert.certify.gossez_apply
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(c0cert.certify, "gossez_apply", lambda y: evaluated.append(y) or real(y))
+        family = extension_family(taus, ytilde)
+    assert evaluated == [ytilde]  # G once, for any number of taus
+    points = family.points
+    assert [p.tau for p in points] == taus and family.ytilde == ytilde
+    for tau, p in zip(taus, points):
+        assert p.ytilde == ytilde and p.xstar == tau * ytilde
+        assert p.xstarstar == -gossez_apply(tau * ytilde) + Fraction(1) / tau * ONES
     assert family.g == gossez_apply(ytilde)
     assert family.q == 0
     assert family.total == pairing(ONES, ytilde)
@@ -310,16 +309,11 @@ def test_extension_family_against_independent_oracles(taus, ytilde, other, data)
         self_pairing = Fraction(num, p.xstar.den * p.xstarstar.den)
         assert self_pairing == pairing(p.xstar, p.xstarstar)
         assert self_pairing == s - tau * tau * q
-    assume(other != ytilde)
-    k = data.draw(st.integers(0, len(points)))
-    stranger = extension_point(data.draw(positive_taus), other)
-    with pytest.raises(InvalidParameter, match="share their direction"):
-        extension_family(points[:k] + [stranger] + points[k:])
 
 
 def test_extension_family_needs_a_point():
     with pytest.raises(InvalidParameter, match="at least one point"):
-        extension_family([])
+        extension_family([], unit(1))
 
 
 # --- Fitzpatrick gap --------------------------------------------------------
@@ -428,7 +422,7 @@ family_test_points = st.one_of(
 )
 def test_uncertified_points_expansion_and_soundness(taus, ytilde, sample):
     """The tau expansion equals the definitions; an unflagged point holds at every tau."""
-    flagged = uncertified_points(extension_family([extension_point(taus[0], ytilde)]), sample)
+    flagged = uncertified_points(extension_family(taus[:1], ytilde), sample)
     terms = [tau_free_terms(ytilde, p) for p in sample]
     q = terms[0][0]
     assert flagged == [
@@ -457,7 +451,7 @@ def test_uncertified_points_flags_each_broken_identity():
     }
     tailed = SimpleNamespace(x=ZERO, y=ONES)  # c and d do not exist
     sample = [on_graph, broken["a != b"], on_graph, broken["c != 0"], broken["d != 0"], tailed]
-    assert uncertified_points(extension_family([extension_point(2, ytilde)]), sample) == [
+    assert uncertified_points(extension_family([2], ytilde), sample) == [
         *broken.values(),
         tailed,
     ]
@@ -469,7 +463,7 @@ def test_uncertified_points_flags_every_point_when_q_is_nonzero(monkeypatch):
     """A direction map that is not skew (q != 0) proves nothing about any point."""
     sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
-    assert uncertified_points(extension_family([extension_point(1, unit(1))]), sample) == sample
+    assert uncertified_points(extension_family([1], unit(1)), sample) == sample
 
 
 # --- maximality witness -----------------------------------------------------

@@ -308,6 +308,9 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"taus": [0]}), encoding="utf-8")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+    # an empty path, such as an unset shell variable, is not the built-in config
+    assert main(["skew", "--config", ""]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [True, "0.5", "1e1"])
@@ -350,6 +353,8 @@ def test_main_stdin_config(monkeypatch, tmp_path):
 # hundreds of bits.  A kernel change must keep these bytes.
 CAP_CONFIG = {"samples": 20, "support_max": MAX_SUPPORT, "coeff_bound": MAX_COEFF_BOUND}
 CAP_REPORT_SHA256 = "89e31e0fce4bdd4506f60e28d43df84c8d614215560e60ec97c3d3ac24bdbc82"
+# sha256 of the stdout of `certify all --format markdown --timestamp off`.
+MARKDOWN_REPORT_SHA256 = "423a496b2f55173508e8d4c71893312397b612671b084b57b16178411dadffb8"
 
 
 def test_report_at_the_config_caps_is_byte_identical(monkeypatch, capsys):
@@ -358,6 +363,12 @@ def test_report_at_the_config_caps_is_byte_identical(monkeypatch, capsys):
     assert main(["run", "--config", "-", "--timestamp", "off"]) == 0
     report = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == CAP_REPORT_SHA256
+
+
+def test_markdown_report_is_byte_identical(capsys):
+    assert main(["all", "--format", "markdown", "--timestamp", "off"]) == 0
+    report = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() == MARKDOWN_REPORT_SHA256
 
 
 def test_run_suite_records_the_crash_site(monkeypatch):
@@ -383,42 +394,15 @@ def test_run_suite_records_the_crash_site(monkeypatch):
 
 # --- family points ---------------------------------------------------------
 #
-# run_suite builds each family point at most once per report and shares it
-# between the extensions and gap suites; nothing is kept across reports.
-
-
-def counting_extension_point(monkeypatch) -> list:
-    built = []
-    real = c0cert.cli.extension_point
-
-    def counted(tau, ytilde):
-        built.append(tau)
-        return real(tau, ytilde)
-
-    monkeypatch.setattr(c0cert.cli, "extension_point", counted)
-    return built
-
-
-def test_family_points_are_built_once_per_report(monkeypatch):
-    built = counting_extension_point(monkeypatch)
-    taus = [1, 2, "1/3"]
-    assert run_suite(fast_config(taus=taus)).passed
-    assert len(built) == len(taus)
-    built.clear()
-    assert run_suite(fast_config(taus=taus, suites=["gap"])).passed
-    assert len(built) == len(taus)
-    built.clear()
-    config = fast_config(taus=taus, suites=["extensions", "gap"])
-    first, second = run_suite(config), run_suite(config)
-    assert len(built) == 2 * len(taus)
-    assert render_json(first, with_timing=False) == render_json(second, with_timing=False)
+# run_suite builds the report's family at most once, evaluating G on ytilde
+# once, and shares it between the extensions and gap suites; nothing is kept
+# across reports.
 
 
 def test_family_values_are_computed_once_per_report(monkeypatch):
-    # No tau is 1, so no family point evaluates G on ytilde itself, and the
-    # default ytilde unit(1) has sum 1, so no zero-sum graph y equals it.
-    config = fast_config(taus=[2, "1/3"], suites=["extensions", "gap"])
-    ytilde = config.ytilde
+    # The default ytilde unit(1) has sum 1, so no zero-sum graph y equals it.
+    taus = [1, 2, "1/3"]
+    ytilde = default_config().ytilde
     on_ytilde, families = [], []
     real_apply, real_family = c0cert.certify.gossez_apply, c0cert.cli.extension_family
 
@@ -427,23 +411,28 @@ def test_family_values_are_computed_once_per_report(monkeypatch):
             on_ytilde.append(y)
         return real_apply(y)
 
-    def counted_family(points):
-        families.append(points)
-        return real_family(points)
+    def counted_family(taus, ytilde):
+        families.append(taus)
+        return real_family(taus, ytilde)
 
     monkeypatch.setattr(c0cert.certify, "gossez_apply", counted_apply)
     monkeypatch.setattr(c0cert.cli, "extension_family", counted_family)
-    assert run_suite(config).passed
-    assert len(on_ytilde) == 1 and len(families) == 1
-    assert run_suite(config).passed
+    for config in (fast_config(taus=taus), fast_config(taus=taus, suites=["gap"])):
+        assert run_suite(config).passed
+        assert len(on_ytilde) == 1 and len(families) == 1
+        on_ytilde.clear()
+        families.clear()
+    config = fast_config(taus=taus, suites=["extensions", "gap"])
+    first, second = run_suite(config), run_suite(config)
     assert len(on_ytilde) == 2 and len(families) == 2
+    assert render_json(first, with_timing=False) == render_json(second, with_timing=False)
 
 
 def test_a_family_point_crash_fails_both_family_suites(monkeypatch, tmp_path, capsys):
-    def crashing(tau, ytilde):
-        raise ValueError(f"no family point at tau = {tau}")
+    def crashing(taus, ytilde):
+        raise ValueError(f"no family point at tau = {taus[0]}")
 
-    monkeypatch.setattr(c0cert.cli, "extension_point", crashing)
+    monkeypatch.setattr(c0cert.cli, "extension_family", crashing)
     report = run_suite(fast_config(suites=["extensions", "gap", "skew"]))
     crashed = {r.name: r for r in report.results if not r.passed}
     assert sorted(crashed) == ["extensions", "gap"]
