@@ -289,11 +289,8 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     ytilde, ones).  Constancy with strict positivity over the graph
     certifies membership in the monotone closure of the graph.
 
-    This is the definition, evaluated directly.  The ``extensions`` suite
-    proves the constant margin for every tau > 0 on each sampled point with
-    ``uncertified_points``, and evaluates this directly on one point per tau
-    (the oracle that ties the proof to the definition) and on every point
-    the proof does not cover.
+    This is the definition, evaluated directly; ``uncertified_points``
+    proves the same constant for every tau > 0 at once.
     """
     return Fraction(*closure_margin_terms(ep, p))
 
@@ -413,18 +410,13 @@ def fitzpatrick_gap(
     The per-point evaluations must all coincide; the gap then equals
     pairing(ones, ep.ytilde) > 0.  Strict positivity means the supremum over
     the whole graph stays short of pairing(xstar, xstarstar), which is the
-    machine-checkable failure-of-unique-extension certificate.  The ``gap``
-    suite passes pairing(ep.xstar, ep.xstarstar), read from its family's
-    ``diagonal``, as ``self_pairing``; without it, it is computed here.
+    machine-checkable failure-of-unique-extension certificate.
+    ``self_pairing`` is pairing(ep.xstar, ep.xstarstar), if the caller
+    already has it; without it, it is computed here.
 
-    Constancy is checked while streaming over the sample, each evaluation
-    cross-multiplied with the first; the gap is the one Fraction built.
-
-    Every point of ``sample`` is evaluated directly.  The ``gap`` suite
-    passes the first sampled point and the points ``uncertified_points``
-    returns, since it proves a Fitzpatrick value of 0 at every tau > 0 for
-    the rest; it evaluates the whole sample when the common value it gets
-    is not 0.
+    Every point of ``sample`` is evaluated directly.  Constancy is checked
+    while streaming over the sample, each evaluation cross-multiplied with
+    the first; the gap is the one Fraction built.
     """
     if not sample:
         raise EmptySample("need at least one graph point")

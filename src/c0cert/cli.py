@@ -16,7 +16,13 @@ durations, so identical configs produce byte-identical reports.
 A config may request at most MAX_SAMPLES samples, MAX_SUPPORT for
 ``support_max`` and for the prefix length of ``ytilde``, MAX_COEFF_BOUND for
 ``coeff_bound`` and MAX_TAUS entries in ``taus``; more is a config error,
-since the work of a run grows with each.
+since the work of a run grows with each.  Each rational in ``taus`` and in
+the ``ytilde`` prefix is bounded like a drawn entry: in lowest terms, its
+numerator and denominator are at most MAX_COEFF_BOUND in absolute value.
+
+Each suite has one runner, ``runner(config, rng, family) -> (failures,
+counts, evidence)``, and ``run_suite`` builds every suite result from what
+a runner returns or raises.
 
 Exit codes: 0 all selected suites passed, 1 some suite failed, 2 config
 error, 3 report could not be written.
@@ -129,11 +135,14 @@ class SuiteConfig:
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     counts: dict
     evidence: dict
     failures: list
-    duration: float = 0.0
+    duration: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 @dataclass
@@ -158,6 +167,17 @@ def _parse_rational(value: object, where: str) -> Rational:
         raise ConfigError(f"{where}: {expected}, got {value!r}") from None
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{where}: malformed rational string {value!r}") from None
+
+
+def _bounded(value: Rational, where: str) -> Rational:
+    """``value`` if, in lowest terms, |numerator| and denominator are at most MAX_COEFF_BOUND.
+
+    That is the bound drawn entries obey: a larger config entry only grows
+    every exact value computed from it.
+    """
+    if max(abs(value.numerator), value.denominator) > MAX_COEFF_BOUND:
+        raise ConfigError(f"{where}: |numerator| and denominator must be at most {MAX_COEFF_BOUND}")
+    return value
 
 
 def _parse_int(value: object, where: str, minimum: int, maximum: int | None = None) -> int:
@@ -200,7 +220,7 @@ def config_from_obj(obj: object) -> SuiteConfig:
         raise ConfigError(f"taus: at most {MAX_TAUS} values, got {len(raw_taus)}")
     taus = []
     for i, item in enumerate(raw_taus):
-        tau = _parse_rational(item, f"taus[{i}]")
+        tau = _bounded(_parse_rational(item, f"taus[{i}]"), f"taus[{i}]")
         if tau <= 0:
             raise ConfigError(f"taus[{i}]: must be positive, got {tau}")
         if tau not in taus:  # deduplicate, keeping first occurrence order
@@ -211,9 +231,10 @@ def config_from_obj(obj: object) -> SuiteConfig:
         if isinstance(prefix, list) and len(prefix) > MAX_SUPPORT:
             raise ConfigError(f"ytilde: at most {MAX_SUPPORT} prefix entries, got {len(prefix)}")
         try:
-            ytilde = Seq.from_obj(obj["ytilde"])
+            entries, tail = Seq.parse_obj(obj["ytilde"])
         except ValueError as exc:
             raise ConfigError(f"ytilde: {exc}") from None
+        ytilde = Seq([_bounded(v, f"ytilde: prefix[{j}]") for j, v in enumerate(entries)], tail)
     else:
         ytilde = defaults.ytilde
     if ytilde.tnum:
@@ -262,12 +283,26 @@ def parse_config(source: str) -> SuiteConfig:
 
 # --- suite runners ---------------------------------------------------------
 #
-# One deterministic generator per suite, seed split by suite name, so suites
-# could run in any order (or in parallel) without changing any draw.
+# A runner takes (config, rng, family) and returns (failures, counts,
+# evidence); ``run_suite`` builds the suite's result from them.  Each suite
+# draws from its own deterministic generator, seed split by suite name, so
+# suites could run in any order (or in parallel) without changing any draw.
 #
 # Runners check the certify layer's integer (numerator, denominator) results
 # by cross-multiplication and build a Fraction only for a value that reaches
 # the report or a failure message.
+#
+# The two family suites audit the tau-free proof of ``uncertified_points``
+# by one rule.  At each tau they evaluate the definition directly on
+# ``direct``: the first sampled point, the oracle that ties the proof to the
+# definition, and every point the proof does not cover.  The proof gives
+# every other point closure margin s and Fitzpatrick value 0 at every
+# tau > 0.  So where each direct value is what the proof gives, the values
+# over the sample are known without evaluating them; where any direct value
+# misses it, every sampled point is evaluated.  Points the proof covers pass
+# either way, so the failures are those of evaluating the whole sample.
+
+_Family = Callable[[], ExtensionFamily]
 
 # The one zero the skew and monotone suites record as a seen value.
 _ZERO = Fraction(0)
@@ -284,22 +319,7 @@ def _graph_sample(config: SuiteConfig, rng: random.Random) -> list:
     ]
 
 
-def _result(name: str, failures: list, counts: dict, evidence: dict) -> SuiteResult:
-    """A runner's result: it passes iff nothing failed, and counts every failure.
-
-    At most MAX_FAILURES_SHOWN failure messages are kept.
-    """
-    return SuiteResult(
-        name=name,
-        passed=not failures,
-        counts={**counts, "failures": len(failures)},
-        evidence=evidence,
-        failures=failures[:MAX_FAILURES_SHOWN],
-    )
-
-
-def _run_skew(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
-    rng = _rng(config, "skew")
+def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = []
     seen = set()
     for _ in range(config.samples):
@@ -311,11 +331,10 @@ def _run_skew(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> Sui
         if num:
             failures.append(f"pairing(G(y), y) = {value} for y = {y}")
     evidence = {"pairing_values": sorted(rat_str(v) for v in seen)}
-    return _result("skew", failures, {"samples": config.samples}, evidence)
+    return failures, {"samples": config.samples}, evidence
 
 
-def _run_monotone(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
-    rng = _rng(config, "monotone")
+def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = []
     seen = set()
     for _ in range(config.samples):
@@ -327,11 +346,10 @@ def _run_monotone(config: SuiteConfig, family: Callable[[], ExtensionFamily]) ->
         if num:
             failures.append(f"monotone product {value} for a graph pair")
     evidence = {"products": sorted(rat_str(v) for v in seen)}
-    return _result("monotone", failures, {"pairs": config.samples}, evidence)
+    return failures, {"pairs": config.samples}, evidence
 
 
-def _run_maximal(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
-    rng = _rng(config, "maximal")
+def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = []
     worst = None  # violation product closest to zero; must stay negative
     for _ in range(config.samples):
@@ -350,29 +368,22 @@ def _run_maximal(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> 
             worst = verdict.product
     evidence = {} if worst is None else {"max_violation_product": rat_str(worst)}
     counts = {"members": config.samples, "violations": config.samples}
-    return _result("maximal", failures, counts, evidence)
+    return failures, counts, evidence
 
 
-def _run_extensions(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
-    rng = _rng(config, "extensions")
+def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = []
     sample = _graph_sample(config, rng)
     fam = family()
-    expected = fam.total
-    exp_num, exp_den = expected.numerator, expected.denominator
-    # Past the first point, only the flagged ones can miss the margin at any
-    # tau.  The first point's direct margin is the oracle that ties the proof
-    # to the definition: where it misses, every point is evaluated directly.
-    flagged = uncertified_points(fam, sample[1:])
+    exp_num, exp_den = fam.total.numerator, fam.total.denominator
+    direct = [sample[0], *uncertified_points(fam, sample[1:])]
     for ep in fam.points:
-        margins = [closure_margin_terms(ep, sample[0])]
-        num, den = margins[0]
-        rest = flagged if num * exp_den == exp_num * den else sample[1:]
-        margins += [closure_margin_terms(ep, p) for p in rest]
+        margins = [closure_margin_terms(ep, p) for p in direct]
+        if any(num * exp_den != exp_num * den for num, den in margins):
+            margins = [closure_margin_terms(ep, p) for p in sample]
         for num, den in margins:
             if num * exp_den != exp_num * den or num <= 0:
-                margin = Fraction(num, den)
-                failures.append(f"margin {margin} != {expected} at tau = {ep.tau}")
+                failures.append(f"margin {Fraction(num, den)} != {fam.total} at tau = {ep.tau}")
     if len(fam.points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
     keys = [rat_str(ep.tau) for ep in fam.points]
@@ -381,20 +392,15 @@ def _run_extensions(config: SuiteConfig, family: Callable[[], ExtensionFamily]) 
         f"{keys[i]},{keys[j]}": rat_str(product) for i, j, product in family_products(fam)
     }
     counts = {"graph_points": config.samples, "taus": len(config.taus), "tau_pairs": len(products)}
-    evidence = {"closure_margin": rat_str(expected), "distinctness_products": products}
-    return _result("extensions", failures, counts, evidence)
+    evidence = {"closure_margin": rat_str(fam.total), "distinctness_products": products}
+    return failures, counts, evidence
 
 
-def _run_gap(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> SuiteResult:
-    rng = _rng(config, "gap")
+def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = []
     sample = _graph_sample(config, rng)
     fam = family()
     per_tau = {}
-    # The points left out of `direct` have Fitzpatrick value 0 at every tau.
-    # So a common value of 0 over `direct` is the common value over the
-    # sample, values that differ over `direct` differ over the sample, and
-    # any other common value is recomputed over the whole sample.
     direct = [sample[0], *uncertified_points(fam, sample[1:])]
     for ep, diagonal in zip(fam.points, fam.diagonal):
         self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
@@ -402,7 +408,7 @@ def _run_gap(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> Suit
             gap = fitzpatrick_gap(ep, direct, self_pairing)
             if gap != self_pairing:
                 gap = fitzpatrick_gap(ep, sample, self_pairing)
-        except AssertionError:  # the evaluations differ across the sample
+        except AssertionError:  # the evaluations differ, so not all are 0
             failures.append(f"Fitzpatrick values not constant at tau = {ep.tau}")
             continue
         if gap != fam.total or gap <= 0:
@@ -415,7 +421,7 @@ def _run_gap(config: SuiteConfig, family: Callable[[], ExtensionFamily]) -> Suit
         }
     counts = {"graph_points": config.samples, "taus": len(config.taus)}
     evidence = {"expected_gap": rat_str(fam.total), "per_tau": per_tau}
-    return _result("gap", failures, counts, evidence)
+    return failures, counts, evidence
 
 
 _RUNNERS = {
@@ -430,11 +436,15 @@ _RUNNERS = {
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suites; certificate errors become suite failures.
 
-    A crash is recorded as ``Type: message (file.py:LINE)``, naming the
-    innermost frame of its traceback.  Every runner takes the config and
-    ``family``, which returns the report's ``ExtensionFamily``, built at most
-    once per call, for the first family suite that runs.  A build that raises
-    is not cached, so each family suite records the crash.
+    Each runner is called as ``runner(config, rng, family)``: ``rng`` is the
+    suite's own generator, and ``family`` returns the report's
+    ``ExtensionFamily``, built at most once per call, for the first family
+    suite that runs.  A build that raises is not cached, so each family
+    suite records the crash.  A runner returns ``(failures, counts,
+    evidence)``; the result counts every failure and keeps at most
+    MAX_FAILURES_SHOWN messages.  A crash is recorded as the one failure
+    ``Type: message (file.py:LINE)``, naming the innermost frame of its
+    traceback, with no counts and no evidence.
     """
 
     @cache
@@ -445,21 +455,16 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     for name in config.suites:
         started = time.perf_counter()
         try:
-            result = _RUNNERS[name](config, family)
+            failures, counts, evidence = _RUNNERS[name](config, _rng(config, name), family)
+            counts = {**counts, "failures": len(failures)}
         except Exception as exc:  # a crash is itself a failed certificate
             tb = exc.__traceback__
             while tb.tb_next is not None:  # walk to the innermost frame
                 tb = tb.tb_next
             where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
-            result = SuiteResult(
-                name=name,
-                passed=False,
-                counts={},
-                evidence={},
-                failures=[f"{type(exc).__name__}: {exc} ({where})"],
-            )
-        result.duration = time.perf_counter() - started
-        results.append(result)
+            failures, counts, evidence = [f"{type(exc).__name__}: {exc} ({where})"], {}, {}
+        duration = time.perf_counter() - started
+        results.append(SuiteResult(name, counts, evidence, failures[:MAX_FAILURES_SHOWN], duration))
     return SuiteReport(config=config, results=results)
 
 

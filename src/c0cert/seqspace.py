@@ -22,7 +22,8 @@ pairing and the sums are integer loops that reduce once, by a single gcd
 over the result, instead of normalizing a ``Fraction`` per entry.
 
 There is one boundary constructor and one trusted internal path.
-``Seq(prefix, tail, den)`` coerces and validates whatever it is given;
+``Seq(prefix, tail)`` takes rationals, coerces and validates each through
+``rat`` and puts them over their least common denominator;
 ``Seq._of(num, tnum, den)`` takes a fresh list of ints over a positive int
 denominator, as every internally derived sequence has, and checks nothing.
 Both end in ``__post_init__``, the single canonicalizer: it trims and
@@ -102,12 +103,12 @@ def rat_str(value: Rational) -> str:
 class Seq:
     """An eventually constant rational sequence.
 
-    ``Seq(prefix, tail)`` takes rationals: entries 1..len(prefix) are
-    ``prefix``, every later entry equals ``tail``.  An optional integer
-    ``den`` divides all of them, so ``Seq(nums, tnum, den)`` builds a
-    sequence straight from integer numerators.  Construction canonicalizes
-    (see the module docstring), so structural equality is sequence equality
-    and instances are hashable, immutable and safe to share across threads.
+    ``Seq(prefix, tail)`` takes rationals (ints, "p/q" strings or
+    Fractions): entries 1..len(prefix) are ``prefix``, every later entry
+    equals ``tail``.  Integer numerators over a common denominator go
+    through ``Seq._of`` instead.  Construction canonicalizes (see the
+    module docstring), so structural equality is sequence equality and
+    instances are hashable, immutable and safe to share across threads.
 
     A zero tail means the sequence is finitely supported, hence both
     summable and convergent to zero; a nonzero tail means it is bounded but
@@ -119,30 +120,16 @@ class Seq:
     den: int
 
     def __init__(
-        self,
-        prefix: Iterable[Rational | int | str] = (),
-        tail: Rational | int | str = 0,
-        den: int = 1,
+        self, prefix: Iterable[Rational | int | str] = (), tail: Rational | int | str = 0
     ) -> None:
-        # The boundary path: coerce to ints over a positive denominator, then
-        # hand over to the canonicalizer exactly as ``_of`` does.
-        num = list(prefix)
-        if type(den) is not int:
-            raise TypeError(f"Seq denominator must be an int, got {den!r}")
-        if den == 0:
-            raise ZeroDivisionError("Seq denominator is zero")
-        if type(tail) is not int or not all(type(v) is int for v in num):
-            values = [rat(v) for v in num]
-            t = rat(tail)
-            # a list, not a generator: see certify._draw_summable on star-calls
-            common = lcm(t.denominator, *[v.denominator for v in values])
-            num = [v.numerator * (common // v.denominator) for v in values]
-            tail = t.numerator * (common // t.denominator)
-            den *= common
-        if den < 0:
-            num, tail, den = [-v for v in num], -tail, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "tnum", tail)
+        # The boundary path: coerce to ints over the least common denominator,
+        # then hand over to the canonicalizer exactly as ``_of`` does.
+        values = [rat(v) for v in prefix]
+        t = rat(tail)
+        # a list, not a generator: see certify._draw_summable on star-calls
+        den = lcm(t.denominator, *[v.denominator for v in values])
+        object.__setattr__(self, "num", [v.numerator * (den // v.denominator) for v in values])
+        object.__setattr__(self, "tnum", t.numerator * (den // t.denominator))
         object.__setattr__(self, "den", den)
         self.__post_init__()
 
@@ -249,6 +236,16 @@ class Seq:
 
         Raises ValueError with a field-level message on malformed input.
         """
+        return cls(*cls.parse_obj(obj))
+
+    @staticmethod
+    def parse_obj(obj: object) -> tuple[list[Rational], Rational]:
+        """The prefix entries and the tail that ``from_obj`` builds its ``Seq`` from.
+
+        Raises ValueError as ``from_obj`` does.  A caller that bounds the
+        entries checks them on this result, before a ``Seq`` puts them all
+        over their least common denominator.
+        """
         if not isinstance(obj, dict):
             raise ValueError("expected an object with 'prefix' and 'tail'")
         unknown = set(obj) - {"prefix", "tail"}
@@ -267,7 +264,7 @@ class Seq:
             t = rat(obj.get("tail", 0))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise ValueError(f"tail: malformed rational {obj.get('tail')!r}") from exc
-        return cls(tuple(entries), t)
+        return entries, t
 
 
 ZERO = Seq()

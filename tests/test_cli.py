@@ -125,6 +125,36 @@ def test_config_bounds_the_requested_work(tmp_path, capsys, field, bound):
     assert "config error" in err and field in err
 
 
+@pytest.mark.parametrize("field", ["taus", "ytilde"])
+def test_config_bounds_each_rational(field):
+    def obj(entry):
+        if field == "taus":
+            return {"taus": [entry, "2"]}
+        return {"ytilde": {"prefix": [entry, str(MAX_COEFF_BOUND)], "tail": "0"}}
+
+    b = MAX_COEFF_BOUND
+    # the bound applies in lowest terms, to the numerator and the denominator alike
+    for entry in (f"1/{b}", f"{b}/{b - 1}", f"{2 * b}/2"):
+        config_from_obj(obj(entry))
+    for entry in (f"1/{b + 1}", f"{b + 1}", f"-{b + 1}", f"{b + 1}/{b}"):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_obj(obj(entry))
+        message = str(excinfo.value)
+        assert message.startswith(field) and str(b + 1) not in message
+
+
+def test_main_rejects_rationals_past_the_bound(tmp_path, capsys):
+    # Each entry is within the int/str digit limit, but values built from
+    # them would not be.
+    p = 10**1499
+    prefix = [f"1/{p + 1}", f"1/{p + 3}", f"1/{p + 7}"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 5, "ytilde": {"prefix": prefix, "tail": "0"}}))
+    assert main(["run", "--config", str(cfg), "--timestamp", "off"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ytilde: prefix[0]") and len(err) < 200
+
+
 def test_extensions_at_the_tau_cap():
     # k / (2k + 1) is increasing in k and in lowest terms: MAX_TAUS distinct taus
     taus = [Fraction(k, 2 * k + 1) for k in range(1, MAX_TAUS + 1)]
@@ -372,7 +402,7 @@ def test_markdown_report_is_byte_identical(capsys):
 
 
 def test_run_suite_records_the_crash_site(monkeypatch):
-    def crashing_runner(config, family):
+    def crashing_runner(config, rng, family):
         return distinctness(1, 1, unit(1))
 
     monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", crashing_runner)

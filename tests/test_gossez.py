@@ -78,7 +78,7 @@ def test_matches_brute_force_oracle(y):
 )
 def test_image_is_canonical_as_built(y, nums, den):
     """gossez_apply skips the canonicalizer: its output must already be canonical."""
-    for s in (y, Seq(nums, 0, den), Seq(nums, 0, den) * 6):
+    for s in (y, Seq._of(list(nums), 0, den), Seq._of(list(nums), 0, den) * 6):
         g = gossez_apply(s)
         again = Seq._of(list(g.num), g.tnum, g.den)
         assert (g.num, g.tnum, g.den) == (again.num, again.tnum, again.den)

@@ -96,24 +96,19 @@ def is_canonical(s: Seq) -> bool:
 def test_canonical_form_invariant(a, b, c, y):
     """Every construction path lands in the one canonical integer form."""
     results = [a, b, a + b, a - b, -a, c * a, a * c, Seq.from_obj(a.to_obj())]
-    results += [Seq(a.num + (a.tnum,), a.tnum, a.den), Seq([2 * v for v in y.num], 0, -2 * y.den)]
+    results += [Seq(a.prefix + (a.tail,), a.tail), Seq._of([2 * v for v in y.num], 0, 2 * y.den)]
     for s in results:
         assert is_canonical(s)
     # equal sequences are equal objects with equal hashes, however built
     rebuilt = Seq(a.prefix, a.tail)
     assert rebuilt == a and hash(rebuilt) == hash(a)
-    assert Seq([-v for v in y.num], 0, -y.den) == y
 
 
 def test_integer_numerator_construction():
-    s = Seq([3, 6, 0], 0, 9)
+    s = Seq(["1/3", "2/3", 0])
     assert (s.num, s.tnum, s.den) == ((1, 2), 0, 3)
     assert s.prefix == (Fraction(1, 3), Fraction(2, 3)) and s.tail == 0
-    assert Seq((Fraction(1, 2), "1/3"), 1) == Seq([3, 2], 6, 6)
-    with pytest.raises(ZeroDivisionError):
-        Seq([1], 0, 0)
-    with pytest.raises(TypeError):
-        Seq([1], 0, Fraction(1, 2))
+    assert Seq((Fraction(1, 2), "1/3"), 1) == Seq._of([3, 2], 6, 6)
 
 
 @given(
@@ -130,7 +125,6 @@ def test_trusted_constructor_matches_boundary_constructor(num, tnum, den, g, k):
     public = Seq(tuple(Fraction(v, g * den) for v in raw), Fraction(g * tnum, g * den))
     assert trusted == public and hash(trusted) == hash(public)
     assert is_canonical(trusted) and is_canonical(public)
-    assert Seq(raw, g * tnum, g * den) == trusted
 
 
 def test_trusted_constructor_examples():
