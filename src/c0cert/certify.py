@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import floordiv
@@ -47,12 +46,14 @@ from operator import floordiv
 from .gossez import gossez_apply
 from .seqspace import (
     ZERO,
+    Frozen,
     NonSummable,
     Rational,
     Seq,
     difference_terms,
     pairing,
     pairing_numerator,
+    _derived,
     rat,
 )
 
@@ -93,34 +94,21 @@ class EmptySample(ValueError):
     """A nonempty sample of graph points is required."""
 
 
-def _derived(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` from fields just derived.
-
-    Skips ``__post_init__``, whose only work would be to derive the same
-    fields again; direct construction still runs it.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-@dataclass(frozen=True, slots=True)
-class GraphPoint:
+class GraphPoint(Frozen):
     """A pair (x, y) with x = -G(y); membership is verified on construction.
 
     The zero-tail requirement on x forces sum(y) = 0, since -G(y) has
     constant tail sum(y).
     """
 
-    x: Seq
-    y: Seq
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if self.x.tnum or self.y.tnum:
+    def __init__(self, x: Seq, y: Seq) -> None:
+        if x.tnum or y.tnum:
             raise InvalidParameter("graph points need zero tails on both components")
-        if self.x != -gossez_apply(self.y):
+        if x != -gossez_apply(y):
             raise InvalidParameter("not a graph point: x != -G(y)")
+        Frozen.__init__(self, x, y)
 
     @classmethod
     def from_y(cls, y: Seq) -> GraphPoint:
@@ -132,11 +120,14 @@ class GraphPoint:
         x = -gossez_apply(y)
         if x.tnum:
             raise InvalidParameter("graph points need zero tails on both components")
-        return _derived(cls, x=x, y=y)
+        # stored field by field, as Seq._from_canonical does: this runs per drawn point
+        p = object.__new__(cls)
+        object.__setattr__(p, "x", x)
+        object.__setattr__(p, "y", y)
+        return p
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionPoint:
+class ExtensionPoint(Frozen):
     """A closure point beyond the graph, parametrized by tau > 0.
 
     For a summable direction ytilde with pairing(ones, ytilde) > 0,
@@ -151,21 +142,18 @@ class ExtensionPoint:
     ``extension_point`` and compares.
     """
 
-    tau: Rational
-    ytilde: Seq
-    xstar: Seq
-    xstarstar: Seq
+    __slots__ = ("tau", "ytilde", "xstar", "xstarstar")
 
-    def __post_init__(self) -> None:
-        derived = extension_point(self.tau, self.ytilde)
-        if self.xstar != derived.xstar:
+    def __init__(self, tau: Rational, ytilde: Seq, xstar: Seq, xstarstar: Seq) -> None:
+        derived = extension_point(tau, ytilde)
+        if xstar != derived.xstar:
             raise InvalidParameter("xstar != tau * ytilde")
-        if self.xstarstar != derived.xstarstar:
+        if xstarstar != derived.xstarstar:
             raise InvalidParameter("xstarstar does not match its construction")
+        Frozen.__init__(self, tau, ytilde, xstar, xstarstar)
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionFamily:
+class ExtensionFamily(Frozen):
     """Family points along one direction, with the tau-free values they share.
 
     With xs_k = xstar and xss_k = xstarstar of ``points[k]``:
@@ -182,12 +170,12 @@ class ExtensionFamily:
     ``extension_family`` builds it, computing each value once.
     """
 
-    points: tuple[ExtensionPoint, ...]
-    ytilde: Seq
-    total: Rational
-    g: Seq
-    q: int
-    diagonal: tuple[int, ...]
+    __slots__ = ("points", "ytilde", "total", "g", "q", "diagonal")
+
+    def __init__(
+        self, points: tuple, ytilde: Seq, total: Rational, g: Seq, q: int, diagonal: tuple
+    ) -> None:
+        Frozen.__init__(self, points, ytilde, total, g, q, diagonal)
 
 
 def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> ExtensionFamily:
@@ -220,9 +208,7 @@ def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> Exten
         # over a * b * d, 1/tau is b * b * d and tau * v / d is a * a * v
         inv, aa = b * b * d, a * a
         xstarstar = Seq._of([inv - aa * v for v in g.num], inv - aa * g.tnum, a * b * d)
-        points.append(
-            _derived(ExtensionPoint, tau=tau, ytilde=ytilde, xstar=tau * ytilde, xstarstar=xstarstar)
-        )
+        points.append(_derived(ExtensionPoint, tau, ytilde, tau * ytilde, xstarstar))
     return ExtensionFamily(
         points=tuple(points),
         ytilde=ytilde,
@@ -243,13 +229,17 @@ def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
     return extension_family((tau,), ytilde).points[0]
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Frozen):
     """Verdict: the candidate pair lies on the graph."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Violation:
+    def __init__(self) -> None:
+        # nothing to store, so no Frozen.__init__ loop per member verdict
+        pass
+
+
+class Violation(Frozen):
     """Verdict: an explicit graph point refutes the candidate pair.
 
     ``product`` is the monotone product of the candidate against the
@@ -257,8 +247,12 @@ class Violation:
     contain the candidate.
     """
 
-    witness: GraphPoint
-    product: Rational
+    __slots__ = ("witness", "product")
+
+    def __init__(self, witness: GraphPoint, product: Rational) -> None:
+        # field by field, without Frozen.__init__'s loop: one per refuted pair
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "product", product)
 
 
 WitnessVerdict = Member | Violation

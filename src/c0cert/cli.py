@@ -36,7 +36,6 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
@@ -60,6 +59,7 @@ from .certify import (
 from .gossez import gossez_apply
 from .seqspace import (
     ONES,
+    Frozen,
     Rational,
     Seq,
     pairing,
@@ -108,17 +108,22 @@ class ConfigError(ValueError):
     """The configuration document is malformed or violates a precondition."""
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Frozen):
     """Validated run configuration. Defaults mirror ``default_config()``."""
 
-    seed: int = 0
-    samples: int = 1000
-    support_max: int = 16
-    coeff_bound: int = 100
-    taus: tuple[Rational, ...] = (Fraction(1), Fraction(2))
-    ytilde: Seq = field(default_factory=lambda: unit(1))
-    suites: tuple[str, ...] = SUITE_NAMES
+    __slots__ = ("seed", "samples", "support_max", "coeff_bound", "taus", "ytilde", "suites")
+
+    def __init__(
+        self,
+        seed: int = 0,
+        samples: int = 1000,
+        support_max: int = 16,
+        coeff_bound: int = 100,
+        taus: tuple[Rational, ...] = (Fraction(1), Fraction(2)),
+        ytilde: Seq = unit(1),
+        suites: tuple[str, ...] = SUITE_NAMES,
+    ) -> None:
+        Frozen.__init__(self, seed, samples, support_max, coeff_bound, taus, ytilde, suites)
 
     def to_obj(self) -> dict:
         return {
@@ -132,23 +137,24 @@ class SuiteConfig:
         }
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    counts: dict
-    evidence: dict
-    failures: list
-    duration: float
+class SuiteResult(Frozen):
+    __slots__ = ("name", "counts", "evidence", "failures", "duration")
+
+    def __init__(
+        self, name: str, counts: dict, evidence: dict, failures: list, duration: float
+    ) -> None:
+        Frozen.__init__(self, name, counts, evidence, failures, duration)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class SuiteReport:
-    config: SuiteConfig
-    results: list
+class SuiteReport(Frozen):
+    __slots__ = ("config", "results")
+
+    def __init__(self, config: SuiteConfig, results: list) -> None:
+        Frozen.__init__(self, config, results)
 
     @property
     def passed(self) -> bool:
@@ -588,10 +594,17 @@ def main(argv: list | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "all":
-        config = replace(config, suites=SUITE_NAMES)
-    elif args.command != "run":
-        config = replace(config, suites=(args.command,))
+    if args.command != "run":
+        suites = SUITE_NAMES if args.command == "all" else (args.command,)
+        config = SuiteConfig(
+            config.seed,
+            config.samples,
+            config.support_max,
+            config.coeff_bound,
+            config.taus,
+            config.ytilde,
+            suites,
+        )
     report = run_suite(config)
     return emit_report(report, args.format, args.out, args.timestamp == "on")
 

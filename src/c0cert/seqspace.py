@@ -30,7 +30,11 @@ Both end in ``__post_init__``, the single canonicalizer: it trims and
 reduces by one gcd.  Where the canonical form is inherited (a negation, the
 skew map's image of a summable sequence), ``Seq._from_canonical`` wraps the
 result without canonicalizing it again.
-``Seq`` is a slotted class: instances carry no ``__dict__``.
+
+``Seq`` and every other value class of the package subclass ``Frozen``: a
+slotted class whose instances carry no ``__dict__``, refuse assignment, and
+compare, hash, print, pickle and copy by their fields in ``__slots__``
+order.  ``Seq`` keeps its own ``__init__``, ``__eq__`` and ``__hash__``.
 
 Indices are 1-based everywhere.
 """
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -99,8 +102,67 @@ def rat_str(value: Rational) -> str:
     return str(value)
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Seq:
+class Frozen:
+    """The one base of the value classes: immutable, slotted, defined by its fields.
+
+    A subclass lists its fields in ``__slots__``, in order, and stores them
+    once, through ``Frozen.__init__`` or ``_derived``; assignment and
+    deletion raise AttributeError afterwards.  Two instances are equal when
+    they are of the same class with equal fields, the hash is the hash of
+    the field tuple, and the repr names each field.  This is what a frozen
+    dataclass provides, without importing ``dataclasses`` and ``inspect``
+    and generating methods per class, which cost more than the rest of
+    ``import c0cert.cli``.  Paths that run once per drawn point store
+    their fields one ``object.__setattr__`` at a time instead of through
+    ``Frozen.__init__``'s loop, as ``Seq._from_canonical`` does.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        """Store ``values`` as the fields, in ``__slots__`` order, unchecked."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt without ``__init__`` or ``__setattr__``: pickle's and copy's
+        # default would set each slot through the refusing ``__setattr__``.
+        return _derived, (self.__class__, *self._values())
+
+
+def _derived(cls: type, *values: object) -> Frozen:
+    """An instance of the ``Frozen`` subclass ``cls`` holding ``values`` as its fields.
+
+    Nothing is checked or derived: for fields just derived by the caller,
+    and for unpickling and copying.  Calling ``cls`` runs its checks.
+    """
+    obj = object.__new__(cls)
+    Frozen.__init__(obj, *values)
+    return obj
+
+
+class Seq(Frozen):
     """An eventually constant rational sequence.
 
     ``Seq(prefix, tail)`` takes rationals (ints, "p/q" strings or
@@ -109,15 +171,14 @@ class Seq:
     through ``Seq._of`` instead.  Construction canonicalizes (see the
     module docstring), so structural equality is sequence equality and
     instances are hashable, immutable and safe to share across threads.
+    The fields are ``num``, ``tnum`` and ``den``.
 
     A zero tail means the sequence is finitely supported, hence both
     summable and convergent to zero; a nonzero tail means it is bounded but
     stays away from zero.
     """
 
-    num: tuple[int, ...]
-    tnum: int
-    den: int
+    __slots__ = ("num", "tnum", "den")
 
     def __init__(
         self, prefix: Iterable[Rational | int | str] = (), tail: Rational | int | str = 0
@@ -161,6 +222,7 @@ class Seq:
     def __post_init__(self) -> None:
         # The one canonicalizer, on ints only: trim the entries equal to the
         # tail, divide out the common gcd, and freeze the list into a tuple.
+        # (The name is the dataclass hook's; perfbench/run.py wraps it.)
         num, tnum, den = self.num, self.tnum, self.den
         while num and num[-1] == tnum:
             num.pop()
@@ -170,6 +232,14 @@ class Seq:
             object.__setattr__(self, "tnum", tnum // g)
             object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "num", tuple(num))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.tnum == other.tnum and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.tnum, self.den))
 
     @property
     def prefix(self) -> tuple[Rational, ...]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 import c0cert.certify
 from c0cert.certify import (
     EmptySample,
+    ExtensionFamily,
     ExtensionPoint,
     GraphPoint,
     InvalidParameter,
@@ -190,7 +190,9 @@ def test_distinctness_sign_and_closed_form(tau1, tau2, ytilde):
 def tampered(family, points):
     """``family`` with ``points`` in place of its own, and their diagonal recomputed."""
     diagonal = tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points)
-    return replace(family, points=tuple(points), diagonal=diagonal)
+    return ExtensionFamily(
+        tuple(points), family.ytilde, family.total, family.g, family.q, diagonal
+    )
 
 
 def pair_product(family, i, j):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from c0cert.certify import GraphPoint, extension_point
+from c0cert.certify import GraphPoint, Member, extension_family, extension_point, violation_witness
+from c0cert.cli import default_config
 from c0cert.gossez import unit_u, unit_v
 from c0cert.seqspace import (
     ONES,
@@ -150,15 +150,22 @@ def test_value_classes_have_no_instance_dict():
         (GraphPoint(-unit_v(1), unit_u(1)), "x"),
         (GraphPoint.from_y(unit_u(1)), "y"),
         (extension_point(2, unit(1)), "tau"),
+        (extension_family([1, 2], unit(1)), "diagonal"),
+        (Member(), None),
+        (violation_witness(unit(1), ZERO), "product"),
+        (default_config(), "seed"),
     ]
     for obj, field in instances:
         assert not hasattr(obj, "__dict__")
-        with pytest.raises(FrozenInstanceError):
-            setattr(obj, field, getattr(obj, field))
-        # a new name is refused too: frozen slotted dataclasses raise
-        # TypeError here on CPython 3.10-3.12, not FrozenInstanceError
-        with pytest.raises((FrozenInstanceError, TypeError)):
+        if field is not None:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        # a new name is refused with exactly AttributeError
+        with pytest.raises(AttributeError) as refused:
             obj.extra = 1
+        assert type(refused.value) is AttributeError
         # not even the raw object protocol finds a place to store a new name
         with pytest.raises(AttributeError):
             object.__setattr__(obj, "extra", 1)
