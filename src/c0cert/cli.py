@@ -6,8 +6,9 @@
 
 The suite shortcuts run a single suite (or every suite, for ``all``)
 regardless of the config's suite selection.  Without ``--config`` a built-in
-default configuration is used: seed 0, 1000 samples per suite, direction
-unit(1), parameters 1 and 2, all suites.
+default configuration is used: seed 0, 1000 samples per suite, support_max
+16, coeff_bound 100, parameters 1 and 2, direction unit(1), all suites.  A
+config's unspecified fields take these defaults, validated like given ones.
 
 Every evidence value in a report is an exact rational serialized as "p/q".
 With ``--timestamp off`` the report carries no timestamp and no wall-clock
@@ -57,17 +58,7 @@ from .certify import (
     Violation,
 )
 from .gossez import gossez_apply
-from .seqspace import (
-    ONES,
-    Frozen,
-    Rational,
-    Seq,
-    pairing,
-    pairing_numerator,
-    rat,
-    rat_str,
-    unit,
-)
+from .seqspace import Frozen, Rational, Seq, _shown, pairing_numerator, rat, rat_str, unit
 
 __all__ = [
     "ConfigError",
@@ -137,6 +128,11 @@ class SuiteConfig(Frozen):
         }
 
 
+# The defaults as a config document: config_from_obj takes each field a
+# document leaves out from here and parses it like a given one.
+_DEFAULTS = SuiteConfig().to_obj()
+
+
 class SuiteResult(Frozen):
     __slots__ = ("name", "counts", "evidence", "failures", "duration")
 
@@ -165,22 +161,20 @@ def default_config() -> SuiteConfig:
     return SuiteConfig()
 
 
-def _parse_rational(value: object, where: str) -> Rational:
+def _rational(item: object, where: str) -> Rational:
+    """``item`` parsed by ``rat``, bounded like a drawn entry.
+
+    In lowest terms, |numerator| and denominator must be at most
+    MAX_COEFF_BOUND: a larger config entry only grows every exact value
+    computed from it.
+    """
     try:
-        return rat(value)
+        value = rat(item)
     except TypeError:
         expected = "expected an integer or a 'p/q' string"
-        raise ConfigError(f"{where}: {expected}, got {value!r}") from None
+        raise ConfigError(f"{where}: {expected}, got {_shown(item)}") from None
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{where}: malformed rational string {value!r}") from None
-
-
-def _bounded(value: Rational, where: str) -> Rational:
-    """``value`` if, in lowest terms, |numerator| and denominator are at most MAX_COEFF_BOUND.
-
-    That is the bound drawn entries obey: a larger config entry only grows
-    every exact value computed from it.
-    """
+        raise ConfigError(f"{where}: malformed rational string {_shown(item)}") from None
     if max(abs(value.numerator), value.denominator) > MAX_COEFF_BOUND:
         raise ConfigError(f"{where}: |numerator| and denominator must be at most {MAX_COEFF_BOUND}")
     return value
@@ -188,88 +182,69 @@ def _bounded(value: Rational, where: str) -> Rational:
 
 def _parse_int(value: object, where: str, minimum: int, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {_shown(value)}")
     if value < minimum:
-        raise ConfigError(f"{where}: must be at least {minimum}, got {value}")
+        raise ConfigError(f"{where}: must be at least {minimum}, got {_shown(value)}")
     if maximum is not None and value > maximum:
-        raise ConfigError(f"{where}: must be at most {maximum}, got {value}")
+        raise ConfigError(f"{where}: must be at most {maximum}, got {_shown(value)}")
     return value
 
 
 def config_from_obj(obj: object) -> SuiteConfig:
     """Validate a decoded JSON document into a SuiteConfig.
 
-    Unspecified fields take the defaults; every violation is reported with
-    the offending field in the message.
+    Unspecified fields are taken from the defaults' document and validated
+    like given ones; every violation is reported with the offending field in
+    the message.
     """
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"seed", "samples", "support_max", "coeff_bound", "taus", "ytilde", "suites"}
-    unknown = set(obj) - known
+    unknown = set(obj).difference(SuiteConfig.__slots__)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {_shown(sorted(unknown))}")
+    obj = {**_DEFAULTS, **obj}
 
-    defaults = default_config()
-    seed = _parse_int(obj.get("seed", defaults.seed), "seed", 0)
-    samples = _parse_int(obj.get("samples", defaults.samples), "samples", 1, MAX_SAMPLES)
-    support_max = _parse_int(
-        obj.get("support_max", defaults.support_max), "support_max", 2, MAX_SUPPORT
-    )
-    coeff_bound = _parse_int(
-        obj.get("coeff_bound", defaults.coeff_bound), "coeff_bound", 1, MAX_COEFF_BOUND
-    )
+    seed = _parse_int(obj["seed"], "seed", 0)
+    samples = _parse_int(obj["samples"], "samples", 1, MAX_SAMPLES)
+    support_max = _parse_int(obj["support_max"], "support_max", 2, MAX_SUPPORT)
+    coeff_bound = _parse_int(obj["coeff_bound"], "coeff_bound", 1, MAX_COEFF_BOUND)
 
-    raw_taus = obj.get("taus", [rat_str(t) for t in defaults.taus])
+    raw_taus = obj["taus"]
     if not isinstance(raw_taus, list) or not raw_taus:
         raise ConfigError("taus: expected a nonempty list")
     if len(raw_taus) > MAX_TAUS:
         raise ConfigError(f"taus: at most {MAX_TAUS} values, got {len(raw_taus)}")
     taus = []
     for i, item in enumerate(raw_taus):
-        tau = _bounded(_parse_rational(item, f"taus[{i}]"), f"taus[{i}]")
+        tau = _rational(item, f"taus[{i}]")
         if tau <= 0:
             raise ConfigError(f"taus[{i}]: must be positive, got {tau}")
         if tau not in taus:  # deduplicate, keeping first occurrence order
             taus.append(tau)
 
-    if "ytilde" in obj:
-        prefix = obj["ytilde"].get("prefix") if isinstance(obj["ytilde"], dict) else None
-        if isinstance(prefix, list) and len(prefix) > MAX_SUPPORT:
-            raise ConfigError(f"ytilde: at most {MAX_SUPPORT} prefix entries, got {len(prefix)}")
-        try:
-            entries, tail = Seq.parse_obj(obj["ytilde"])
-        except ValueError as exc:
-            raise ConfigError(f"ytilde: {exc}") from None
-        ytilde = Seq([_bounded(v, f"ytilde: prefix[{j}]") for j, v in enumerate(entries)], tail)
-    else:
-        ytilde = defaults.ytilde
+    raw_ytilde = obj["ytilde"]
+    prefix = raw_ytilde.get("prefix") if isinstance(raw_ytilde, dict) else None
+    if isinstance(prefix, list) and len(prefix) > MAX_SUPPORT:
+        raise ConfigError(f"ytilde: at most {MAX_SUPPORT} prefix entries, got {len(prefix)}")
+    try:
+        entries, tail = Seq.parse_obj(raw_ytilde)
+    except ValueError as exc:
+        raise ConfigError(f"ytilde: {exc}") from None
+    ytilde = Seq([_rational(v, f"ytilde: prefix[{j}]") for j, v in enumerate(entries)], tail)
     if ytilde.tnum:
         raise ConfigError("ytilde: must be finitely supported (tail 0)")
-    if pairing(ONES, ytilde) <= 0:
+    if sum(ytilde.num) <= 0:  # the pairing with the ones sequence, times den > 0
         raise ConfigError("ytilde: pairing with the ones sequence must be positive")
 
-    raw_suites = obj.get("suites", ["all"])
+    raw_suites = obj["suites"]
     if not isinstance(raw_suites, list) or not raw_suites:
         raise ConfigError("suites: expected a nonempty list")
-    selected = set()
     for i, name in enumerate(raw_suites):
-        if name == "all":
-            selected.update(SUITE_NAMES)
-        elif name in SUITE_NAMES:
-            selected.add(name)
-        else:
-            raise ConfigError(f"suites[{i}]: unknown suite name {name!r}")
-    suites = tuple(n for n in SUITE_NAMES if n in selected)
+        if name != "all" and name not in SUITE_NAMES:
+            raise ConfigError(f"suites[{i}]: unknown suite name {_shown(name)}")
+    suites = tuple(n for n in SUITE_NAMES if n in raw_suites or "all" in raw_suites)
 
-    return SuiteConfig(
-        seed=seed,
-        samples=samples,
-        support_max=support_max,
-        coeff_bound=coeff_bound,
-        taus=tuple(taus),
-        ytilde=ytilde,
-        suites=suites,
-    )
+    return SuiteConfig(seed, samples, support_max, coeff_bound, tuple(taus), ytilde, suites)
 
 
 def parse_config(source: str) -> SuiteConfig:
@@ -594,17 +569,8 @@ def main(argv: list | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command != "run":
-        suites = SUITE_NAMES if args.command == "all" else (args.command,)
-        config = SuiteConfig(
-            config.seed,
-            config.samples,
-            config.support_max,
-            config.coeff_bound,
-            config.taus,
-            config.ytilde,
-            suites,
-        )
+    if args.command != "run":  # "all" and each suite name are suite selections
+        config = config_from_obj({**config.to_obj(), "suites": [args.command]})
     report = run_suite(config)
     return emit_report(report, args.format, args.out, args.timestamp == "on")
 

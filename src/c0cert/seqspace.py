@@ -91,10 +91,19 @@ def rat(value: Rational | int | str) -> Rational:
     if type(value) is Fraction:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
-        raise TypeError(f"refusing {value!r}: exact rationals are ints or 'p/q' strings")
+        raise TypeError(f"refusing {_shown(value)}: exact rationals are ints or 'p/q' strings")
     if isinstance(value, str) and not _WIRE_RATIONAL.fullmatch(value):
-        raise ValueError(f"malformed rational {value!r}: expected an integer or 'p/q'")
+        raise ValueError(f"malformed rational {_shown(value)}: expected an integer or 'p/q'")
     return Fraction(value)
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, cut to 40 characters and "..." past that.
+
+    Input echoed back in a message stays one short line, however long it is.
+    """
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def rat_str(value: Rational) -> str:
@@ -320,7 +329,7 @@ class Seq(Frozen):
             raise ValueError("expected an object with 'prefix' and 'tail'")
         unknown = set(obj) - {"prefix", "tail"}
         if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)}")
+            raise ValueError(f"unknown keys {_shown(sorted(unknown))}")
         raw_prefix = obj.get("prefix", [])
         if not isinstance(raw_prefix, list):
             raise ValueError("'prefix' must be a list")
@@ -329,11 +338,11 @@ class Seq(Frozen):
             try:
                 entries.append(rat(item))
             except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ValueError(f"prefix[{i}]: malformed rational {item!r}") from exc
+                raise ValueError(f"prefix[{i}]: malformed rational {_shown(item)}") from exc
         try:
             t = rat(obj.get("tail", 0))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"tail: malformed rational {obj.get('tail')!r}") from exc
+            raise ValueError(f"tail: malformed rational {_shown(obj.get('tail'))}") from exc
         return entries, t
 
 

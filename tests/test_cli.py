@@ -37,7 +37,7 @@ from c0cert.cli import (
     run_suite,
 )
 from c0cert.gossez import gossez_apply
-from c0cert.seqspace import ONES, pairing, rat_str, unit
+from c0cert.seqspace import ONES, Seq, pairing, rat_str, unit
 
 FAST = {"samples": 25}
 
@@ -62,6 +62,7 @@ def test_minimal_config_gets_defaults():
     assert cfg.suites == ("extensions", "gap", "maximal", "monotone", "skew")
     assert cfg.taus == (Fraction(1), Fraction(2))
     assert cfg.ytilde == unit(1)
+    assert config_from_obj({}) == default_config()
 
 
 def test_duplicate_taus_are_deduplicated():
@@ -221,6 +222,114 @@ def test_suites_expand_and_order():
     cfg = config_from_obj({"suites": ["gap", "skew", "gap"]})
     assert cfg.suites == ("gap", "skew")
     assert config_from_obj({"suites": ["all"]}).suites == default_config().suites
+
+
+B1 = MAX_COEFF_BOUND + 1
+YTILDE_PREFIX_CAP = f"ytilde: at most {MAX_SUPPORT} prefix entries, got {MAX_SUPPORT + 1}"
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "config must be a JSON object"),
+        ({"mystery": 1}, "unknown config keys: ['mystery']"),
+        ({"b": 1, "a": 2}, "unknown config keys: ['a', 'b']"),
+        ({"seed": -1}, "seed: must be at least 0, got -1"),
+        ({"seed": "7"}, "seed: expected an integer, got '7'"),
+        ({"seed": True}, "seed: expected an integer, got True"),
+        ({"samples": 0}, "samples: must be at least 1, got 0"),
+        ({"samples": MAX_SAMPLES + 1}, "samples: must be at most 100000, got 100001"),
+        ({"samples": None}, "samples: expected an integer, got None"),
+        ({"support_max": 1}, "support_max: must be at least 2, got 1"),
+        ({"support_max": MAX_SUPPORT + 1}, "support_max: must be at most 256, got 257"),
+        ({"support_max": 2.0}, "support_max: expected an integer, got 2.0"),
+        ({"coeff_bound": 0}, "coeff_bound: must be at least 1, got 0"),
+        ({"coeff_bound": B1}, "coeff_bound: must be at most 1000000, got 1000001"),
+        ({"coeff_bound": "5"}, "coeff_bound: expected an integer, got '5'"),
+        ({"taus": []}, "taus: expected a nonempty list"),
+        ({"taus": "1"}, "taus: expected a nonempty list"),
+        ({"taus": [0]}, "taus[0]: must be positive, got 0"),
+        ({"taus": ["-1/2"]}, "taus[0]: must be positive, got -1/2"),
+        ({"taus": ["2/0"]}, "taus[0]: malformed rational string '2/0'"),
+        ({"taus": ["1", "0.5"]}, "taus[1]: malformed rational string '0.5'"),
+        ({"taus": [0.5]}, "taus[0]: expected an integer or a 'p/q' string, got 0.5"),
+        ({"taus": [True]}, "taus[0]: expected an integer or a 'p/q' string, got True"),
+        ({"taus": list(range(1, MAX_TAUS + 2))}, "taus: at most 64 values, got 65"),
+        ({"taus": [f"1/{B1}"]}, "taus[0]: |numerator| and denominator must be at most 1000000"),
+        ({"ytilde": []}, "ytilde: expected an object with 'prefix' and 'tail'"),
+        ({"ytilde": {"prefix": "1"}}, "ytilde: 'prefix' must be a list"),
+        ({"ytilde": {"x": 1}}, "ytilde: unknown keys ['x']"),
+        ({"ytilde": {"prefix": ["1/x"]}}, "ytilde: prefix[0]: malformed rational '1/x'"),
+        ({"ytilde": {"prefix": [0.5]}}, "ytilde: prefix[0]: malformed rational 0.5"),
+        ({"ytilde": {"prefix": ["1"], "tail": None}}, "ytilde: tail: malformed rational None"),
+        ({"ytilde": {"prefix": [], "tail": "1"}}, "ytilde: must be finitely supported (tail 0)"),
+        ({"ytilde": {"prefix": ["-1", "1"]}}, "ytilde: pairing with the ones sequence must be positive"),
+        ({"ytilde": {}}, "ytilde: pairing with the ones sequence must be positive"),
+        ({"ytilde": {"prefix": ["0"] * (MAX_SUPPORT + 1)}}, YTILDE_PREFIX_CAP),
+        (
+            {"ytilde": {"prefix": ["1/2", f"{B1}"]}},
+            "ytilde: prefix[1]: |numerator| and denominator must be at most 1000000",
+        ),
+        ({"suites": []}, "suites: expected a nonempty list"),
+        ({"suites": "all"}, "suites: expected a nonempty list"),
+        ({"suites": ["gap", "spam"]}, "suites[1]: unknown suite name 'spam'"),
+        ({"suites": [["gap"]]}, "suites[0]: unknown suite name ['gap']"),
+        ({"seed": -1, "taus": []}, "seed: must be at least 0, got -1"),  # fields in order
+    ],
+)
+def test_config_error_messages(obj, message):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_obj(obj)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        default_config(),
+        SuiteConfig(  # like the many_taus benchmark workload
+            samples=20,
+            taus=tuple(Fraction(t) for t in range(1, 21)),
+            ytilde=Seq(["3/7", "-1/5", "2/3", "1/11"]),
+        ),
+        SuiteConfig(samples=20, support_max=MAX_SUPPORT, coeff_bound=MAX_COEFF_BOUND),
+    ],
+    ids=["default", "many-taus", "caps"],
+)
+def test_config_round_trips_through_its_document(config):
+    assert config_from_obj(config.to_obj()) == config
+
+
+def test_suite_shortcut_keeps_config_errors(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["spam"]}), encoding="utf-8")
+    assert main(["gap", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: suites[0]: unknown suite name 'spam'\n"
+
+
+LONG = 100_000
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"seed": "x" * LONG}, "seed"),
+        ({"taus": ["1" * LONG]}, "taus[0]"),  # a well-formed integer past the digit limit
+        ({"ytilde": {"prefix": ["1" * LONG]}}, "ytilde: prefix[0]"),
+        ({"ytilde": {"prefix": ["1"], "tail": "x" * LONG}}, "ytilde: tail"),
+        ({"suites": ["s" * LONG]}, "suites[0]"),
+        ({f"mystery{k:03d}" + "x" * 90: 1 for k in range(1000)}, "unknown config keys"),
+    ],
+    ids=["seed", "taus", "ytilde-prefix", "ytilde-tail", "suites", "unknown-keys"],
+)
+def test_config_error_is_one_short_line(tmp_path, capsys, obj, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj), encoding="utf-8")
+    assert len(cfg.read_bytes()) > LONG
+    assert main(["run", "--config", str(cfg), "--timestamp", "off"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode("utf-8")) < 200
+    assert err.startswith(f"config error: {field}") and err.endswith("...\n")
 
 
 # --- suite runner -----------------------------------------------------------
