@@ -56,8 +56,9 @@ def main() -> int:
     print(f"t_solve(-v1) = {t_solve(-v1)}  (recovers u1: {t_solve(-v1) == u1})")
 
     report = run_suite(config)
-    # run_suite lists its results in name order
-    extensions, gap, maximal, monotone, skew = report.results
+    results = {r.name: r for r in report.results}
+    extensions, gap, maximal = results["extensions"], results["gap"], results["maximal"]
+    monotone, skew = results["monotone"], results["skew"]
     if section(skew, "skewness over random summable y"):
         print(f"pairing(G(y), y) values seen: {skew.evidence['pairing_values']}")
     if section(monotone, "monotonicity over random graph pairs"):

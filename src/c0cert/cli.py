@@ -27,20 +27,24 @@ a runner returns or raises.
 
 Exit codes: 0 all selected suites passed, 1 some suite failed, 2 config
 error, 3 report could not be written.
+
+The library path (``config_from_obj``, ``run_suite``, and ``render_json``
+or ``render_markdown`` without timing) loads only the modules it runs:
+``main`` imports ``argparse`` when it builds its parser, ``datetime`` is
+imported only for the ``generated_at`` stamp of ``--timestamp on``, and
+config and report files are read and written with ``open``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import random
 import sys
 import time
 from collections.abc import Callable
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 
 from .certify import (
     extension_family,
@@ -250,7 +254,11 @@ def config_from_obj(obj: object) -> SuiteConfig:
 def parse_config(source: str) -> SuiteConfig:
     """Load and validate a config from a file path, or from stdin for '-'."""
     try:
-        text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as f:
+                text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     try:
@@ -442,7 +450,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             tb = exc.__traceback__
             while tb.tb_next is not None:  # walk to the innermost frame
                 tb = tb.tb_next
-            where = f"{Path(tb.tb_frame.f_code.co_filename).name}:{tb.tb_lineno}"
+            where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
             failures, counts, evidence = [f"{type(exc).__name__}: {exc} ({where})"], {}, {}
         duration = time.perf_counter() - started
         results.append(SuiteResult(name, counts, evidence, failures[:MAX_FAILURES_SHOWN], duration))
@@ -471,6 +479,8 @@ def report_obj(report: SuiteReport, with_timing: bool) -> dict:
         "suites": suites,
     }
     if with_timing:
+        from datetime import datetime, timezone  # only timed reports need the clock
+
         obj["generated_at"] = datetime.now(timezone.utc).isoformat()
     return obj
 
@@ -531,7 +541,8 @@ def emit_report(
         if out is None or out == "-":
             sys.stdout.write(text)
         else:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as f:
+                f.write(text)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 3
@@ -541,7 +552,9 @@ def emit_report(
 # --- entry point -----------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only main parses a command line
+
     parser = argparse.ArgumentParser(
         prog="certify",
         description="Run exact certificate suites for the skew operator construction.",

@@ -100,9 +100,19 @@ def rat(value: Rational | int | str) -> Rational:
 def _shown(value: object) -> str:
     """``repr(value)`` for an error message, cut to 40 characters and "..." past that.
 
-    Input echoed back in a message stays one short line, however long it is.
+    Input echoed back in a message stays one short line, however long it is,
+    and showing a decoded JSON value never raises: an int past the int/str
+    digit limit is shown by its bit count, and a container whose repr raises
+    (one holding such an int, or one nested past the recursion limit) by its
+    type.
     """
-    text = repr(value)
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):
+        if isinstance(value, int):
+            sign = "negative " if value < 0 else ""
+            return f"<{sign}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} that cannot be printed>"
     return text if len(text) <= 40 else text[:40] + "..."
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+from datetime import datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -283,6 +284,38 @@ def test_config_error_messages(obj, message):
     assert str(excinfo.value) == message
 
 
+HUGE = 10**5000  # past the int/str digit limit: repr raises for it and any list holding it
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"seed": -HUGE}, "seed: must be at least 0, got <negative int of 16610 bits>"),
+        ({"samples": HUGE}, "samples: must be at most 100000, got <int of 16610 bits>"),
+        ({"support_max": HUGE}, "support_max: must be at most 256, got <int of 16610 bits>"),
+        (
+            {"coeff_bound": -HUGE},
+            "coeff_bound: must be at least 1, got <negative int of 16610 bits>",
+        ),
+        ({"suites": [HUGE]}, "suites[0]: unknown suite name <int of 16610 bits>"),
+        ({"seed": [HUGE]}, "seed: expected an integer, got <list that cannot be printed>"),
+        (
+            {"ytilde": {"prefix": [[HUGE]], "tail": "0"}},
+            "ytilde: prefix[0]: malformed rational <list that cannot be printed>",
+        ),
+        (
+            {"taus": [[HUGE]]},
+            "taus[0]: expected an integer or a 'p/q' string, got <list that cannot be printed>",
+        ),
+    ],
+    ids=["seed", "samples", "support_max", "coeff_bound", "suites", "seed-list", "ytilde", "taus"],
+)
+def test_config_errors_show_an_unprintable_value_by_its_size_or_type(obj, message):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_obj(obj)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -403,7 +436,7 @@ def test_json_report_shape():
 def test_json_report_with_timing():
     report = run_suite(fast_config(suites=["skew"]))
     obj = json.loads(render_json(report, with_timing=True))
-    assert "generated_at" in obj
+    assert datetime.fromisoformat(obj["generated_at"]).utcoffset() == timedelta(0)
     assert "duration_s" in obj["suites"][0]
 
 
@@ -440,6 +473,17 @@ def test_main_end_to_end(tmp_path, capsys):
     obj = json.loads(out.read_text(encoding="utf-8"))
     assert obj["overall"] == "pass"
     assert capsys.readouterr().out == ""
+
+
+def test_main_writes_to_out_the_bytes_it_writes_to_stdout(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 25, "taus": ["1/3", 2]}), encoding="utf-8")
+    assert main(["all", "--config", str(cfg), "--timestamp", "off"]) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["all", "--config", str(cfg), "--out", str(out), "--timestamp", "off"]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == shown.encode("utf-8")
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

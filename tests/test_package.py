@@ -35,3 +35,20 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_the_library_path_loads_only_what_it_runs():
+    # argparse serves only main, datetime only timed reports, and file I/O
+    # needs no pathlib; no site (-S), so no .pth file preloads any of them.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        "from c0cert.cli import config_from_obj, render_json, run_suite; "
+        "render_json(run_suite(config_from_obj({'samples': 3})), with_timing=False); "
+        "print(sorted({'argparse', 'datetime', 'pathlib', 'dataclasses', 'inspect'}"
+        " & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
