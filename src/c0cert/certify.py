@@ -38,7 +38,7 @@ one generator per worker, with seeds derived by fixed splitting.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import floordiv
@@ -397,7 +397,7 @@ def fitzpatrick_value_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int
 
 
 def fitzpatrick_gap(
-    ep: ExtensionPoint, sample: Sequence[GraphPoint], self_pairing: Rational | None = None
+    ep: ExtensionPoint, sample: Iterable[GraphPoint], self_pairing: Rational | None = None
 ) -> Rational:
     """Self-pairing of the family point minus the best graph evaluation.
 
@@ -408,14 +408,17 @@ def fitzpatrick_gap(
     ``self_pairing`` is pairing(ep.xstar, ep.xstarstar), if the caller
     already has it; without it, it is computed here.
 
-    Every point of ``sample`` is evaluated directly.  Constancy is checked
-    while streaming over the sample, each evaluation cross-multiplied with
-    the first; the gap is the one Fraction built.
+    ``sample`` may be any iterable, a stream included: every point of it is
+    evaluated directly, once, and none is kept.  Constancy is checked while
+    streaming over the sample, each evaluation cross-multiplied with the
+    first; the gap is the one Fraction built.  An empty sample raises
+    EmptySample.
     """
-    if not sample:
-        raise EmptySample("need at least one graph point")
     points = iter(sample)
-    first_num, first_den = fitzpatrick_value_terms(ep, next(points))
+    first = next(points, None)
+    if first is None:
+        raise EmptySample("need at least one graph point")
+    first_num, first_den = fitzpatrick_value_terms(ep, first)
     for p in points:
         num, den = fitzpatrick_value_terms(ep, p)
         if num * first_den != first_num * den:
@@ -426,8 +429,11 @@ def fitzpatrick_gap(
     return Fraction(sp_num * first_den - first_num * sp_den, sp_den * first_den)
 
 
-def uncertified_points(family: ExtensionFamily, sample: Sequence[GraphPoint]) -> list:
+def uncertified_points(family: ExtensionFamily, sample: Iterable[GraphPoint]) -> list[GraphPoint]:
     """The points of ``sample`` whose family certificate is not proven for every tau > 0.
+
+    ``sample`` may be any iterable, a stream included; it is consumed, and
+    only the uncovered points are kept, as a list in sample order.
 
     For tau > 0 the family point along the family's direction ytilde is
     xs = tau * ytilde, xss = -tau * g + (1/tau) * ones with g = G(ytilde).
@@ -449,12 +455,12 @@ def uncertified_points(family: ExtensionFamily, sample: Sequence[GraphPoint]) ->
     tau > 0 at once.  On the graph these are skewness (q = 0, d = 0), the
     range law (c = 0) and the antisymmetry of G (a = b).
 
-    g and q come from ``family``, built once; if q != 0, every point is returned.
-    Each point then costs three integer pairings and one sum: c and d must
-    have zero numerators, and a = b is compared cross-multiplied over the
-    two denominators.  A point whose y has a nonzero tail is returned
-    unchecked, since c and d need not exist.  The returned points keep
-    their sample order.
+    g and q come from ``family``, built once.  If q != 0, the proof covers
+    no point, so every point is kept: on that failure path the returned list
+    is the whole sample.  Otherwise each point costs three integer pairings
+    and one sum: c and d must have zero numerators, and a = b is compared
+    cross-multiplied over the two denominators.  A point whose y has a
+    nonzero tail is returned unchecked, since c and d need not exist.
     """
     if family.q:
         return list(sample)

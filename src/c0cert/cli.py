@@ -42,7 +42,7 @@ import os
 import random
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cache
 
@@ -58,6 +58,7 @@ from .certify import (
     uncertified_points,
     violation_witness,
     ExtensionFamily,
+    GraphPoint,
     Member,
     Violation,
 )
@@ -290,6 +291,11 @@ def parse_config(source: str) -> SuiteConfig:
 # over the sample are known without evaluating them; where any direct value
 # misses it, every sampled point is evaluated.  Points the proof covers pass
 # either way, so the failures are those of evaluating the whole sample.
+#
+# The sample is drawn one point at a time and not kept: a family suite holds
+# ``direct``, one point on the graph, whatever ``samples`` is.  To evaluate
+# every sampled point, it draws the sample again from a fresh generator with
+# the suite's seed, which gives the same points in the same order.
 
 _Family = Callable[[], ExtensionFamily]
 
@@ -301,11 +307,9 @@ def _rng(config: SuiteConfig, name: str) -> random.Random:
     return random.Random(f"{config.seed}:{name}")
 
 
-def _graph_sample(config: SuiteConfig, rng: random.Random) -> list:
-    return [
-        random_graph_point(rng, config.support_max, config.coeff_bound)
-        for _ in range(config.samples)
-    ]
+def _graph_sample(config: SuiteConfig, rng: random.Random) -> Iterator[GraphPoint]:
+    for _ in range(config.samples):
+        yield random_graph_point(rng, config.support_max, config.coeff_bound)
 
 
 def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
@@ -362,14 +366,15 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
 
 def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = []
-    sample = _graph_sample(config, rng)
     fam = family()
+    points = _graph_sample(config, rng)
     exp_num, exp_den = fam.total.numerator, fam.total.denominator
-    direct = [sample[0], *uncertified_points(fam, sample[1:])]
+    direct = [next(points), *uncertified_points(fam, points)]
     for ep in fam.points:
         margins = [closure_margin_terms(ep, p) for p in direct]
         if any(num * exp_den != exp_num * den for num, den in margins):
-            margins = [closure_margin_terms(ep, p) for p in sample]
+            sample = _graph_sample(config, _rng(config, "extensions"))
+            margins = (closure_margin_terms(ep, p) for p in sample)
         for num, den in margins:
             if num * exp_den != exp_num * den or num <= 0:
                 failures.append(f"margin {Fraction(num, den)} != {fam.total} at tau = {ep.tau}")
@@ -387,15 +392,16 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
 
 def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = []
-    sample = _graph_sample(config, rng)
     fam = family()
+    points = _graph_sample(config, rng)
     per_tau = {}
-    direct = [sample[0], *uncertified_points(fam, sample[1:])]
+    direct = [next(points), *uncertified_points(fam, points)]
     for ep, diagonal in zip(fam.points, fam.diagonal):
         self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
         try:
             gap = fitzpatrick_gap(ep, direct, self_pairing)
             if gap != self_pairing:
+                sample = _graph_sample(config, _rng(config, "gap"))
                 gap = fitzpatrick_gap(ep, sample, self_pairing)
         except AssertionError:  # the evaluations differ, so not all are 0
             failures.append(f"Fitzpatrick values not constant at tau = {ep.tau}")

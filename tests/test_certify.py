@@ -383,6 +383,11 @@ def test_fitzpatrick_gap_rejects_empty_sample():
         fitzpatrick_gap(extension_point(1, unit(1)), [])
 
 
+def test_fitzpatrick_gap_rejects_an_empty_stream():
+    with pytest.raises(EmptySample):
+        fitzpatrick_gap(extension_point(1, unit(1)), iter([]))
+
+
 @given(positive_taus, positive_sum_summables(), st.lists(zero_sum_summables(), min_size=1, max_size=6))
 def test_fitzpatrick_gap_equals_direction_total(tau, ytilde, ys):
     ep = extension_point(tau, ytilde)
@@ -461,11 +466,27 @@ def test_uncertified_points_flags_each_broken_identity():
     assert [closure_margin(ep, p) for p in broken.values()] == [1, Fraction(5, 2), 2]
 
 
+def test_uncertified_points_over_a_stream():
+    """A generator gives the list that the same points give as a list."""
+    family = extension_family([1, 2], Seq(["3/7", "-1/5"]))
+    sample = [GraphPoint.from_y(unit_u(k)) for k in (1, 3, 5)]
+    off_graph = SimpleNamespace(x=unit(1), y=unit(4) - unit(5))
+    swapped = [sample[0], off_graph, *sample[2:]]
+    assert uncertified_points(family, (p for p in sample)) == uncertified_points(family, sample) == []
+    assert (
+        uncertified_points(family, (p for p in swapped))
+        == uncertified_points(family, swapped)
+        == [off_graph]
+    )
+
+
 def test_uncertified_points_flags_every_point_when_q_is_nonzero(monkeypatch):
     """A direction map that is not skew (q != 0) proves nothing about any point."""
     sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
-    assert uncertified_points(extension_family([1], unit(1)), sample) == sample
+    family = extension_family([1], unit(1))
+    assert uncertified_points(family, sample) == sample
+    assert uncertified_points(family, iter(sample)) == sample
 
 
 # --- maximality witness -----------------------------------------------------

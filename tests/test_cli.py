@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
 import re
+import tracemalloc
 from datetime import datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -763,10 +765,8 @@ def test_family_runners_match_the_direct_loop_off_the_graph(monkeypatch, swaps):
     drawn = c0cert.cli._graph_sample
 
     def swapped(config, rng):
-        sample = drawn(config, rng)
-        for i, p in swaps.items():
-            sample[i] = p
-        return sample
+        for i, p in enumerate(drawn(config, rng)):
+            yield swaps.get(i, p)
 
     config = fast_config(
         ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"},
@@ -776,7 +776,7 @@ def test_family_runners_match_the_direct_loop_off_the_graph(monkeypatch, swaps):
     clean = {r.name: r for r in run_suite(config).results}
     monkeypatch.setattr(c0cert.cli, "_graph_sample", swapped)
     results = {r.name: r for r in run_suite(config).results}
-    samples = {name: swapped(config, c0cert.cli._rng(config, name)) for name in results}
+    samples = {name: list(swapped(config, c0cert.cli._rng(config, name))) for name in results}
     margin_failures, _, _ = reference_family_verdicts(config, samples["extensions"])
     _, gap_failures, per_tau = reference_family_verdicts(config, samples["gap"])
 
@@ -788,3 +788,22 @@ def test_family_runners_match_the_direct_loop_off_the_graph(monkeypatch, swaps):
     assert gap.failures == gap_failures
     assert gap.counts == {**clean["gap"].counts, "failures": len(gap_failures)}
     assert gap.evidence == {**clean["gap"].evidence, "per_tau": per_tau}
+
+
+def family_suites_peak(samples: int) -> int:
+    """tracemalloc peak, in bytes, of ``run_suite`` over the two family suites."""
+    config = fast_config(samples=samples, suites=["extensions", "gap"])
+    # empty the free lists first: objects reused from them are not traced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_suite(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_family_suites_memory_does_not_grow_with_samples():
+    """The family suites draw their sample one point at a time and keep none of it."""
+    small, large = family_suites_peak(50), family_suites_peak(400)
+    assert large - small <= 16 * 1024, (small, large)
