@@ -172,11 +172,6 @@ class ExtensionFamily(Frozen):
 
     __slots__ = ("points", "ytilde", "total", "g", "q", "diagonal")
 
-    def __init__(
-        self, points: tuple, ytilde: Seq, total: Rational, g: Seq, q: int, diagonal: tuple
-    ) -> None:
-        Frozen.__init__(self, points, ytilde, total, g, q, diagonal)
-
 
 def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> ExtensionFamily:
     """The family points for ``taus`` along ytilde, with the values they share.
@@ -210,12 +205,12 @@ def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> Exten
         xstarstar = Seq._of([inv - aa * v for v in g.num], inv - aa * g.tnum, a * b * d)
         points.append(_derived(ExtensionPoint, tau, ytilde, tau * ytilde, xstarstar))
     return ExtensionFamily(
-        points=tuple(points),
-        ytilde=ytilde,
-        total=Fraction(sum(ytilde.num), ytilde.den),
-        g=g,
-        q=pairing_numerator(g, ytilde),
-        diagonal=tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points),
+        tuple(points),
+        ytilde,
+        Fraction(sum(ytilde.num), ytilde.den),
+        g,
+        pairing_numerator(g, ytilde),
+        tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points),
     )
 
 
@@ -630,9 +625,7 @@ def random_summable(rng: random.Random, support_max: int, coeff_bound: int) -> S
     return Seq._from_canonical(_trimmed(num), 0, den)
 
 
-def random_graph_point(
-    rng: random.Random, support_max: int = 16, coeff_bound: int = 100
-) -> GraphPoint:
+def random_graph_point(rng: random.Random, support_max: int, coeff_bound: int) -> GraphPoint:
     """A deterministic-under-seed draw from the graph.
 
     Draws a random finitely supported direction, rebalances its last nonzero
@@ -660,9 +653,7 @@ def random_graph_point(
     return GraphPoint.from_y(Seq._from_canonical(_trimmed(num), 0, den))
 
 
-def random_offgraph_pair(
-    rng: random.Random, support_max: int = 16, coeff_bound: int = 100
-) -> tuple[Seq, Seq]:
+def random_offgraph_pair(rng: random.Random, support_max: int, coeff_bound: int) -> tuple[Seq, Seq]:
     """A graph point perturbed off the graph by a nonzero summable delta.
 
     Cycles through three perturbation shapes: move the null-sequence side,

@@ -71,7 +71,6 @@ __all__ = [
     "SuiteResult",
     "SuiteReport",
     "SUITE_NAMES",
-    "default_config",
     "parse_config",
     "config_from_obj",
     "run_suite",
@@ -105,7 +104,11 @@ class ConfigError(ValueError):
 
 
 class SuiteConfig(Frozen):
-    """Validated run configuration. Defaults mirror ``default_config()``."""
+    """Validated run configuration; ``SuiteConfig()`` is the default run.
+
+    ``config_from_obj`` fills the fields a document leaves out from these
+    defaults, so they are stated here only.
+    """
 
     __slots__ = ("seed", "samples", "support_max", "coeff_bound", "taus", "ytilde", "suites")
 
@@ -141,11 +144,6 @@ _DEFAULTS = SuiteConfig().to_obj()
 class SuiteResult(Frozen):
     __slots__ = ("name", "counts", "evidence", "failures", "duration")
 
-    def __init__(
-        self, name: str, counts: dict, evidence: dict, failures: list, duration: float
-    ) -> None:
-        Frozen.__init__(self, name, counts, evidence, failures, duration)
-
     @property
     def passed(self) -> bool:
         return not self.failures
@@ -154,16 +152,9 @@ class SuiteResult(Frozen):
 class SuiteReport(Frozen):
     __slots__ = ("config", "results")
 
-    def __init__(self, config: SuiteConfig, results: list) -> None:
-        Frozen.__init__(self, config, results)
-
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-
-def default_config() -> SuiteConfig:
-    return SuiteConfig()
 
 
 def _rational(item: object, where: str) -> Rational:
@@ -274,9 +265,12 @@ def parse_config(source: str) -> SuiteConfig:
 # --- suite runners ---------------------------------------------------------
 #
 # A runner takes (config, rng, family) and returns (failures, counts,
-# evidence); ``run_suite`` builds the suite's result from them.  Each suite
-# draws from its own deterministic generator, seed split by suite name, so
-# suites could run in any order (or in parallel) without changing any draw.
+# evidence); ``run_suite`` builds the suite's result from them.  A runner
+# appends its failure messages to a ``_Failures``, which keeps the first
+# MAX_FAILURES_SHOWN and counts the rest, so a failing run's memory does not
+# grow with its failures.  Each suite draws from its own deterministic
+# generator, seed split by suite name, so suites could run in any order (or
+# in parallel) without changing any draw.
 #
 # Runners check the certify layer's integer (numerator, denominator) results
 # by cross-multiplication and build a Fraction only for a value that reaches
@@ -295,12 +289,28 @@ def parse_config(source: str) -> SuiteConfig:
 # The sample is drawn one point at a time and not kept: a family suite holds
 # ``direct``, one point on the graph, whatever ``samples`` is.  To evaluate
 # every sampled point, it draws the sample again from a fresh generator with
-# the suite's seed, which gives the same points in the same order.
+# the suite's seed, which gives the same points in the same order.  It does
+# so once for each tau whose direct values miss, so k failing taus cost
+# k + 1 draws of the sample; a passing run draws it once.
 
 _Family = Callable[[], ExtensionFamily]
 
 # The one zero the skew and monotone suites record as a seen value.
 _ZERO = Fraction(0)
+
+
+class _Failures(list):
+    """A runner's failure messages, the first MAX_FAILURES_SHOWN of them.
+
+    ``total`` counts every message appended, kept or not.
+    """
+
+    total = 0
+
+    def append(self, message: str) -> None:
+        self.total += 1
+        if len(self) < MAX_FAILURES_SHOWN:
+            list.append(self, message)
 
 
 def _rng(config: SuiteConfig, name: str) -> random.Random:
@@ -313,7 +323,7 @@ def _graph_sample(config: SuiteConfig, rng: random.Random) -> Iterator[GraphPoin
 
 
 def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = []
+    failures = _Failures()
     seen = set()
     for _ in range(config.samples):
         y = random_summable(rng, config.support_max, config.coeff_bound)
@@ -328,7 +338,7 @@ def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple
 
 
 def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = []
+    failures = _Failures()
     seen = set()
     for _ in range(config.samples):
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
@@ -343,7 +353,7 @@ def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> t
 
 
 def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = []
+    failures = _Failures()
     worst = None  # violation product closest to zero; must stay negative
     for _ in range(config.samples):
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
@@ -365,7 +375,7 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
 
 
 def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = []
+    failures = _Failures()
     fam = family()
     points = _graph_sample(config, rng)
     exp_num, exp_den = fam.total.numerator, fam.total.denominator
@@ -391,7 +401,7 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
 
 
 def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = []
+    failures = _Failures()
     fam = family()
     points = _graph_sample(config, rng)
     per_tau = {}
@@ -436,10 +446,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     ``ExtensionFamily``, built at most once per call, for the first family
     suite that runs.  A build that raises is not cached, so each family
     suite records the crash.  A runner returns ``(failures, counts,
-    evidence)``; the result counts every failure and keeps at most
-    MAX_FAILURES_SHOWN messages.  A crash is recorded as the one failure
-    ``Type: message (file.py:LINE)``, naming the innermost frame of its
-    traceback, with no counts and no evidence.
+    evidence)``, with ``failures`` a ``_Failures``: the result keeps its at
+    most MAX_FAILURES_SHOWN messages, and its counts add ``failures``, the
+    number of messages the runner appended.  A crash is recorded as the
+    one failure ``Type: message (file.py:LINE)``, naming the innermost
+    frame of its traceback, with no counts and no evidence.
     """
 
     @cache
@@ -451,7 +462,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         started = time.perf_counter()
         try:
             failures, counts, evidence = _RUNNERS[name](config, _rng(config, name), family)
-            counts = {**counts, "failures": len(failures)}
+            counts = {**counts, "failures": failures.total}
         except Exception as exc:  # a crash is itself a failed certificate
             tb = exc.__traceback__
             while tb.tb_next is not None:  # walk to the innermost frame
@@ -459,8 +470,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
             failures, counts, evidence = [f"{type(exc).__name__}: {exc} ({where})"], {}, {}
         duration = time.perf_counter() - started
-        results.append(SuiteResult(name, counts, evidence, failures[:MAX_FAILURES_SHOWN], duration))
-    return SuiteReport(config=config, results=results)
+        results.append(SuiteResult(name, counts, evidence, list(failures), duration))
+    return SuiteReport(config, results)
 
 
 # --- report rendering ------------------------------------------------------
@@ -584,7 +595,7 @@ def _build_parser():
 def main(argv: list | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config) if args.config is not None else default_config()
+        config = parse_config(args.config) if args.config is not None else SuiteConfig()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

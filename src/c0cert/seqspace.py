@@ -63,7 +63,6 @@ __all__ = [
     "l1_norm",
     "total_sum",
     "unit",
-    "constant",
 ]
 
 # The one and only scalar type.  Fraction keeps gcd(|p|, q) = 1 and q > 0 by
@@ -126,12 +125,15 @@ class Frozen:
 
     A subclass lists its fields in ``__slots__``, in order, and stores them
     once, through ``Frozen.__init__`` or ``_derived``; assignment and
-    deletion raise AttributeError afterwards.  Two instances are equal when
-    they are of the same class with equal fields, the hash is the hash of
-    the field tuple, and the repr names each field.  This is what a frozen
-    dataclass provides, without importing ``dataclasses`` and ``inspect``
-    and generating methods per class, which cost more than the rest of
-    ``import c0cert.cli``.  Paths that run once per drawn point store
+    deletion raise AttributeError afterwards.  ``__slots__`` is the one
+    field list: a subclass defines ``__init__`` only to check its fields,
+    to supply defaults, or to store a per-draw value field by field, and is
+    otherwise built positionally, through ``Frozen.__init__``.  Two
+    instances are equal when they are of the same class with equal fields,
+    the hash is the hash of the field tuple, and the repr names each field.
+    This is what a frozen dataclass provides, without importing
+    ``dataclasses`` and ``inspect`` and generating methods per class, which
+    cost more than the rest of ``import c0cert.cli``.  Paths that run once per drawn point store
     their fields one ``object.__setattr__`` at a time instead of through
     ``Frozen.__init__``'s loop, as ``Seq._from_canonical`` does.
     """
@@ -438,8 +440,3 @@ def unit(k: int) -> Seq:
     if k < 1:
         raise ValueError(f"unit index must be >= 1, got {k}")
     return Seq._of([0] * (k - 1) + [1], 0, 1)
-
-
-def constant(c: Rational | int | str) -> Seq:
-    """The constant sequence (c, c, c, ...)."""
-    return Seq((), rat(c))

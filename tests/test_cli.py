@@ -30,8 +30,8 @@ from c0cert.cli import (
     MAX_TAUS,
     ConfigError,
     SuiteConfig,
+    SuiteResult,
     config_from_obj,
-    default_config,
     emit_report,
     main,
     parse_config,
@@ -65,7 +65,7 @@ def test_minimal_config_gets_defaults():
     assert cfg.suites == ("extensions", "gap", "maximal", "monotone", "skew")
     assert cfg.taus == (Fraction(1), Fraction(2))
     assert cfg.ytilde == unit(1)
-    assert config_from_obj({}) == default_config()
+    assert config_from_obj({}) == SuiteConfig()
 
 
 def test_duplicate_taus_are_deduplicated():
@@ -224,7 +224,7 @@ def test_parse_config_stdin(monkeypatch):
 def test_suites_expand_and_order():
     cfg = config_from_obj({"suites": ["gap", "skew", "gap"]})
     assert cfg.suites == ("gap", "skew")
-    assert config_from_obj({"suites": ["all"]}).suites == default_config().suites
+    assert config_from_obj({"suites": ["all"]}).suites == SuiteConfig().suites
 
 
 B1 = MAX_COEFF_BOUND + 1
@@ -321,7 +321,7 @@ def test_config_errors_show_an_unprintable_value_by_its_size_or_type(obj, messag
 @pytest.mark.parametrize(
     "config",
     [
-        default_config(),
+        SuiteConfig(),
         SuiteConfig(  # like the many_taus benchmark workload
             samples=20,
             taus=tuple(Fraction(t) for t in range(1, 21)),
@@ -373,7 +373,7 @@ def test_config_error_is_one_short_line(tmp_path, capsys, obj, field):
 def test_default_suites_all_pass():
     report = run_suite(fast_config())
     assert report.passed
-    assert [r.name for r in report.results] == list(default_config().suites)
+    assert [r.name for r in report.results] == list(SuiteConfig().suites)
     gap = next(r for r in report.results if r.name == "gap")
     assert gap.evidence["expected_gap"] == "1"
     assert gap.evidence["per_tau"]["1"]["gap"] == "1"
@@ -446,7 +446,7 @@ def test_markdown_report_mentions_suites():
     report = run_suite(fast_config())
     text = render_markdown(report, with_timing=False)
     assert "Overall: **PASS**" in text
-    for name in default_config().suites:
+    for name in SuiteConfig().suites:
         assert f"| {name} |" in text
 
 
@@ -524,7 +524,7 @@ def test_main_all_shortcut(tmp_path):
     out = tmp_path / "report.json"
     assert main(["all", "--config", str(cfg), "--out", str(out), "--timestamp", "off"]) == 0
     obj = json.loads(out.read_text(encoding="utf-8"))
-    assert [s["name"] for s in obj["suites"]] == list(default_config().suites)
+    assert [s["name"] for s in obj["suites"]] == list(SuiteConfig().suites)
 
 
 def test_main_stdin_config(monkeypatch, tmp_path):
@@ -587,7 +587,7 @@ def test_run_suite_records_the_crash_site(monkeypatch):
 def test_family_values_are_computed_once_per_report(monkeypatch):
     # The default ytilde unit(1) has sum 1, so no zero-sum graph y equals it.
     taus = [1, 2, "1/3"]
-    ytilde = default_config().ytilde
+    ytilde = SuiteConfig().ytilde
     on_ytilde, families = [], []
     real_apply, real_family = c0cert.certify.gossez_apply, c0cert.cli.extension_family
 
@@ -807,3 +807,27 @@ def test_family_suites_memory_does_not_grow_with_samples():
     """The family suites draw their sample one point at a time and keep none of it."""
     small, large = family_suites_peak(50), family_suites_peak(400)
     assert large - small <= 16 * 1024, (small, large)
+
+
+def failing_extensions_peak(samples: int) -> tuple[int, SuiteResult]:
+    """tracemalloc peak, in bytes, of ``run_suite`` over ``extensions``, and its result."""
+    config = fast_config(samples=samples, suites=["extensions"])
+    gc.collect()  # as in family_suites_peak
+    tracemalloc.start()
+    try:
+        (result,) = run_suite(config).results
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
+    """A runner keeps five failure messages and counts the rest as they arrive."""
+    core = c0cert.cli.closure_margin_terms
+    monkeypatch.setattr(c0cert.cli, "closure_margin_terms", raised_by_one(core))
+    peaks = {}
+    for samples in (50, 400):
+        peaks[samples], result = failing_extensions_peak(samples)
+        assert result.counts["failures"] == 2 * samples  # every point fails at both taus
+        assert len(result.failures) == 5
+    assert peaks[400] - peaks[50] <= 16 * 1024, peaks

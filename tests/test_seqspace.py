@@ -10,14 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from c0cert.certify import GraphPoint, Member, extension_family, extension_point, violation_witness
-from c0cert.cli import default_config
+from c0cert.cli import SuiteConfig
 from c0cert.gossez import unit_u, unit_v
 from c0cert.seqspace import (
     ONES,
     ZERO,
     NonSummable,
     Seq,
-    constant,
     difference_terms,
     l1_norm,
     pairing,
@@ -153,7 +152,7 @@ def test_value_classes_have_no_instance_dict():
         (extension_family([1, 2], unit(1)), "diagonal"),
         (Member(), None),
         (violation_witness(unit(1), ZERO), "product"),
-        (default_config(), "seed"),
+        (SuiteConfig(), "seed"),
     ]
     for obj, field in instances:
         assert not hasattr(obj, "__dict__")
@@ -405,8 +404,8 @@ def test_total_sum_additive(a, b):
 def test_unit_and_constant():
     assert unit(1) == Seq([1])
     assert unit(3).entry(3) == 1 and unit(3).entry(2) == 0 and unit(3).entry(4) == 0
-    assert constant(1) == ONES
-    assert constant(0) == ZERO
+    assert Seq((), 1) == ONES
+    assert Seq((), 0) == ZERO
     with pytest.raises(ValueError):
         unit(0)
 

@@ -23,7 +23,6 @@ from c0cert.cli import (
     SuiteReport,
     SuiteResult,
     config_from_obj,
-    default_config,
     run_suite,
 )
 from c0cert.gossez import unit_u
@@ -122,7 +121,7 @@ def test_equality_needs_the_same_class_and_equal_fields():
 
 
 def test_suite_config_defaults_and_field_order():
-    assert SuiteConfig() == default_config()
+    assert SuiteConfig() == config_from_obj({})
     assert SuiteConfig().ytilde == unit(1)
     assert SuiteConfig().taus == (Fraction(1), Fraction(2))
     args = (3, 10, 8, 50, (Fraction(1, 2),), unit(2), ("gap",))
