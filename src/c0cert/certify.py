@@ -424,11 +424,14 @@ def fitzpatrick_gap(
     return Fraction(sp_num * first_den - first_num * sp_den, sp_den * first_den)
 
 
-def uncertified_points(family: ExtensionFamily, sample: Iterable[GraphPoint]) -> list[GraphPoint]:
+def uncertified_points(
+    family: ExtensionFamily, sample: Iterable[GraphPoint]
+) -> list[GraphPoint] | None:
     """The points of ``sample`` whose family certificate is not proven for every tau > 0.
 
     ``sample`` may be any iterable, a stream included; it is consumed, and
-    only the uncovered points are kept, as a list in sample order.
+    only the uncovered points are kept, as a list in sample order.  Where
+    the proof covers no point, the result is None and ``sample`` is not read.
 
     For tau > 0 the family point along the family's direction ytilde is
     xs = tau * ytilde, xss = -tau * g + (1/tau) * ones with g = G(ytilde).
@@ -451,14 +454,14 @@ def uncertified_points(family: ExtensionFamily, sample: Iterable[GraphPoint]) ->
     range law (c = 0) and the antisymmetry of G (a = b).
 
     g and q come from ``family``, built once.  If q != 0, the proof covers
-    no point, so every point is kept: on that failure path the returned list
-    is the whole sample.  Otherwise each point costs three integer pairings
-    and one sum: c and d must have zero numerators, and a = b is compared
-    cross-multiplied over the two denominators.  A point whose y has a
-    nonzero tail is returned unchecked, since c and d need not exist.
+    no point, and None is returned: the caller evaluates every point, and
+    the sample need not be held.  Otherwise each point costs three integer
+    pairings and one sum: c and d must have zero numerators, and a = b is
+    compared cross-multiplied over the two denominators.  A point whose y
+    has a nonzero tail is returned unchecked, since c and d need not exist.
     """
     if family.q:
-        return list(sample)
+        return None
     g, ytilde = family.g, family.ytilde
     gden, tden = g.den, ytilde.den
     return [

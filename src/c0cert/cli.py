@@ -33,6 +33,13 @@ or ``render_markdown`` without timing) loads only the modules it runs:
 ``main`` imports ``argparse`` when it builds its parser, ``datetime`` is
 imported only for the ``generated_at`` stamp of ``--timestamp on``, and
 config and report files are read and written with ``open``.
+
+``render_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)`` without calling it on the report: with ``indent`` set, CPython's
+``json`` takes its pure-Python encoder, which builds a list of small chunk
+strings, several per item, and costs 6.6-11.9x the report's text in memory.
+``_indented`` lays out the containers and makes each item one string, and
+``json``'s own encoders write every string and scalar.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import time
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .certify import (
     extension_family,
@@ -266,8 +274,10 @@ def parse_config(source: str) -> SuiteConfig:
 #
 # A runner takes (config, rng, family) and returns (failures, counts,
 # evidence); ``run_suite`` builds the suite's result from them.  A runner
-# appends its failure messages to a ``_Failures``, which keeps the first
-# MAX_FAILURES_SHOWN and counts the rest, so a failing run's memory does not
+# appends its failures to a ``_Failures``, which formats and keeps the first
+# MAX_FAILURES_SHOWN messages and counts the rest, and the skew and monotone
+# runners collect the values they list in a ``_Seen``, which keeps 0 and the
+# first MAX_FAILURES_SHOWN failing values; so a failing run's memory does not
 # grow with its failures.  Each suite draws from its own deterministic
 # generator, seed split by suite name, so suites could run in any order (or
 # in parallel) without changing any draw.
@@ -291,7 +301,9 @@ def parse_config(source: str) -> SuiteConfig:
 # every sampled point, it draws the sample again from a fresh generator with
 # the suite's seed, which gives the same points in the same order.  It does
 # so once for each tau whose direct values miss, so k failing taus cost
-# k + 1 draws of the sample; a passing run draws it once.
+# k + 1 draws of the sample; a passing run draws it once.  Where q != 0 the
+# proof covers no point: ``direct`` is None and every tau draws the sample
+# again.
 
 _Family = Callable[[], ExtensionFamily]
 
@@ -302,15 +314,30 @@ _ZERO = Fraction(0)
 class _Failures(list):
     """A runner's failure messages, the first MAX_FAILURES_SHOWN of them.
 
-    ``total`` counts every message appended, kept or not.
+    ``total`` counts every failure appended, kept or not.  A failure is
+    appended as a template and its arguments, and formatted only if kept:
+    a failing run does not print every sequence or value it fails on.
     """
 
     total = 0
 
-    def append(self, message: str) -> None:
+    def append(self, template: str, *args: object) -> None:
         self.total += 1
         if len(self) < MAX_FAILURES_SHOWN:
-            list.append(self, message)
+            list.append(self, template.format(*args))
+
+
+class _Seen(set):
+    """The values a skew or monotone runner lists: 0, if seen, and its first failing ones.
+
+    It keeps at most MAX_FAILURES_SHOWN distinct failing (nonzero) values,
+    the first seen, so the values a failing run lists, like its messages,
+    do not grow with its failures; its counts carry their number.
+    """
+
+    def add(self, value: Fraction) -> None:
+        if not value or len(self) < MAX_FAILURES_SHOWN + (_ZERO in self):
+            set.add(self, value)
 
 
 def _rng(config: SuiteConfig, name: str) -> random.Random:
@@ -324,7 +351,7 @@ def _graph_sample(config: SuiteConfig, rng: random.Random) -> Iterator[GraphPoin
 
 def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = _Failures()
-    seen = set()
+    seen = _Seen()
     for _ in range(config.samples):
         y = random_summable(rng, config.support_max, config.coeff_bound)
         image = gossez_apply(y)
@@ -332,14 +359,14 @@ def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple
         value = Fraction(num, image.den * y.den) if num else _ZERO
         seen.add(value)
         if num:
-            failures.append(f"pairing(G(y), y) = {value} for y = {y}")
+            failures.append("pairing(G(y), y) = {} for y = {}", value, y)
     evidence = {"pairing_values": sorted(rat_str(v) for v in seen)}
     return failures, {"samples": config.samples}, evidence
 
 
 def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = _Failures()
-    seen = set()
+    seen = _Seen()
     for _ in range(config.samples):
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
         q = random_graph_point(rng, config.support_max, config.coeff_bound)
@@ -347,7 +374,7 @@ def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> t
         value = Fraction(num, den) if num else _ZERO
         seen.add(value)
         if num:
-            failures.append(f"monotone product {value} for a graph pair")
+            failures.append("monotone product {} for a graph pair", value)
     evidence = {"products": sorted(rat_str(v) for v in seen)}
     return failures, {"pairs": config.samples}, evidence
 
@@ -359,7 +386,7 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
         verdict = violation_witness(p.x, p.y)
         if not isinstance(verdict, Member):
-            failures.append(f"graph point misclassified: {verdict!r}")
+            failures.append("graph point misclassified: {!r}", verdict)
     # violation_witness recomputes each product from its witness sequences and
     # raises unless it is exactly -1 or -total^2 < 0
     for _ in range(config.samples):
@@ -374,20 +401,34 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
     return failures, counts, evidence
 
 
+def _direct(
+    config: SuiteConfig, rng: random.Random, fam: ExtensionFamily
+) -> list[GraphPoint] | None:
+    """The first sampled point and the points the proof does not cover.
+
+    None where the proof covers no point (q != 0), so that every tau
+    evaluates the whole sample, drawn again, and no path holds it.
+    """
+    points = _graph_sample(config, rng)
+    first = next(points)
+    uncovered = uncertified_points(fam, points)
+    return None if uncovered is None else [first, *uncovered]
+
+
 def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = _Failures()
     fam = family()
-    points = _graph_sample(config, rng)
     exp_num, exp_den = fam.total.numerator, fam.total.denominator
-    direct = [next(points), *uncertified_points(fam, points)]
+    direct = _direct(config, rng, fam)
     for ep in fam.points:
-        margins = [closure_margin_terms(ep, p) for p in direct]
-        if any(num * exp_den != exp_num * den for num, den in margins):
+        margins = [closure_margin_terms(ep, p) for p in direct or ()]
+        if direct is None or any(num * exp_den != exp_num * den for num, den in margins):
             sample = _graph_sample(config, _rng(config, "extensions"))
             margins = (closure_margin_terms(ep, p) for p in sample)
         for num, den in margins:
             if num * exp_den != exp_num * den or num <= 0:
-                failures.append(f"margin {Fraction(num, den)} != {fam.total} at tau = {ep.tau}")
+                margin = Fraction(num, den)
+                failures.append("margin {} != {} at tau = {}", margin, fam.total, ep.tau)
     if len(fam.points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
     keys = [rat_str(ep.tau) for ep in fam.points]
@@ -403,21 +444,20 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
 def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = _Failures()
     fam = family()
-    points = _graph_sample(config, rng)
     per_tau = {}
-    direct = [next(points), *uncertified_points(fam, points)]
+    direct = _direct(config, rng, fam)
     for ep, diagonal in zip(fam.points, fam.diagonal):
         self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
         try:
-            gap = fitzpatrick_gap(ep, direct, self_pairing)
+            gap = None if direct is None else fitzpatrick_gap(ep, direct, self_pairing)
             if gap != self_pairing:
                 sample = _graph_sample(config, _rng(config, "gap"))
                 gap = fitzpatrick_gap(ep, sample, self_pairing)
         except AssertionError:  # the evaluations differ, so not all are 0
-            failures.append(f"Fitzpatrick values not constant at tau = {ep.tau}")
+            failures.append("Fitzpatrick values not constant at tau = {}", ep.tau)
             continue
         if gap != fam.total or gap <= 0:
-            failures.append(f"gap {gap} != expected {fam.total} at tau = {ep.tau}")
+            failures.append("gap {} != expected {} at tau = {}", gap, fam.total, ep.tau)
         per_tau[rat_str(ep.tau)] = {
             # the common evaluation: the gap is self-pairing minus its value
             "fitzpatrick_value": rat_str(self_pairing - gap),
@@ -502,8 +542,33 @@ def report_obj(report: SuiteReport, with_timing: bool) -> dict:
     return obj
 
 
+def _indented(value: object, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, one string per item.
+
+    ``value`` is a JSON tree with str keys; ``pad`` is the newline and the
+    indent of the line that closes it.  Containers are laid out here; each
+    string and key goes to ``json``'s own ``encode_basestring_ascii`` and
+    every other scalar to ``json.dumps``, so escaping and number formats are
+    ``json``'s.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quoted(key)}: {_indented(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_indented(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return _quoted(value) if isinstance(value, str) else json.dumps(value)
+    if not items:
+        return brackets
+    body = f",{inner}".join(items)
+    del items  # so the items and the body's copy below are not held at once
+    return f"{brackets[0]}{inner}{body}{pad}{brackets[1]}"
+
+
 def render_json(report: SuiteReport, with_timing: bool = True) -> str:
-    return json.dumps(report_obj(report, with_timing), sort_keys=True, indent=2) + "\n"
+    return _indented(report_obj(report, with_timing)) + "\n"
 
 
 def _flat(prefix: str, value: object):

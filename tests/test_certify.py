@@ -481,12 +481,18 @@ def test_uncertified_points_over_a_stream():
 
 
 def test_uncertified_points_flags_every_point_when_q_is_nonzero(monkeypatch):
-    """A direction map that is not skew (q != 0) proves nothing about any point."""
+    """A direction map that is not skew (q != 0) proves nothing about any point.
+
+    The result is None, not the sample, and the sample is left unread, so a
+    caller that streams it holds none of it.
+    """
     sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
     family = extension_family([1], unit(1))
-    assert uncertified_points(family, sample) == sample
-    assert uncertified_points(family, iter(sample)) == sample
+    assert uncertified_points(family, sample) is None
+    stream = iter(sample)
+    assert uncertified_points(family, stream) is None
+    assert list(stream) == sample
 
 
 # --- maximality witness -----------------------------------------------------

@@ -14,6 +14,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import c0cert.certify
 import c0cert.cli
@@ -30,6 +32,7 @@ from c0cert.cli import (
     MAX_TAUS,
     ConfigError,
     SuiteConfig,
+    SuiteReport,
     SuiteResult,
     config_from_obj,
     emit_report,
@@ -442,6 +445,92 @@ def test_json_report_with_timing():
     assert "duration_s" in obj["suites"][0]
 
 
+# --- the JSON emitter ------------------------------------------------------
+#
+# render_json lays out containers itself and leaves every scalar to json's own
+# encoders, so its bytes must be json.dumps(sort_keys=True, indent=2)'s.
+
+# Text with what json escapes: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates.
+json_text = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800')
+    | st.characters(exclude_categories=()),
+    max_size=6,
+)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(json_trees)
+@example(float("nan"))
+@example([float("inf"), float("-inf"), -0.0, 0.0, 10**30, -(2**64), 1e-300])
+@example({"": {}, "a": [], "b": (), "c": [[], {}], "d": ({"e": ()},)})
+@example({"\u00e9\"\\": ["\x00\n\ud800", True, False, None]})
+def test_emitter_lays_out_like_json_dumps(value):
+    assert c0cert.cli._indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def assert_rendered_by_json(report, with_timing):
+    text = render_json(report, with_timing)
+    obj = c0cert.cli.report_obj(report, with_timing)
+    assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_failing_report_is_rendered_as_json_dumps_renders_it():
+    report = run_suite(fast_config(taus=[1], suites=["extensions", "skew"]))
+    assert not report.passed
+    assert_rendered_by_json(report, with_timing=False)
+
+
+def test_crash_report_is_rendered_as_json_dumps_renders_it(monkeypatch):
+    def crashing_runner(config, rng, family):
+        raise ValueError('a "quoted" \\ value, \u03b5 \u2013 \u00fc, \U0001f600\n')
+
+    monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", crashing_runner)
+    report = run_suite(fast_config(suites=["skew"]))
+    [message] = report.results[0].failures
+    assert message.startswith('ValueError: a "quoted"') and "\u03b5" in message
+    assert_rendered_by_json(report, with_timing=False)
+
+
+class FixedDatetime(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return cls(2024, 2, 29, 12, 34, 56, 789012, tzinfo=tz)
+
+
+def test_timed_report_is_rendered_as_json_dumps_renders_it(monkeypatch):
+    ticks = iter([0.0, 0.1234567, 1.0, 3.5, 10.0, 10.0004999, 20.0, 21.0, 30.0, 30.0625])
+    monkeypatch.setattr(c0cert.cli.time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr("datetime.datetime", FixedDatetime)
+    report = run_suite(fast_config())
+    obj = c0cert.cli.report_obj(report, with_timing=True)
+    assert obj["generated_at"] == "2024-02-29T12:34:56.789012+00:00"
+    assert [s["duration_s"] for s in obj["suites"]] == [0.123, 2.5, 0.0, 1.0, 0.062]
+    assert_rendered_by_json(report, with_timing=True)
+
+
+def test_render_json_peaks_under_five_times_its_text():
+    """Each item is one string: no list of small chunks is built first."""
+    # the tau cap end-to-end config of CI: 64 taus, 2,016 distinctness products
+    taus = [f"{k}/{2 * k + 1}" for k in range(1, MAX_TAUS + 1)]
+    report = run_suite(config_from_obj({"samples": 5, "taus": taus}))
+    gc.collect()  # empty the free lists first: objects reused from them are not traced
+    tracemalloc.start()
+    try:
+        text = render_json(report, with_timing=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and text.isascii()
+    assert peak <= 5 * len(text), (peak, len(text))
+
+
 def test_markdown_report_mentions_suites():
     report = run_suite(fast_config())
     text = render_markdown(report, with_timing=False)
@@ -790,17 +879,21 @@ def test_family_runners_match_the_direct_loop_off_the_graph(monkeypatch, swaps):
     assert gap.evidence == {**clean["gap"].evidence, "per_tau": per_tau}
 
 
-def family_suites_peak(samples: int) -> int:
-    """tracemalloc peak, in bytes, of ``run_suite`` over the two family suites."""
-    config = fast_config(samples=samples, suites=["extensions", "gap"])
+def traced_run(config: SuiteConfig) -> tuple[int, SuiteReport]:
+    """tracemalloc peak, in bytes, of ``run_suite(config)``, and its report."""
     # empty the free lists first: objects reused from them are not traced
     gc.collect()
     tracemalloc.start()
     try:
-        run_suite(config)
-        return tracemalloc.get_traced_memory()[1]
+        report = run_suite(config)
+        return tracemalloc.get_traced_memory()[1], report
     finally:
         tracemalloc.stop()
+
+
+def family_suites_peak(samples: int) -> int:
+    """tracemalloc peak, in bytes, of ``run_suite`` over the two family suites."""
+    return traced_run(fast_config(samples=samples, suites=["extensions", "gap"]))[0]
 
 
 def test_family_suites_memory_does_not_grow_with_samples():
@@ -811,14 +904,8 @@ def test_family_suites_memory_does_not_grow_with_samples():
 
 def failing_extensions_peak(samples: int) -> tuple[int, SuiteResult]:
     """tracemalloc peak, in bytes, of ``run_suite`` over ``extensions``, and its result."""
-    config = fast_config(samples=samples, suites=["extensions"])
-    gc.collect()  # as in family_suites_peak
-    tracemalloc.start()
-    try:
-        (result,) = run_suite(config).results
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
+    peak, report = traced_run(fast_config(samples=samples, suites=["extensions"]))
+    return peak, report.results[0]
 
 
 def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
@@ -831,3 +918,52 @@ def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
         assert result.counts["failures"] == 2 * samples  # every point fails at both taus
         assert len(result.failures) == 5
     assert peaks[400] - peaks[50] <= 16 * 1024, peaks
+
+
+# sha256 of render_json(report, with_timing=False) for extensions and gap at
+# 2,000 samples with G replaced by the identity, so that q != 0, with the
+# crash site's line number written as LINE.  Pinned from the runners that
+# kept the whole sample on this path.
+NON_SKEW_REPORT_SHA256 = {
+    "1,2": "e5d5b157d1f61dfd16fe0c14e28003254bd2b88507a56fb55d4b7a055c9d2367",
+    "1": "8940f44cada4ff892d548fe9353fdc58d750939c3058e6de0860f0782c207e27",
+}
+
+
+@pytest.mark.parametrize("taus", ["1,2", "1"])
+def test_family_suites_hold_no_sample_when_the_proof_covers_no_point(monkeypatch, taus):
+    """With q != 0 every tau evaluates the sample drawn again, and none is kept."""
+    monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
+    peaks = {}
+    for samples in (500, 2000):
+        config = fast_config(samples=samples, taus=taus.split(","), suites=["extensions", "gap"])
+        peaks[samples], report = traced_run(config)
+    text = re.sub(r"\(certify\.py:\d+\)", "(certify.py:LINE)", render_json(report, False))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NON_SKEW_REPORT_SHA256[taus]
+    assert peaks[2000] - peaks[500] <= 16 * 1024, peaks
+
+
+def test_seen_values_keep_zero_and_the_first_distinct_failing_values():
+    seen = c0cert.cli._Seen()
+    for value in [3, 0, 1, 3, 2, 5, 4, 6, 0, 7]:
+        seen.add(Fraction(value))
+    assert seen == {0, 1, 2, 3, 4, 5}  # MAX_FAILURES_SHOWN = 5 nonzero values
+
+
+def test_failing_skew_suite_lists_at_most_six_values(monkeypatch):
+    """Its evidence, like its messages, does not grow with its failures."""
+    core = c0cert.cli.pairing_numerator
+    monkeypatch.setattr(c0cert.cli, "pairing_numerator", lambda a, b: core(a, b) + 1)
+    peak, report = traced_run(fast_config(samples=2000, suites=["skew"]))
+    (result,) = report.results
+    assert result.counts == {"samples": 2000, "failures": 2000}
+    assert len(result.failures) == 5
+    # the first five distinct values, listed sorted as strings
+    assert result.evidence["pairing_values"] == [
+        "1/19043797766400",
+        "1/2516949632024100",
+        "1/625",
+        "1/6693995030355360000",
+        "1/73296302492651041440000",
+    ]
+    assert peak < 128 * 1024, peak
