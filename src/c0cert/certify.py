@@ -20,9 +20,9 @@ identities that are checked literally:
   through the Fitzpatrick function: the supremum of the graph evaluations
   stays short of the family point's self-pairing by an exactly computed
   positive gap.
-* ``uncertified_points`` proves the margin and the Fitzpatrick value of a
-  graph point for every tau > 0 at once, from four tau-free integers per
-  point, and returns the points where that proof does not go through.
+* ``certified_for_every_tau`` proves the margin and the Fitzpatrick value
+  of a graph point for every tau > 0 at once, from four tau-free integers,
+  or says that the proof does not go through for that point.
 
 Each value-returning certificate has an integer core, named with a
 ``_terms`` suffix, that returns an unreduced numerator over a positive
@@ -81,7 +81,7 @@ __all__ = [
     "fitzpatrick_value",
     "fitzpatrick_value_terms",
     "fitzpatrick_gap",
-    "uncertified_points",
+    "certified_for_every_tau",
     "violation_witness",
 ]
 
@@ -278,7 +278,7 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     ytilde, ones).  Constancy with strict positivity over the graph
     certifies membership in the monotone closure of the graph.
 
-    This is the definition, evaluated directly; ``uncertified_points``
+    This is the definition, evaluated directly; ``certified_for_every_tau``
     proves the same constant for every tau > 0 at once.
     """
     return Fraction(*closure_margin_terms(ep, p))
@@ -391,23 +391,18 @@ def fitzpatrick_value_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int
     return total, dx * dy * ds * dss
 
 
-def fitzpatrick_gap(
-    ep: ExtensionPoint, sample: Iterable[GraphPoint], self_pairing: Rational | None = None
-) -> Rational:
+def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Rational:
     """Self-pairing of the family point minus the best graph evaluation.
 
     The per-point evaluations must all coincide; the gap then equals
     pairing(ones, ep.ytilde) > 0.  Strict positivity means the supremum over
     the whole graph stays short of pairing(xstar, xstarstar), which is the
     machine-checkable failure-of-unique-extension certificate.
-    ``self_pairing`` is pairing(ep.xstar, ep.xstarstar), if the caller
-    already has it; without it, it is computed here.
 
     ``sample`` may be any iterable, a stream included: every point of it is
     evaluated directly, once, and none is kept.  Constancy is checked while
     streaming over the sample, each evaluation cross-multiplied with the
-    first; the gap is the one Fraction built.  An empty sample raises
-    EmptySample.
+    first.  An empty sample raises EmptySample.
     """
     points = iter(sample)
     first = next(points, None)
@@ -418,20 +413,11 @@ def fitzpatrick_gap(
         num, den = fitzpatrick_value_terms(ep, p)
         if num * first_den != first_num * den:
             raise AssertionError("Fitzpatrick evaluations must be constant over the graph")
-    if self_pairing is None:
-        self_pairing = pairing(ep.xstar, ep.xstarstar)
-    sp_num, sp_den = self_pairing.numerator, self_pairing.denominator
-    return Fraction(sp_num * first_den - first_num * sp_den, sp_den * first_den)
+    return pairing(ep.xstar, ep.xstarstar) - Fraction(first_num, first_den)
 
 
-def uncertified_points(
-    family: ExtensionFamily, sample: Iterable[GraphPoint]
-) -> list[GraphPoint] | None:
-    """The points of ``sample`` whose family certificate is not proven for every tau > 0.
-
-    ``sample`` may be any iterable, a stream included; it is consumed, and
-    only the uncovered points are kept, as a list in sample order.  Where
-    the proof covers no point, the result is None and ``sample`` is not read.
+def certified_for_every_tau(family: ExtensionFamily, p: GraphPoint) -> bool:
+    """Whether the family certificate of ``p`` is proven for every tau > 0 at once.
 
     For tau > 0 the family point along the family's direction ytilde is
     xs = tau * ytilde, xss = -tau * g + (1/tau) * ones with g = G(ytilde).
@@ -454,25 +440,21 @@ def uncertified_points(
     range law (c = 0) and the antisymmetry of G (a = b).
 
     g and q come from ``family``, built once.  If q != 0, the proof covers
-    no point, and None is returned: the caller evaluates every point, and
-    the sample need not be held.  Otherwise each point costs three integer
-    pairings and one sum: c and d must have zero numerators, and a = b is
-    compared cross-multiplied over the two denominators.  A point whose y
-    has a nonzero tail is returned unchecked, since c and d need not exist.
+    no point, and the result is False.  Otherwise a point costs three
+    integer pairings and one sum: c and d must have zero numerators, and
+    a = b is compared cross-multiplied over the two denominators.  A point
+    whose y has a nonzero tail is not certified, since c and d need not
+    exist.
     """
-    if family.q:
-        return None
-    g, ytilde = family.g, family.ytilde
-    gden, tden = g.den, ytilde.den
-    return [
-        p
-        for p in sample
-        if p.y.tnum
-        or sum(p.y.num)
-        or pairing_numerator(p.x, p.y)
-        or pairing_numerator(g, p.y) * p.x.den * tden
-        != pairing_numerator(p.x, ytilde) * gden * p.y.den
-    ]
+    g, ytilde, x, y = family.g, family.ytilde, p.x, p.y
+    return not (
+        family.q
+        or y.tnum
+        or sum(y.num)
+        or pairing_numerator(x, y)
+        or pairing_numerator(g, y) * x.den * ytilde.den
+        != pairing_numerator(x, ytilde) * g.den * y.den
+    )
 
 
 def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:

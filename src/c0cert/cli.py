@@ -55,16 +55,17 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .certify import (
+    certified_for_every_tau,
     extension_family,
     closure_margin_terms,
     family_products,
-    fitzpatrick_gap,
+    fitzpatrick_value_terms,
     monotone_product_terms,
     random_graph_point,
     random_offgraph_pair,
     random_summable,
-    uncertified_points,
     violation_witness,
+    EmptySample,
     ExtensionFamily,
     GraphPoint,
     Member,
@@ -286,28 +287,23 @@ def parse_config(source: str) -> SuiteConfig:
 # by cross-multiplication and build a Fraction only for a value that reaches
 # the report or a failure message.
 #
-# The two family suites audit the tau-free proof of ``uncertified_points``
-# by one rule.  At each tau they evaluate the definition directly on
-# ``direct``: the first sampled point, the oracle that ties the proof to the
-# definition, and every point the proof does not cover.  The proof gives
-# every other point closure margin s and Fitzpatrick value 0 at every
-# tau > 0.  So where each direct value is what the proof gives, the values
-# over the sample are known without evaluating them; where any direct value
-# misses it, every sampled point is evaluated.  Points the proof covers pass
-# either way, so the failures are those of evaluating the whole sample.
-#
-# The sample is drawn one point at a time and not kept: a family suite holds
-# ``direct``, one point on the graph, whatever ``samples`` is.  To evaluate
-# every sampled point, it draws the sample again from a fresh generator with
-# the suite's seed, which gives the same points in the same order.  It does
-# so once for each tau whose direct values miss, so k failing taus cost
-# k + 1 draws of the sample; a passing run draws it once.  Where q != 0 the
-# proof covers no point: ``direct`` is None and every tau draws the sample
-# again.
+# The two family suites audit the tau-free proof of ``certified_for_every_tau``
+# in one pass over their sample, drawn one point at a time and not kept.
+# The proof gives every point it covers closure margin s and Fitzpatrick
+# value 0 at every tau > 0.  The first sampled point is evaluated directly
+# at every tau: it is the oracle that ties the proof to the definition.
+# Each later point is evaluated directly at every tau if the proof does not
+# cover it, and otherwise only at the taus where the first point's value
+# missed what the proof gives.  Points the proof covers pass either way
+# once the first point passes, so the failures are those of evaluating the
+# whole sample at every tau.  The pass goes point by point; the extensions
+# suite keeps each tau's failures apart and joins them in tau order, so
+# its messages are those of a loop over the taus.
 
 _Family = Callable[[], ExtensionFamily]
 
-# The one zero the skew and monotone suites record as a seen value.
+# The one zero the skew and monotone suites record as a seen value, and the
+# Fitzpatrick value the gap suite's proof gives.
 _ZERO = Fraction(0)
 
 
@@ -325,6 +321,11 @@ class _Failures(list):
         self.total += 1
         if len(self) < MAX_FAILURES_SHOWN:
             list.append(self, template.format(*args))
+
+    def extend(self, later: _Failures) -> None:
+        """Appends the failures of ``later`` after these."""
+        self.total += later.total
+        list.extend(self, later[: MAX_FAILURES_SHOWN - len(self)])
 
 
 class _Seen(set):
@@ -401,34 +402,42 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
     return failures, counts, evidence
 
 
-def _direct(
-    config: SuiteConfig, rng: random.Random, fam: ExtensionFamily
-) -> list[GraphPoint] | None:
-    """The first sampled point and the points the proof does not cover.
+def _evaluations(
+    config: SuiteConfig, rng: random.Random, fam: ExtensionFamily, terms: Callable, proven: Fraction
+) -> Iterator[tuple[int, int, int]]:
+    """``(k, num, den)`` for each direct evaluation ``terms(fam.points[k], p)`` the audit needs.
 
-    None where the proof covers no point (q != 0), so that every tau
-    evaluates the whole sample, drawn again, and no path holds it.
+    ``terms`` is ``closure_margin_terms`` or ``fitzpatrick_value_terms``,
+    and ``proven`` the value the proof gives them.  The first sampled point
+    is evaluated at every tau, in tau order, before any other point; the
+    rest follow by the rule above.
     """
     points = _graph_sample(config, rng)
-    first = next(points)
-    uncovered = uncertified_points(fam, points)
-    return None if uncovered is None else [first, *uncovered]
+    first = next(points, None)
+    if first is None:
+        raise EmptySample("need at least one graph point")
+    missed = []
+    for k, ep in enumerate(fam.points):
+        num, den = terms(ep, first)
+        if num * proven.denominator != proven.numerator * den:
+            missed.append(k)
+        yield k, num, den
+    for p in points:
+        for k in missed if certified_for_every_tau(fam, p) else range(len(fam.points)):
+            yield k, *terms(fam.points[k], p)
 
 
 def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = _Failures()
     fam = family()
     exp_num, exp_den = fam.total.numerator, fam.total.denominator
-    direct = _direct(config, rng, fam)
-    for ep in fam.points:
-        margins = [closure_margin_terms(ep, p) for p in direct or ()]
-        if direct is None or any(num * exp_den != exp_num * den for num, den in margins):
-            sample = _graph_sample(config, _rng(config, "extensions"))
-            margins = (closure_margin_terms(ep, p) for p in sample)
-        for num, den in margins:
-            if num * exp_den != exp_num * den or num <= 0:
-                margin = Fraction(num, den)
-                failures.append("margin {} != {} at tau = {}", margin, fam.total, ep.tau)
+    per_tau = [_Failures() for _ in fam.points]
+    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, fam.total):
+        if num * exp_den != exp_num * den or num <= 0:
+            margin = Fraction(num, den)
+            per_tau[k].append("margin {} != {} at tau = {}", margin, fam.total, fam.points[k].tau)
+    failures = _Failures()
+    for tau_failures in per_tau:
+        failures.extend(tau_failures)
     if len(fam.points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
     keys = [rat_str(ep.tau) for ep in fam.points]
@@ -444,18 +453,18 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
 def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = _Failures()
     fam = family()
+    first, varies = {}, set()  # each tau's first value; the taus where another differs
+    for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms, _ZERO):
+        first_num, first_den = first.setdefault(k, (num, den))
+        if num * first_den != first_num * den:
+            varies.add(k)
     per_tau = {}
-    direct = _direct(config, rng, fam)
-    for ep, diagonal in zip(fam.points, fam.diagonal):
-        self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
-        try:
-            gap = None if direct is None else fitzpatrick_gap(ep, direct, self_pairing)
-            if gap != self_pairing:
-                sample = _graph_sample(config, _rng(config, "gap"))
-                gap = fitzpatrick_gap(ep, sample, self_pairing)
-        except AssertionError:  # the evaluations differ, so not all are 0
+    for k, (ep, diagonal) in enumerate(zip(fam.points, fam.diagonal)):
+        if k in varies:
             failures.append("Fitzpatrick values not constant at tau = {}", ep.tau)
             continue
+        self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
+        gap = self_pairing - Fraction(*first[k])
         if gap != fam.total or gap <= 0:
             failures.append("gap {} != expected {} at tau = {}", gap, fam.total, ep.tau)
         per_tau[rat_str(ep.tau)] = {

@@ -33,7 +33,7 @@ from c0cert.certify import (
     random_offgraph_pair,
     random_rational,
     random_summable,
-    uncertified_points,
+    certified_for_every_tau,
     violation_witness,
 )
 from c0cert.gossez import gossez_apply, unit_u, unit_v
@@ -349,13 +349,6 @@ def test_fitzpatrick_gap_examples():
     assert fitzpatrick_gap(extension_point(1, 2 * unit(1)), sample) == 2
 
 
-def test_fitzpatrick_gap_takes_a_precomputed_self_pairing():
-    sample = [ORIGIN, GraphPoint.from_y(unit_u(2))]
-    ep = extension_point(3, unit(1) + unit(4))
-    self_pairing = pairing(ep.xstar, ep.xstarstar)
-    assert fitzpatrick_gap(ep, sample, self_pairing) == fitzpatrick_gap(ep, sample) == 2
-
-
 def test_fitzpatrick_gap_rejects_an_offgraph_point():
     """One point off the graph breaks constancy, wherever it sits in the sample."""
     ep = extension_point(1, unit(1))
@@ -401,7 +394,7 @@ def test_fitzpatrick_gap_equals_direction_total(tau, ytilde, ys):
 
 
 def tau_free_terms(ytilde, p):
-    """q, s, a, b, c, d of the ``uncertified_points`` docstring, as Fractions."""
+    """q, s, a, b, c, d of the ``certified_for_every_tau`` docstring, as Fractions."""
     g = gossez_apply(ytilde)
     return (
         pairing(g, ytilde),
@@ -428,26 +421,25 @@ family_test_points = st.one_of(
     st.lists(family_test_points, min_size=1, max_size=5),
 )
 def test_uncertified_points_expansion_and_soundness(taus, ytilde, sample):
-    """The tau expansion equals the definitions; an unflagged point holds at every tau."""
-    flagged = uncertified_points(extension_family(taus[:1], ytilde), sample)
+    """The tau expansion equals the definitions; a certified point holds at every tau."""
+    family = extension_family(taus[:1], ytilde)
+    certified = [certified_for_every_tau(family, p) for p in sample]
     terms = [tau_free_terms(ytilde, p) for p in sample]
     q = terms[0][0]
-    assert flagged == [
-        p for p, (_, _, a, b, c, d) in zip(sample, terms) if q or a != b or c or d
-    ]
+    assert certified == [not (q or a != b or c or d) for _, _, a, b, c, d in terms]
     for tau in taus:
         ep = extension_point(tau, ytilde)
-        for p, (q, s, a, b, c, d) in zip(sample, terms):
+        for p, ok, (q, s, a, b, c, d) in zip(sample, certified, terms):
             margin = -tau * tau * q + s + tau * (a - b) - c / tau + d
             fitzpatrick = tau * (b - a) + c / tau - d
             assert closure_margin(ep, p) == margin
             assert fitzpatrick_value(ep, p) == fitzpatrick
-            if not any(f is p for f in flagged):
+            if ok:
                 assert margin == s and fitzpatrick == 0
 
 
 def test_uncertified_points_flags_each_broken_identity():
-    """One failed identity is enough to flag a point, and each one moves the margin."""
+    """One failed identity is enough to leave a point uncertified, and each one moves the margin."""
     ytilde = Seq([1, 2])  # s = 3
     y = unit_u(3)
     on_graph = GraphPoint.from_y(y)
@@ -457,42 +449,22 @@ def test_uncertified_points_flags_each_broken_identity():
         "d != 0": SimpleNamespace(x=on_graph.x + unit(3), y=y),
     }
     tailed = SimpleNamespace(x=ZERO, y=ONES)  # c and d do not exist
-    sample = [on_graph, broken["a != b"], on_graph, broken["c != 0"], broken["d != 0"], tailed]
-    assert uncertified_points(extension_family([2], ytilde), sample) == [
-        *broken.values(),
-        tailed,
-    ]
+    family = extension_family([2], ytilde)
+    assert certified_for_every_tau(family, on_graph)
+    for p in [*broken.values(), tailed]:
+        assert not certified_for_every_tau(family, p)
     ep = extension_point(2, ytilde)
     assert [closure_margin(ep, p) for p in broken.values()] == [1, Fraction(5, 2), 2]
 
 
-def test_uncertified_points_over_a_stream():
-    """A generator gives the list that the same points give as a list."""
-    family = extension_family([1, 2], Seq(["3/7", "-1/5"]))
-    sample = [GraphPoint.from_y(unit_u(k)) for k in (1, 3, 5)]
-    off_graph = SimpleNamespace(x=unit(1), y=unit(4) - unit(5))
-    swapped = [sample[0], off_graph, *sample[2:]]
-    assert uncertified_points(family, (p for p in sample)) == uncertified_points(family, sample) == []
-    assert (
-        uncertified_points(family, (p for p in swapped))
-        == uncertified_points(family, swapped)
-        == [off_graph]
-    )
-
-
 def test_uncertified_points_flags_every_point_when_q_is_nonzero(monkeypatch):
-    """A direction map that is not skew (q != 0) proves nothing about any point.
-
-    The result is None, not the sample, and the sample is left unread, so a
-    caller that streams it holds none of it.
-    """
+    """A direction map that is not skew (q != 0) proves nothing about any point."""
     sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
+    assert all(certified_for_every_tau(extension_family([1], unit(1)), p) for p in sample)
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
     family = extension_family([1], unit(1))
-    assert uncertified_points(family, sample) is None
-    stream = iter(sample)
-    assert uncertified_points(family, stream) is None
-    assert list(stream) == sample
+    assert family.q
+    assert not any(certified_for_every_tau(family, p) for p in sample)
 
 
 # --- maximality witness -----------------------------------------------------

@@ -702,6 +702,15 @@ def test_family_values_are_computed_once_per_report(monkeypatch):
     assert render_json(first, with_timing=False) == render_json(second, with_timing=False)
 
 
+def test_family_suites_fail_on_an_empty_sample():
+    """A config built without config_from_obj may ask for no sample at all."""
+    report = run_suite(SuiteConfig(samples=0, suites=("extensions", "gap")))
+    for result in report.results:
+        [message] = result.failures
+        found = re.fullmatch(r"EmptySample: need at least one graph point \(cli\.py:\d+\)", message)
+        assert found, message
+
+
 def test_a_family_point_crash_fails_both_family_suites(monkeypatch, tmp_path, capsys):
     def crashing(taus, ytilde):
         raise ValueError(f"no family point at tau = {taus[0]}")
@@ -784,8 +793,8 @@ def test_maximal_runner_reports_a_failed_recheck(monkeypatch):
 
 
 def test_gap_runner_reports_a_wrong_gap(monkeypatch):
-    core = c0cert.certify.fitzpatrick_value_terms
-    monkeypatch.setattr(c0cert.certify, "fitzpatrick_value_terms", raised_by_one(core))
+    core = c0cert.cli.fitzpatrick_value_terms
+    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", raised_by_one(core))
     (result,) = run_suite(fast_config(suites=["gap"])).results
     assert not result.passed
     assert result.failures == [
@@ -802,9 +811,11 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
 # --- tau-free certificate fallback ------------------------------------------
 #
 # The extensions and gap suites prove their verdicts for every tau from four
-# integers per sampled point, and evaluate directly only the first point and
-# the points that proof flags.  Off-graph points swapped into the sample must
-# leave every failure message, count and evidence value exactly as the direct
+# integers per sampled point.  In one pass over the sample they evaluate
+# directly the first point at every tau, each point that proof does not
+# cover at every tau, and the others at the taus where the first point's
+# value misses.  Off-graph points swapped into the sample must leave every
+# failure message, count and evidence value exactly as the direct
 # per-(tau, point) loop gives them.
 
 
@@ -820,7 +831,7 @@ def reference_family_verdicts(config, sample):
                 margin_failures.append(f"margin {margin} != {expected} at tau = {tau}")
         self_pairing = pairing(ep.xstar, ep.xstarstar)
         try:
-            gap = fitzpatrick_gap(ep, sample, self_pairing)
+            gap = fitzpatrick_gap(ep, sample)
         except AssertionError:
             gap_failures.append(f"Fitzpatrick values not constant at tau = {tau}")
             continue
@@ -845,10 +856,28 @@ TAU_ONE_POINT = SimpleNamespace(
 SHIFTED_POINT = SimpleNamespace(x=unit(1), y=unit(4) - unit(5))
 
 
+def moved_off_the_graph(p):
+    """A sampler fault: ``p`` with unit(1) added to its x, so every tau misses."""
+    return SimpleNamespace(x=p.x + unit(1), y=p.y)
+
+
+class EveryPoint:
+    """The swaps that move every drawn point off the graph."""
+
+    @staticmethod
+    def get(i, p):
+        return moved_off_the_graph(p)
+
+
 @pytest.mark.parametrize(
     "swaps",
-    [{0: TAU_ONE_POINT}, {11: TAU_ONE_POINT}, {0: SHIFTED_POINT, 11: TAU_ONE_POINT}],
-    ids=["first", "later", "both"],
+    [
+        {0: TAU_ONE_POINT},
+        {11: TAU_ONE_POINT},
+        {0: SHIFTED_POINT, 11: TAU_ONE_POINT},
+        EveryPoint,
+    ],
+    ids=["first", "later", "both", "every"],
 )
 def test_family_runners_match_the_direct_loop_off_the_graph(monkeypatch, swaps):
     drawn = c0cert.cli._graph_sample
@@ -896,10 +925,44 @@ def family_suites_peak(samples: int) -> int:
     return traced_run(fast_config(samples=samples, suites=["extensions", "gap"]))[0]
 
 
-def test_family_suites_memory_does_not_grow_with_samples():
-    """The family suites draw their sample one point at a time and keep none of it."""
+def test_family_suites_memory_does_not_grow_with_samples(monkeypatch):
+    """The family suites draw their sample one point at a time and keep none of it.
+
+    So too when a sampler fault moves every drawn point off the graph, and
+    every point is evaluated at every tau.
+    """
     small, large = family_suites_peak(50), family_suites_peak(400)
     assert large - small <= 16 * 1024, (small, large)
+    drawn = c0cert.cli._graph_sample
+
+    def moved(config, rng):
+        return map(moved_off_the_graph, drawn(config, rng))
+
+    monkeypatch.setattr(c0cert.cli, "_graph_sample", moved)
+    small, large = family_suites_peak(500), family_suites_peak(2000)
+    assert large - small <= 16 * 1024, (small, large)
+
+
+def test_a_failing_family_suite_draws_its_sample_once(monkeypatch):
+    """One point that misses at four of five taus costs no second draw of the sample."""
+    drawn, yielded = c0cert.cli._graph_sample, []
+
+    def swapped(config, rng):
+        for i, p in enumerate(drawn(config, rng)):
+            yielded.append(i)
+            yield TAU_ONE_POINT if i == 11 else p
+
+    monkeypatch.setattr(c0cert.cli, "_graph_sample", swapped)
+    for suite in ("extensions", "gap"):
+        yielded.clear()
+        config = fast_config(
+            ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"},
+            taus=[1, 2, "1/3", 3, "1/2"],
+            suites=[suite],
+        )
+        (result,) = run_suite(config).results
+        assert result.counts["failures"] == 4, result.failures
+        assert yielded == list(range(config.samples))
 
 
 def failing_extensions_peak(samples: int) -> tuple[int, SuiteResult]:
@@ -932,7 +995,7 @@ NON_SKEW_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("taus", ["1,2", "1"])
 def test_family_suites_hold_no_sample_when_the_proof_covers_no_point(monkeypatch, taus):
-    """With q != 0 every tau evaluates the sample drawn again, and none is kept."""
+    """With q != 0 every point is evaluated at every tau, and none is kept."""
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
     peaks = {}
     for samples in (500, 2000):
