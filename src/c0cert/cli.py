@@ -17,9 +17,11 @@ durations, so identical configs produce byte-identical reports.
 A config may request at most MAX_SAMPLES samples, MAX_SUPPORT for
 ``support_max`` and for the prefix length of ``ytilde``, MAX_COEFF_BOUND for
 ``coeff_bound`` and MAX_TAUS entries in ``taus``; more is a config error,
-since the work of a run grows with each.  Each rational in ``taus`` and in
-the ``ytilde`` prefix is bounded like a drawn entry: in lowest terms, its
-numerator and denominator are at most MAX_COEFF_BOUND in absolute value.
+since the work of a run grows with each.  Each rational in ``taus``, in
+the ``ytilde`` prefix and the ``ytilde`` tail is bounded like a drawn
+entry: in lowest terms, its numerator and denominator are at most
+MAX_COEFF_BOUND in absolute value.  All of them go through one parser,
+``_rational``, so a bad value gets the same message in each field.
 
 Each suite has one runner, ``runner(config, rng, family) -> (failures,
 counts, evidence)``, and ``run_suite`` builds every suite result from what
@@ -140,7 +142,10 @@ class SuiteConfig(Frozen):
             "support_max": self.support_max,
             "coeff_bound": self.coeff_bound,
             "taus": [rat_str(t) for t in self.taus],
-            "ytilde": self.ytilde.to_obj(),
+            "ytilde": {
+                "prefix": [rat_str(v) for v in self.ytilde.prefix],
+                "tail": rat_str(self.ytilde.tail),
+            },
             "suites": list(self.suites),
         }
 
@@ -228,14 +233,19 @@ def config_from_obj(obj: object) -> SuiteConfig:
             taus.append(tau)
 
     raw_ytilde = obj["ytilde"]
-    prefix = raw_ytilde.get("prefix") if isinstance(raw_ytilde, dict) else None
-    if isinstance(prefix, list) and len(prefix) > MAX_SUPPORT:
+    if not isinstance(raw_ytilde, dict):
+        raise ConfigError("ytilde: expected an object with 'prefix' and 'tail'")
+    unknown = set(raw_ytilde) - {"prefix", "tail"}
+    if unknown:
+        raise ConfigError(f"ytilde: unknown keys {_shown(sorted(unknown))}")
+    prefix = raw_ytilde.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise ConfigError("ytilde: 'prefix' must be a list")
+    if len(prefix) > MAX_SUPPORT:
         raise ConfigError(f"ytilde: at most {MAX_SUPPORT} prefix entries, got {len(prefix)}")
-    try:
-        entries, tail = Seq.parse_obj(raw_ytilde)
-    except ValueError as exc:
-        raise ConfigError(f"ytilde: {exc}") from None
-    ytilde = Seq([_rational(v, f"ytilde: prefix[{j}]") for j, v in enumerate(entries)], tail)
+    # each entry is bounded before Seq puts them all over their lcm
+    entries = [_rational(v, f"ytilde: prefix[{j}]") for j, v in enumerate(prefix)]
+    ytilde = Seq(entries, _rational(raw_ytilde.get("tail", 0), "ytilde: tail"))
     if ytilde.tnum:
         raise ConfigError("ytilde: must be finitely supported (tail 0)")
     if sum(ytilde.num) <= 0:  # the pairing with the ones sequence, times den > 0
@@ -463,13 +473,13 @@ def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
         if k in varies:
             failures.append("Fitzpatrick values not constant at tau = {}", ep.tau)
             continue
+        value = Fraction(*first[k])
         self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
-        gap = self_pairing - Fraction(*first[k])
+        gap = self_pairing - value
         if gap != fam.total or gap <= 0:
             failures.append("gap {} != expected {} at tau = {}", gap, fam.total, ep.tau)
         per_tau[rat_str(ep.tau)] = {
-            # the common evaluation: the gap is self-pairing minus its value
-            "fitzpatrick_value": rat_str(self_pairing - gap),
+            "fitzpatrick_value": rat_str(value),
             "self_pairing": rat_str(self_pairing),
             "gap": rat_str(gap),
         }

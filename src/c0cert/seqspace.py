@@ -314,49 +314,6 @@ class Seq(Frozen):
         shown = [rat_str(v) for v in self.prefix] + [rat_str(self.tail)] * 2
         return "(" + ", ".join(shown) + ", ...)"
 
-    def to_obj(self) -> dict:
-        """JSON-ready form with rationals as "p/q" strings."""
-        return {
-            "prefix": [rat_str(v) for v in self.prefix],
-            "tail": rat_str(self.tail),
-        }
-
-    @classmethod
-    def from_obj(cls, obj: object) -> Seq:
-        """Parse ``{"prefix": [...], "tail": ...}``; entries are ints or "p/q" strings.
-
-        Raises ValueError with a field-level message on malformed input.
-        """
-        return cls(*cls.parse_obj(obj))
-
-    @staticmethod
-    def parse_obj(obj: object) -> tuple[list[Rational], Rational]:
-        """The prefix entries and the tail that ``from_obj`` builds its ``Seq`` from.
-
-        Raises ValueError as ``from_obj`` does.  A caller that bounds the
-        entries checks them on this result, before a ``Seq`` puts them all
-        over their least common denominator.
-        """
-        if not isinstance(obj, dict):
-            raise ValueError("expected an object with 'prefix' and 'tail'")
-        unknown = set(obj) - {"prefix", "tail"}
-        if unknown:
-            raise ValueError(f"unknown keys {_shown(sorted(unknown))}")
-        raw_prefix = obj.get("prefix", [])
-        if not isinstance(raw_prefix, list):
-            raise ValueError("'prefix' must be a list")
-        entries = []
-        for i, item in enumerate(raw_prefix):
-            try:
-                entries.append(rat(item))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                raise ValueError(f"prefix[{i}]: malformed rational {_shown(item)}") from exc
-        try:
-            t = rat(obj.get("tail", 0))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"tail: malformed rational {_shown(obj.get('tail'))}") from exc
-        return entries, t
-
 
 ZERO = Seq()
 ONES = Seq((), 1)

@@ -420,7 +420,7 @@ family_test_points = st.one_of(
     positive_sum_summables(),
     st.lists(family_test_points, min_size=1, max_size=5),
 )
-def test_uncertified_points_expansion_and_soundness(taus, ytilde, sample):
+def test_certified_for_every_tau_expansion_and_soundness(taus, ytilde, sample):
     """The tau expansion equals the definitions; a certified point holds at every tau."""
     family = extension_family(taus[:1], ytilde)
     certified = [certified_for_every_tau(family, p) for p in sample]
@@ -438,7 +438,7 @@ def test_uncertified_points_expansion_and_soundness(taus, ytilde, sample):
                 assert margin == s and fitzpatrick == 0
 
 
-def test_uncertified_points_flags_each_broken_identity():
+def test_certified_for_every_tau_refuses_each_broken_identity():
     """One failed identity is enough to leave a point uncertified, and each one moves the margin."""
     ytilde = Seq([1, 2])  # s = 3
     y = unit_u(3)
@@ -457,7 +457,7 @@ def test_uncertified_points_flags_each_broken_identity():
     assert [closure_margin(ep, p) for p in broken.values()] == [1, Fraction(5, 2), 2]
 
 
-def test_uncertified_points_flags_every_point_when_q_is_nonzero(monkeypatch):
+def test_certified_for_every_tau_refuses_every_point_when_q_is_nonzero(monkeypatch):
     """A direction map that is not skew (q != 0) proves nothing about any point."""
     sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
     assert all(certified_for_every_tau(extension_family([1], unit(1)), p) for p in sample)

@@ -265,9 +265,15 @@ YTILDE_PREFIX_CAP = f"ytilde: at most {MAX_SUPPORT} prefix entries, got {MAX_SUP
         ({"ytilde": []}, "ytilde: expected an object with 'prefix' and 'tail'"),
         ({"ytilde": {"prefix": "1"}}, "ytilde: 'prefix' must be a list"),
         ({"ytilde": {"x": 1}}, "ytilde: unknown keys ['x']"),
-        ({"ytilde": {"prefix": ["1/x"]}}, "ytilde: prefix[0]: malformed rational '1/x'"),
-        ({"ytilde": {"prefix": [0.5]}}, "ytilde: prefix[0]: malformed rational 0.5"),
-        ({"ytilde": {"prefix": ["1"], "tail": None}}, "ytilde: tail: malformed rational None"),
+        ({"ytilde": {"prefix": ["1/x"]}}, "ytilde: prefix[0]: malformed rational string '1/x'"),
+        (
+            {"ytilde": {"prefix": [0.5]}},
+            "ytilde: prefix[0]: expected an integer or a 'p/q' string, got 0.5",
+        ),
+        (
+            {"ytilde": {"prefix": ["1"], "tail": None}},
+            "ytilde: tail: expected an integer or a 'p/q' string, got None",
+        ),
         ({"ytilde": {"prefix": [], "tail": "1"}}, "ytilde: must be finitely supported (tail 0)"),
         ({"ytilde": {"prefix": ["-1", "1"]}}, "ytilde: pairing with the ones sequence must be positive"),
         ({"ytilde": {}}, "ytilde: pairing with the ones sequence must be positive"),
@@ -281,6 +287,29 @@ YTILDE_PREFIX_CAP = f"ytilde: at most {MAX_SUPPORT} prefix entries, got {MAX_SUP
         ({"suites": ["gap", "spam"]}, "suites[1]: unknown suite name 'spam'"),
         ({"suites": [["gap"]]}, "suites[0]: unknown suite name ['gap']"),
         ({"seed": -1, "taus": []}, "seed: must be at least 0, got -1"),  # fields in order
+        # each malformed shape of the ytilde document
+        ({"ytilde": "not a dict"}, "ytilde: expected an object with 'prefix' and 'tail'"),
+        ({"ytilde": {"prefix": "oops"}}, "ytilde: 'prefix' must be a list"),
+        ({"ytilde": {"prefix": ["1/0"]}}, "ytilde: prefix[0]: malformed rational string '1/0'"),
+        ({"ytilde": {"prefix": ["x"]}}, "ytilde: prefix[0]: malformed rational string 'x'"),
+        (
+            {"ytilde": {"prefix": [1.5]}},
+            "ytilde: prefix[0]: expected an integer or a 'p/q' string, got 1.5",
+        ),
+        ({"ytilde": {"tail": "nope"}}, "ytilde: tail: malformed rational string 'nope'"),
+        ({"ytilde": {"prefix": [], "tail": 0, "extra": 1}}, "ytilde: unknown keys ['extra']"),
+        (
+            {"ytilde": {"prefix": [True]}},
+            "ytilde: prefix[0]: expected an integer or a 'p/q' string, got True",
+        ),
+        ({"ytilde": {"prefix": ["0.5"]}}, "ytilde: prefix[0]: malformed rational string '0.5'"),
+        ({"ytilde": {"tail": "1e1"}}, "ytilde: tail: malformed rational string '1e1'"),
+        # the tail is bounded like an entry, and the document's keys are checked first
+        (
+            {"ytilde": {"prefix": ["1"], "tail": f"1/{B1}"}},
+            "ytilde: tail: |numerator| and denominator must be at most 1000000",
+        ),
+        ({"ytilde": {"x": 1, "prefix": ["0"] * (MAX_SUPPORT + 1)}}, "ytilde: unknown keys ['x']"),
     ],
 )
 def test_config_error_messages(obj, message):
@@ -306,7 +335,8 @@ HUGE = 10**5000  # past the int/str digit limit: repr raises for it and any list
         ({"seed": [HUGE]}, "seed: expected an integer, got <list that cannot be printed>"),
         (
             {"ytilde": {"prefix": [[HUGE]], "tail": "0"}},
-            "ytilde: prefix[0]: malformed rational <list that cannot be printed>",
+            "ytilde: prefix[0]: expected an integer or a 'p/q' string, "
+            "got <list that cannot be printed>",
         ),
         (
             {"taus": [[HUGE]]},
@@ -319,6 +349,34 @@ def test_config_errors_show_an_unprintable_value_by_its_size_or_type(obj, messag
     with pytest.raises(ConfigError) as excinfo:
         config_from_obj(obj)
     assert str(excinfo.value) == message
+
+
+RATIONAL_FIELDS = {
+    "taus[0]": lambda v: {"taus": [v]},
+    "ytilde: prefix[0]": lambda v: {"ytilde": {"prefix": [v]}},
+    "ytilde: tail": lambda v: {"ytilde": {"prefix": ["1"], "tail": v}},
+}
+
+
+@pytest.mark.parametrize("field", RATIONAL_FIELDS)
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.5, "expected an integer or a 'p/q' string, got 0.5"),
+        (True, "expected an integer or a 'p/q' string, got True"),
+        ("0.5", "malformed rational string '0.5'"),
+        ("1/x", "malformed rational string '1/x'"),
+        ("2/0", "malformed rational string '2/0'"),
+        ([HUGE], "expected an integer or a 'p/q' string, got <list that cannot be printed>"),
+        ("1/1000001", "|numerator| and denominator must be at most 1000000"),
+    ],
+    ids=["float", "bool", "decimal", "not-a-number", "zero-denominator", "list", "past-the-bound"],
+)
+def test_every_config_rational_gets_one_message_set(field, value, message):
+    """taus, ytilde's prefix entries and its tail share one parser and its messages."""
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_obj(RATIONAL_FIELDS[field](value))
+    assert str(excinfo.value) == f"{field}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -808,7 +866,7 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
     }
 
 
-# --- tau-free certificate fallback ------------------------------------------
+# --- family audit against the point-by-point loop --------------------------
 #
 # The extensions and gap suites prove their verdicts for every tau from four
 # integers per sampled point.  In one pass over the sample they evaluate

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from c0cert.certify import GraphPoint, Member, extension_family, extension_point, violation_witness
-from c0cert.cli import SuiteConfig
+from c0cert.cli import (
+    MAX_COEFF_BOUND,
+    MAX_SAMPLES,
+    MAX_SUPPORT,
+    SUITE_NAMES,
+    SuiteConfig,
+    config_from_obj,
+)
 from c0cert.gossez import unit_u, unit_v
 from c0cert.seqspace import (
     ONES,
@@ -94,7 +102,7 @@ def is_canonical(s: Seq) -> bool:
 @given(eventually_constants(), eventually_constants(), rationals, summables())
 def test_canonical_form_invariant(a, b, c, y):
     """Every construction path lands in the one canonical integer form."""
-    results = [a, b, a + b, a - b, -a, c * a, a * c, Seq.from_obj(a.to_obj())]
+    results = [a, b, a + b, a - b, -a, c * a, a * c]
     results += [Seq(a.prefix + (a.tail,), a.tail), Seq._of([2 * v for v in y.num], 0, 2 * y.den)]
     for s in results:
         assert is_canonical(s)
@@ -420,31 +428,32 @@ def test_rat_str_format():
 
 
 def test_to_obj_round_trip():
+    # a Seq is written and read only as a config's ytilde
     s = Seq(["1/2", -3], "7/5")
-    assert s.to_obj() == {"prefix": ["1/2", "-3"], "tail": "7/5"}
-    assert Seq.from_obj(s.to_obj()) == s
+    assert SuiteConfig(ytilde=s).to_obj()["ytilde"] == {"prefix": ["1/2", "-3"], "tail": "7/5"}
+    admitted = Seq(["1/2", 3])
+    assert config_from_obj(SuiteConfig(ytilde=admitted).to_obj()).ytilde == admitted
 
 
-@given(eventually_constants())
-def test_obj_round_trip_property(s):
-    assert Seq.from_obj(s.to_obj()) == s
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        "not a dict",
-        {"prefix": "oops"},
-        {"prefix": ["1/0"]},
-        {"prefix": ["x"]},
-        {"prefix": [1.5]},
-        {"tail": "nope"},
-        {"prefix": [], "tail": 0, "extra": 1},
-        {"prefix": [True]},
-        {"prefix": ["0.5"]},
-        {"tail": "1e1"},
-    ],
+bounded = st.integers(-MAX_COEFF_BOUND, MAX_COEFF_BOUND)
+positive = st.integers(1, MAX_COEFF_BOUND)
+configs = st.builds(
+    SuiteConfig,
+    seed=st.integers(min_value=0),
+    samples=st.integers(1, MAX_SAMPLES),
+    support_max=st.integers(2, MAX_SUPPORT),
+    coeff_bound=st.integers(1, MAX_COEFF_BOUND),
+    taus=st.lists(st.builds(Fraction, positive, positive), min_size=1, max_size=8, unique=True)
+    .map(tuple),
+    ytilde=st.lists(st.builds(Fraction, bounded, positive), max_size=8)
+    .filter(lambda entries: sum(entries) > 0)
+    .map(Seq),
+    suites=st.sets(st.sampled_from(SUITE_NAMES), min_size=1)
+    .map(lambda names: tuple(n for n in SUITE_NAMES if n in names)),
 )
-def test_from_obj_rejects_malformed(obj):
-    with pytest.raises(ValueError):
-        Seq.from_obj(obj)
+
+
+@given(configs)
+def test_obj_round_trip_property(config):
+    """Every admitted config reads back from its JSON document as itself."""
+    assert config_from_obj(json.loads(json.dumps(config.to_obj()))) == config
