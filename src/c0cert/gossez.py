@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .seqspace import NonSummable, Seq, total_sum
+from .seqspace import NonSummable, Seq, unit
 
-__all__ = ["NotInDomain", "gossez_apply", "t_solve", "unit_u", "unit_v", "range_member"]
+__all__ = ["NotInDomain", "gossez_apply", "t_solve", "unit_u", "unit_v"]
 
 
 class NotInDomain(ValueError):
@@ -84,21 +84,10 @@ def t_solve(x: Seq) -> Seq:
 
 
 def unit_u(m: int) -> Seq:
-    """Difference test vector: -1 at index m, +1 at index m+1, 0 elsewhere."""
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
-    return Seq._of([0] * (m - 1) + [-1, 1], 0, 1)
+    """The difference test vector u_m = e_{m+1} - e_m, for m >= 1."""
+    return -unit(m) + unit(m + 1)
 
 
 def unit_v(m: int) -> Seq:
-    """Image of unit_u(m) under the skew map: +1 at indices m and m+1."""
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
-    return Seq._of([0] * (m - 1) + [1, 1], 0, 1)
-
-
-def range_member(y: Seq) -> bool:
-    """Whether y is a value of the solver, i.e. a zero-sum summable sequence."""
-    if y.tnum:
-        raise NonSummable("range membership is defined for summable sequences only")
-    return total_sum(y) == 0
+    """The image of u_m under the skew map: v_m = e_m + e_{m+1} = G u_m."""
+    return unit(m) + unit(m + 1)

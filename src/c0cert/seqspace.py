@@ -282,15 +282,11 @@ class Seq(Frozen):
         """self + sign * other over the least common denominator."""
         g = gcd(self.den, other.den)
         fa, fb = other.den // g, sign * (self.den // g)
-        a, b = self.num, other.num
+        # each prefix padded with its own tail to the longer one's length
+        n = max(len(self.num), len(other.num))
+        a = self.num + (self.tnum,) * (n - len(self.num))
+        b = other.num + (other.tnum,) * (n - len(other.num))
         out = [p * fa + q * fb for p, q in zip(a, b)]
-        # past the shorter prefix, that side contributes its tail
-        if len(a) > len(b):
-            tb = other.tnum * fb
-            out += [a[i] * fa + tb for i in range(len(b), len(a))]
-        elif len(b) > len(a):
-            ta = self.tnum * fa
-            out += [ta + b[i] * fb for i in range(len(a), len(b))]
         return Seq._of(out, self.tnum * fa + other.tnum * fb, self.den * fa)
 
     def __add__(self, other: Seq) -> Seq:

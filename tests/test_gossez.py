@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from c0cert.gossez import (
     NotInDomain,
     gossez_apply,
-    range_member,
     t_solve,
     unit_u,
     unit_v,
@@ -184,16 +183,11 @@ def test_solver_scaling_identity(lam, m):
 
 
 def test_range_examples():
-    assert range_member(unit_u(1)) is True
-    assert range_member(unit(1)) is False
-    assert range_member(ZERO) is True
+    assert total_sum(unit_u(1)) == 0
+    assert total_sum(unit(1)) != 0
+    assert total_sum(ZERO) == 0
     with pytest.raises(NonSummable):
-        range_member(ONES)
-
-
-@given(summables())
-def test_range_membership_is_zero_sum(y):
-    assert range_member(y) == (total_sum(y) == 0)
+        total_sum(ONES)
 
 
 @given(summables())
@@ -207,9 +201,11 @@ def test_images_under_minus_g_are_solvable_iff_zero_sum(y):
 
 
 def test_unit_vector_shapes():
-    assert unit_u(1) == Seq([-1, 1])
-    assert unit_v(2) == Seq([0, 1, 1])
-    with pytest.raises(ValueError):
-        unit_u(0)
-    with pytest.raises(ValueError):
-        unit_v(0)
+    for m in range(1, 65):
+        assert unit_u(m) == Seq([0] * (m - 1) + [-1, 1])
+        assert unit_v(m) == Seq([0] * (m - 1) + [1, 1])
+    # unit's own check reports the bad index itself, not a neighbour
+    for m in (0, -1):
+        for vector in (unit_u, unit_v):
+            with pytest.raises(ValueError, match=f"got {m}$"):
+                vector(m)
