@@ -107,6 +107,55 @@ MUTANTS = (
         "Seq._combine padding other's prefix with self's tail",
         ("tests/test_seqspace.py",),
     ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "points = _graph_sample(config, rng)",
+        "points = iter(list(_graph_sample(config, rng)))",
+        "_evaluations holding its whole sample",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "if len(self) < MAX_FAILURES_SHOWN:",
+        "if True:",
+        "_Failures keeping every message",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "for key in sorted(value)]",
+        "for key in value]",
+        "_indented laying out keys unsorted",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "isinstance(value, (list, tuple))",
+        "isinstance(value, list)",
+        "_indented leaving a tuple to json.dumps",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "    if not items:\n        return brackets\n",
+        "",
+        "_indented without its empty-container case",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "import encode_basestring_ascii as _quoted",
+        "import encode_basestring as _quoted",
+        "_indented writing non-ASCII text unescaped",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "    del items  # so the items and the body's copy below are not held at once\n",
+        "",
+        "_indented holding its items beside the joined body",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

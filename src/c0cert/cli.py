@@ -687,7 +687,3 @@ def main(argv: list | None = None) -> int:
         config = config_from_obj({**config.to_obj(), "suites": [args.command]})
     report = run_suite(config)
     return emit_report(report, args.format, args.out, args.timestamp == "on")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,22 +24,11 @@ def test_package_exports_each_modules_names_once_in_module_order():
     assert c0cert.__all__ == seqspace.__all__ + gossez.__all__ + certify.__all__
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Together they cost more than the rest of ``import c0cert.cli``.
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import c0cert.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
-
-
 def test_the_library_path_loads_only_what_it_runs():
     # argparse serves only main, datetime only timed reports, and file I/O
-    # needs no pathlib; no site (-S), so no .pth file preloads any of them.
+    # needs no pathlib; dataclasses and inspect together cost more than the
+    # rest of ``import c0cert.cli``.  No site (-S), so no .pth file preloads
+    # any of them.
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); "
         "from c0cert.cli import config_from_obj, render_json, run_suite; "
