@@ -6,15 +6,17 @@ it.  For each entry of MUTANTS the script copies src/, tests/ and
 pyproject.toml to a fresh temporary directory (the repository is never
 written), applies the mutant there and runs
 
-    python -m pytest -x -q -p no:cacheprovider <the entry's test files>
+    python -m pytest -x -q -p no:cacheprovider <the entry's selection>
 
-in that directory with PYTHONPATH=src.  The mutant is killed when a test
-fails or a test file fails to import (pytest exit status 1 or 2).  The
-selections are expected to pass on the unmutated tree, as Tier-1 checks.
+in that directory with PYTHONPATH=src.  The selection is the entry's test
+files, or, when the entry names test functions, each of them in each of
+its files (``file::name``).  The mutant is killed when a test fails or a
+test file fails to import (pytest exit status 1 or 2).  The selections
+are expected to pass on the unmutated tree, as Tier-1 checks.
 
 One line is printed per mutant.  The exit status is 1 if any mutant
 survives, any old text does not occur exactly once, or pytest ends any
-other way (a missing test file, say); otherwise 0.  Standard library
+other way (a missing test file or test name, say); otherwise 0.  Standard library
 only, apart from the test dependencies that pytest runs.
 
     python3 scripts/mutants.py
@@ -40,6 +42,10 @@ class Mutant(NamedTuple):
     new: str
     label: str
     tests: tuple[str, ...]
+    names: tuple[str, ...] = ()  # test functions to run; none runs the whole files
+
+    def selection(self) -> list[str]:
+        return [f"{test}::{name}" for test in self.tests for name in self.names] or [*self.tests]
 
 
 MUTANTS = (
@@ -156,6 +162,157 @@ MUTANTS = (
         "_indented holding its items beside the joined body",
         ("tests/test_cli.py",),
     ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "        if num:\n"
+        '            failures.append("pairing(G(y), y)',
+        "        if num > 0:\n"
+        '            failures.append("pairing(G(y), y)',
+        "_run_skew failing only positive pairings",
+        ("tests/test_cli.py",),
+        ("test_skew_runner_reports_a_negative_pairing",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "        if num:\n"
+        '            failures.append("monotone product',
+        "        if num > 0:\n"
+        '            failures.append("monotone product',
+        "_run_monotone failing only positive products",
+        ("tests/test_cli.py",),
+        ("test_monotone_runner_reports_a_nonzero_product",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "fc * diagonal[i] -",
+        "fc * (diagonal[i] + 1) -",
+        "family_products reading diagonal[i] + 1",
+        ("tests/test_certify.py",),
+        (
+            "test_family_product_checks_the_closed_form",
+            "test_distinctness_examples",
+        ),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "        family.q\n"
+        "        or y.tnum\n",
+        "        y.tnum\n",
+        "certified_for_every_tau without its family.q test",
+        ("tests/test_certify.py",),
+        ("test_certified_for_every_tau_refuses_every_point_when_q_is_nonzero",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "inv - aa * g.tnum, a * b * d",
+        "inv + aa * g.tnum, a * b * d",
+        "extension_family's x** tail alone built with +tau * g",
+        ("tests/test_certify.py",),
+        ("test_extension_point_tau_one",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "inv, aa = b * b * d, a * a",
+        "inv, aa = a * a * d, b * b",
+        "extension_family's x** with a^2 and b^2 swapped",
+        ("tests/test_certify.py",),
+        ("test_extension_point_tau_two",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "    for tau in taus:\n"
+        "        if tau <= 0:\n"
+        '            raise InvalidParameter(f"tau must be positive, got {tau}")\n',
+        "",
+        "extension_family without its tau <= 0 loop",
+        ("tests/test_certify.py",),
+        ("test_extension_point_rejects_nonpositive_tau",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        '({where})"], {}, {}',
+        '({where})"], {"failures": 1}, {}',
+        "run_suite's crash record with counts",
+        ("tests/test_cli.py",),
+        ("test_maximal_runner_reports_a_failed_recheck",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        'random.Random(f"{config.seed}:{name}")',
+        'random.Random(f"{config.seed}")',
+        "_rng seeding every suite alike",
+        ("tests/test_cli.py",),
+        ("test_markdown_report_is_byte_identical",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        '        object.__setattr__(self, "den", den)\n'
+        "        self.__post_init__()\n",
+        '        object.__setattr__(self, "den", den)\n',
+        "Seq.__init__ without its canonicalizer",
+        ("tests/test_seqspace.py",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "gs = list(map(gcd, nums, dens))",
+        "gs = [1] * len(nums)",
+        "_draw_summable without lowest terms",
+        ("tests/test_certify.py",),
+        ("test_samplers_match_per_entry_randint_reference",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "    while num and not num[-1]:\n"
+        "        num.pop()\n",
+        "",
+        "_trimmed without its loop",
+        ("tests/test_certify.py",),
+        ("test_samplers_match_per_entry_randint_reference",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "lam_den = g * scaled_gap",
+        "lam_den = scaled_gap",
+        "violation_witness's lambda denominator without g",
+        ("tests/test_certify.py",),
+        ("test_witness_matches_the_fraction_formula_on_any_pair",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "if lam_den < 0:",
+        "if False:",
+        "violation_witness without its sign move",
+        ("tests/test_certify.py",),
+        ("test_witness_matches_the_fraction_formula_on_any_pair",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "fd * pairing_numerator(a, d)) - fb * (",
+        "fd * pairing_numerator(a, d)) + fb * (",
+        "difference_terms adding the b side",
+        ("tests/test_certify.py",),
+        (
+            "test_monotone_product_examples",
+            "test_closure_margin_examples",
+        ),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "        if x.tnum:\n"
+        '            raise NonSummable("pairing of two sequences with nonzero tails diverges")\n',
+        "",
+        "pairing_numerator without its NonSummable raise",
+        ("tests/test_seqspace.py",),
+        ("test_pairing_examples",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "a1 * a2 * b1 * b2 * e",
+        "a1 * a2 * b1 * b2",
+        "family_products' closed-form denominator without e",
+        ("tests/test_certify.py",),
+        ("test_family_products_match_the_per_pair_loop",),
+    ),
 )
 
 
@@ -174,7 +331,7 @@ def run(mutant: Mutant) -> str:
         target.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         done = subprocess.run(
-            [*command, *mutant.tests],
+            [*command, *mutant.selection()],
             cwd=copy,
             env=dict(os.environ, PYTHONPATH="src"),
             capture_output=True,
@@ -195,7 +352,7 @@ def main(mutants: tuple[Mutant, ...] = MUTANTS) -> int:
         outcome = run(mutant)
         seconds = time.perf_counter() - start
         bad += outcome != "killed"
-        print(f"{outcome}: {mutant.label} [{', '.join(mutant.tests)}, {seconds:.0f} s]", flush=True)
+        print(f"{outcome}: {mutant.label} [{' '.join(mutant.selection())}, {seconds:.0f} s]", flush=True)
     print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
     return 1 if bad else 0
 

@@ -497,7 +497,7 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     dx, dy = x.den, y.den
     g = gcd(dx, dy)
     fx, fy = dx // g, dy // g
-    width = max(len(x.num), len(y.num)) + 2
+    width = max(len(x.num), len(y.num)) + 1
     xs = list(x.num) + [0] * (width - len(x.num))
     ys = list(y.num) + [0] * (width - len(y.num))
     for m in range(1, width):

@@ -30,6 +30,7 @@ from c0cert.cli import (
     MAX_SAMPLES,
     MAX_SUPPORT,
     MAX_TAUS,
+    SUITE_NAMES,
     ConfigError,
     SuiteConfig,
     SuiteReport,
@@ -132,8 +133,19 @@ def test_config_bounds_the_requested_work(tmp_path, capsys, field, bound):
     assert "config error" in err and field in err
 
 
-@pytest.mark.parametrize("field", ["taus", "ytilde"])
-def test_config_bounds_each_rational(field):
+@pytest.mark.parametrize(
+    "field, document, site",
+    [
+        ("taus", {"samples": 5, "taus": ["1/1000001", "2"]}, "taus[0]"),
+        (
+            "ytilde",
+            {"samples": 5, "ytilde": {"prefix": ["1/1000001", "1"], "tail": "0"}},
+            "ytilde: prefix[0]",
+        ),
+    ],
+    ids=["taus", "ytilde"],
+)
+def test_config_bounds_each_rational(monkeypatch, capsys, field, document, site):
     def obj(entry):
         if field == "taus":
             return {"taus": [entry, "2"]}
@@ -148,6 +160,13 @@ def test_config_bounds_each_rational(field):
             config_from_obj(obj(entry))
         message = str(excinfo.value)
         assert message.startswith(field) and str(b + 1) not in message
+    # the same bound end to end, on a config read from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
+    assert main(["run", "--config", "-", "--timestamp", "off"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"config error: {site}: |numerator| and denominator must be at most {b}\n",
+    )
 
 
 def test_main_rejects_rationals_past_the_bound(tmp_path, capsys):
@@ -170,10 +189,11 @@ def test_extensions_at_the_tau_cap():
         samples=5,
         taus=[rat_str(t) for t in taus],
         ytilde={"prefix": ytilde, "tail": "0"},
-        suites=["extensions"],
+        suites=["extensions", "gap"],  # the two suites that read taus
     )
-    (result,) = run_suite(config).results
-    assert result.passed
+    result, gap = run_suite(config).results
+    assert result.passed and gap.passed
+    assert len(gap.evidence["per_tau"]) == MAX_TAUS
     assert result.counts["tau_pairs"] == MAX_TAUS * (MAX_TAUS - 1) // 2 == 2016
     total = sum(map(Fraction, ytilde))
     assert result.evidence["distinctness_products"] == {
@@ -389,11 +409,42 @@ def test_every_config_rational_gets_one_message_set(field, value, message):
             ytilde=Seq(["3/7", "-1/5", "2/3", "1/11"]),
         ),
         SuiteConfig(samples=20, support_max=MAX_SUPPORT, coeff_bound=MAX_COEFF_BOUND),
+        SuiteConfig(ytilde=Seq(["1/2", 3])),
     ],
-    ids=["default", "many-taus", "caps"],
+    ids=["default", "many-taus", "caps", "ytilde"],
 )
 def test_config_round_trips_through_its_document(config):
     assert config_from_obj(config.to_obj()) == config
+
+
+def test_to_obj_round_trip():
+    # a Seq is written and read only as a config's ytilde
+    s = Seq(["1/2", -3], "7/5")
+    assert SuiteConfig(ytilde=s).to_obj()["ytilde"] == {"prefix": ["1/2", "-3"], "tail": "7/5"}
+
+
+bounded = st.integers(-MAX_COEFF_BOUND, MAX_COEFF_BOUND)
+positive = st.integers(1, MAX_COEFF_BOUND)
+configs = st.builds(
+    SuiteConfig,
+    seed=st.integers(min_value=0),
+    samples=st.integers(1, MAX_SAMPLES),
+    support_max=st.integers(2, MAX_SUPPORT),
+    coeff_bound=st.integers(1, MAX_COEFF_BOUND),
+    taus=st.lists(st.builds(Fraction, positive, positive), min_size=1, max_size=8, unique=True)
+    .map(tuple),
+    ytilde=st.lists(st.builds(Fraction, bounded, positive), max_size=8)
+    .filter(lambda entries: sum(entries) > 0)
+    .map(Seq),
+    suites=st.sets(st.sampled_from(SUITE_NAMES), min_size=1)
+    .map(lambda names: tuple(n for n in SUITE_NAMES if n in names)),
+)
+
+
+@given(configs)
+def test_obj_round_trip_property(config):
+    """Every admitted config reads back from its JSON document as itself."""
+    assert config_from_obj(json.loads(json.dumps(config.to_obj()))) == config
 
 
 def test_suite_shortcut_keeps_config_errors(tmp_path, capsys):
@@ -804,14 +855,15 @@ def test_a_family_point_crash_fails_both_family_suites(monkeypatch, tmp_path, ca
 #
 # Each runner compares the certify layer's (numerator, denominator) results
 # as integers, or leaves the comparison to certify itself (the maximal
-# suite).  A core raised by exactly 1 must fail the suite with the message
-# text the Fraction comparisons produced.
+# suite).  A core raised (or, for the sign checks, lowered) by exactly 1
+# must fail the suite with the message text the Fraction comparisons
+# produced.
 
 
-def raised_by_one(core):
+def raised_by_one(core, step=1):
     def raised(*args):
         num, den = core(*args)
-        return num + den, den
+        return num + step * den, den
 
     return raised
 
@@ -831,12 +883,25 @@ def test_extensions_runner_reports_a_wrong_margin(monkeypatch):
 
 def test_monotone_runner_reports_a_nonzero_product(monkeypatch):
     core = c0cert.cli.monotone_product_terms
-    monkeypatch.setattr(c0cert.cli, "monotone_product_terms", raised_by_one(core))
-    (result,) = run_suite(fast_config(suites=["monotone"])).results
+    for step in (1, -1):  # a product of either sign fails the suite
+        monkeypatch.setattr(c0cert.cli, "monotone_product_terms", raised_by_one(core, step))
+        (result,) = run_suite(fast_config(suites=["monotone"])).results
+        assert not result.passed
+        assert result.counts["failures"] == 25
+        assert result.failures == [f"monotone product {step} for a graph pair"] * 5
+        assert result.evidence["products"] == [str(step)]
+
+
+def test_skew_runner_reports_a_negative_pairing(monkeypatch):
+    core = c0cert.cli.pairing_numerator
+    monkeypatch.setattr(c0cert.cli, "pairing_numerator", lambda a, b: core(a, b) - 1)
+    (result,) = run_suite(fast_config(suites=["skew"])).results
     assert not result.passed
-    assert result.counts["failures"] == 25
-    assert result.failures == ["monotone product 1 for a graph pair"] * 5
-    assert result.evidence["products"] == ["1"]
+    assert result.counts == {"samples": 25, "failures": 25}
+    assert len(result.failures) == 5
+    assert all(message.startswith("pairing(G(y), y) = -") for message in result.failures)
+    values = result.evidence["pairing_values"]
+    assert values and all(value.startswith("-") for value in values)
 
 
 def test_maximal_runner_reports_a_failed_recheck(monkeypatch):

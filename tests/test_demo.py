@@ -1,7 +1,11 @@
-"""The walkthrough script, run as a user runs it: in a child interpreter."""
+"""The walkthrough script and ``python -m c0cert``, run as a user runs them:
+in a child interpreter, in development mode (-X dev, which shows the
+warnings Python hides by default) with every warning an error (-W error).
+"""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,15 +14,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_demo(*args: str) -> subprocess.CompletedProcess:
+def run_guarded(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "demo_counterexample.py"), *args],
+        [sys.executable, "-X", "dev", "-W", "error", *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def run_demo(*args: str) -> subprocess.CompletedProcess:
+    return run_guarded(str(ROOT / "scripts" / "demo_counterexample.py"), *args)
 
 
 def test_demo_prints_the_suites_evidence():
@@ -33,3 +41,10 @@ def test_demo_rejects_rationals_outside_the_wire_format():
     assert done.returncode == 2
     assert "config error" in done.stderr
     assert done.stdout == ""
+
+
+def test_timed_report_raises_no_warning():
+    done = run_guarded("-m", "c0cert", "all", "--timestamp", "on")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert "generated_at" in json.loads(done.stdout)

@@ -28,16 +28,19 @@ def test_the_library_path_loads_only_what_it_runs():
     # argparse serves only main, datetime only timed reports, and file I/O
     # needs no pathlib; dataclasses and inspect together cost more than the
     # rest of ``import c0cert.cli``.  No site (-S), so no .pth file preloads
-    # any of them.
+    # any of them.  The second list holds the top-level modules loaded after
+    # startup that are neither c0cert nor in the standard library.
     code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); before = set(sys.modules); "
         "from c0cert.cli import config_from_obj, render_json, run_suite; "
         "render_json(run_suite(config_from_obj({'samples': 3})), with_timing=False); "
         "print(sorted({'argparse', 'datetime', 'pathlib', 'dataclasses', 'inspect'}"
-        " & set(sys.modules)))"
+        " & set(sys.modules))); "
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'c0cert'}))"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"

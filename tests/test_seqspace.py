@@ -1,8 +1,7 @@
-"""Sequence arithmetic: canonical form, pairing, norms, serialization."""
+"""Sequence arithmetic: canonical form, pairing, norms, rational strings."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -10,16 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from c0cert.certify import GraphPoint, Member, extension_family, extension_point, violation_witness
-from c0cert.cli import (
-    MAX_COEFF_BOUND,
-    MAX_SAMPLES,
-    MAX_SUPPORT,
-    SUITE_NAMES,
-    SuiteConfig,
-    config_from_obj,
-)
-from c0cert.gossez import unit_u, unit_v
 from c0cert.seqspace import (
     ONES,
     ZERO,
@@ -149,33 +138,6 @@ def test_negation_keeps_the_canonical_form(s):
     assert not n.num or n.num[-1] != n.tnum
     assert is_canonical(n)
     assert n == Seq(tuple(-v for v in s.prefix), -s.tail) and -n == s
-
-
-def test_value_classes_have_no_instance_dict():
-    instances = [
-        (unit(2), "den"),
-        (GraphPoint(-unit_v(1), unit_u(1)), "x"),
-        (GraphPoint.from_y(unit_u(1)), "y"),
-        (extension_point(2, unit(1)), "tau"),
-        (extension_family([1, 2], unit(1)), "diagonal"),
-        (Member(), None),
-        (violation_witness(unit(1), ZERO), "product"),
-        (SuiteConfig(), "seed"),
-    ]
-    for obj, field in instances:
-        assert not hasattr(obj, "__dict__")
-        if field is not None:
-            with pytest.raises(AttributeError, match="cannot assign to field"):
-                setattr(obj, field, getattr(obj, field))
-            with pytest.raises(AttributeError):
-                delattr(obj, field)
-        # a new name is refused with exactly AttributeError
-        with pytest.raises(AttributeError) as refused:
-            obj.extra = 1
-        assert type(refused.value) is AttributeError
-        # not even the raw object protocol finds a place to store a new name
-        with pytest.raises(AttributeError):
-            object.__setattr__(obj, "extra", 1)
 
 
 def test_entry_rejects_nonpositive_index():
@@ -418,42 +380,10 @@ def test_unit_and_constant():
         unit(0)
 
 
-# --- serialization ----------------------------------------------------------
+# --- rational strings -------------------------------------------------------
 
 
 def test_rat_str_format():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5"
     assert rat_str(Fraction(-6, 8)) == "-3/4"
-
-
-def test_to_obj_round_trip():
-    # a Seq is written and read only as a config's ytilde
-    s = Seq(["1/2", -3], "7/5")
-    assert SuiteConfig(ytilde=s).to_obj()["ytilde"] == {"prefix": ["1/2", "-3"], "tail": "7/5"}
-    admitted = Seq(["1/2", 3])
-    assert config_from_obj(SuiteConfig(ytilde=admitted).to_obj()).ytilde == admitted
-
-
-bounded = st.integers(-MAX_COEFF_BOUND, MAX_COEFF_BOUND)
-positive = st.integers(1, MAX_COEFF_BOUND)
-configs = st.builds(
-    SuiteConfig,
-    seed=st.integers(min_value=0),
-    samples=st.integers(1, MAX_SAMPLES),
-    support_max=st.integers(2, MAX_SUPPORT),
-    coeff_bound=st.integers(1, MAX_COEFF_BOUND),
-    taus=st.lists(st.builds(Fraction, positive, positive), min_size=1, max_size=8, unique=True)
-    .map(tuple),
-    ytilde=st.lists(st.builds(Fraction, bounded, positive), max_size=8)
-    .filter(lambda entries: sum(entries) > 0)
-    .map(Seq),
-    suites=st.sets(st.sampled_from(SUITE_NAMES), min_size=1)
-    .map(lambda names: tuple(n for n in SUITE_NAMES if n in names)),
-)
-
-
-@given(configs)
-def test_obj_round_trip_property(config):
-    """Every admitted config reads back from its JSON document as itself."""
-    assert config_from_obj(json.loads(json.dumps(config.to_obj()))) == config

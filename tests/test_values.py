@@ -87,6 +87,23 @@ def test_copy_and_deepcopy_give_equal_objects():
             assert values(dup) == values(obj)
 
 
+def test_value_classes_have_no_instance_dict():
+    for obj in instances():
+        assert not hasattr(obj, "__dict__")
+        for field in FIELDS[type(obj)]:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        # a new name is refused with exactly AttributeError
+        with pytest.raises(AttributeError) as refused:
+            obj.extra = 1
+        assert type(refused.value) is AttributeError
+        # not even the raw object protocol finds a place to store a new name
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, "extra", 1)
+
+
 def test_pinned_reprs():
     assert repr(unit(2)) == "Seq(num=(0, 1), tnum=0, den=1)"
     assert repr(Member()) == "Member()"
