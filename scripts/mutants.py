@@ -51,9 +51,9 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "src/c0cert/gossez.py",
-        "out.append(total - yn - 2 * before)",
-        "out.append(total - 2 * before)",
-        "gossez_apply without its - yn term",
+        "out.append(yn + 2 * before - total)",
+        "out.append(2 * before - total)",
+        "neg_gossez_apply without its yn term",
         ("tests/test_gossez.py",),
     ),
     Mutant(
@@ -69,6 +69,7 @@ MUTANTS = (
         "",
         "certified_for_every_tau without the range law c = sum(y)",
         ("tests/test_certify.py",),
+        ("test_certified_for_every_tau_refuses_each_broken_identity",),
     ),
     Mutant(
         "src/c0cert/certify.py",
@@ -129,8 +130,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        "for key in sorted(value)]",
-        "for key in value]",
+        "for key in sorted(value)\n",
+        "for key in value\n",
         "_indented laying out keys unsorted",
         ("tests/test_cli.py",),
     ),
@@ -310,6 +311,38 @@ MUTANTS = (
         "a1 * a2 * b1 * b2 * e",
         "a1 * a2 * b1 * b2",
         "family_products' closed-form denominator without e",
+        ("tests/test_certify.py",),
+        ("test_family_products_match_the_per_pair_loop",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "if gap_num * exp_den != exp_num * gap_den or gap_num <= 0:",
+        "if gap_num <= 0:",
+        "_run_gap's gap check reduced to its sign",
+        ("tests/test_cli.py",),
+        ("test_gap_runner_reports_a_wrong_gap",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "g = gcd(num, den)",
+        "g = 1",
+        "terms_str without its gcd",
+        ("tests/test_seqspace.py",),
+        ("test_terms_str_writes_the_fractions_string",),
+    ),
+    Mutant(
+        "src/c0cert/gossez.py",
+        "out.append(yn + 2 * before - total)",
+        "out.append(yn + before - total)",
+        "neg_gossez_apply with 2 * before written as before",
+        ("tests/test_gossez.py",),
+        ("test_forward_map_matches_per_entry_reference",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "den = dss1 * fa * ds1 * fc",
+        "den = dss1 * fa * ds1",
+        "family_products yielding den without fc",
         ("tests/test_certify.py",),
         ("test_family_products_match_the_per_pair_loop",),
     ),

@@ -26,10 +26,12 @@ identities that are checked literally:
 
 Each value-returning certificate has an integer core, named with a
 ``_terms`` suffix, that returns an unreduced numerator over a positive
-denominator.  Verdicts are compared as integers: a/b = c/d holds iff
-a * d = b * c when b, d > 0, and a value's sign is its numerator's sign.  A
-Fraction is built once per reported value, by the public wrappers and by
-callers that report the value, never to compare it.
+denominator, and ``family_products`` yields such terms.  Verdicts are
+compared as integers: a/b = c/d holds iff a * d = b * c when b, d > 0, and a
+value's sign is its numerator's sign.  A reported value goes from its
+integer terms to its string through ``seqspace.terms_str``; a Fraction is
+built only for config values and by the public wrappers, never to compare
+a value.
 
 Sampling helpers are deterministic given their random.Random generator; use
 one generator per worker, with seeds derived by fixed splitting.
@@ -43,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import floordiv
 
-from .gossez import gossez_apply
+from .gossez import gossez_apply, neg_gossez_apply
 from .seqspace import (
     ZERO,
     Frozen,
@@ -55,6 +57,7 @@ from .seqspace import (
     pairing_numerator,
     _derived,
     rat,
+    terms_str,
 )
 
 __all__ = [
@@ -106,7 +109,7 @@ class GraphPoint(Frozen):
     def __init__(self, x: Seq, y: Seq) -> None:
         if x.tnum or y.tnum:
             raise InvalidParameter("graph points need zero tails on both components")
-        if x != -gossez_apply(y):
+        if x != neg_gossez_apply(y):
             raise InvalidParameter("not a graph point: x != -G(y)")
         Frozen.__init__(self, x, y)
 
@@ -117,7 +120,7 @@ class GraphPoint(Frozen):
         x = -G(y) is computed here, so membership reduces to the zero tail
         of x and is not re-verified by a second evaluation of G.
         """
-        x = -gossez_apply(y)
+        x = neg_gossez_apply(y)
         if x.tnum:
             raise InvalidParameter("graph points need zero tails on both components")
         # stored field by field, as Seq._from_canonical does: this runs per drawn point
@@ -203,7 +206,7 @@ def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> Exten
         # over a * b * d, 1/tau is b * b * d and tau * v / d is a * a * v
         inv, aa = b * b * d, a * a
         xstarstar = Seq._of([inv - aa * v for v in g.num], inv - aa * g.tnum, a * b * d)
-        points.append(_derived(ExtensionPoint, tau, ytilde, tau * ytilde, xstarstar))
+        points.append(_derived(ExtensionPoint, tau, ytilde, ytilde * tau, xstarstar))
     return ExtensionFamily(
         tuple(points),
         ytilde,
@@ -289,14 +292,14 @@ def closure_margin_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
     return difference_terms(ep.xstarstar, p.x, ep.xstar, p.y)
 
 
-def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, Rational]]:
+def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, int, int]]:
     """Every pairwise monotone product of family points, from the sequences themselves.
 
-    Yields ``(i, j, product)`` for i < j in the order of the nested loop
-    over i and then j > i, where, with xs = xstar and xss = xstarstar of
-    ``family.points``,
+    Yields ``(i, j, num, den)`` for i < j in the order of the nested loop
+    over i and then j > i, where num over den > 0, not reduced, is the
+    product: with xs = xstar and xss = xstarstar of ``family.points``,
 
-        product = pairing(xss_i - xss_j, xs_i - xs_j) .
+        num / den = pairing(xss_i - xss_j, xs_i - xs_j) .
 
     The points share ytilde by construction, and each pair must differ in
     tau.  Its product is checked against the closed form
@@ -316,9 +319,9 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, Rationa
     points thus cost n^2 pairings, not the 4 per pair of
     ``difference_terms``, and the numerator over the denominator is the one
     ``difference_terms`` builds.
-    Both checks run on integers; the one Fraction built per pair is the
-    yielded value.  Nothing is held per pair, so the caller decides what
-    to keep.
+    Both checks run on integers, and the yielded terms are integers too:
+    the caller builds a Fraction or a string from them.  Nothing is held
+    per pair, so the caller decides what to keep.
     """
     terms = [(p.xstarstar, p.xstar, p.tau.numerator, p.tau.denominator) for p in family.points]
     diagonal, s, e = family.diagonal, family.total.numerator, family.total.denominator
@@ -345,13 +348,13 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, Rationa
             # -(a1 b2 - a2 b1)^2 s / (a1 a2 b1 b2 e); compare it cross-multiplied.
             closed_num, closed_den = -k * k * s, a1 * a2 * b1 * b2 * e
             if num * closed_den != closed_num * den:
-                direct, closed = Fraction(num, den), Fraction(closed_num, closed_den)
+                direct, closed = terms_str(num, den), terms_str(closed_num, closed_den)
                 raise AssertionError(f"distinctness mismatch: direct {direct} != closed {closed}")
             if num >= 0:
                 raise AssertionError(
-                    f"distinctness product must be negative, got {Fraction(num, den)}"
+                    f"distinctness product must be negative, got {terms_str(num, den)}"
                 )
-            yield i, j, Fraction(num, den)
+            yield i, j, num, den
 
 
 def distinctness(
@@ -363,7 +366,8 @@ def distinctness(
     preconditions, the closed form and the strict sign.  Callers that pair
     many taus build one ``extension_family`` and stream its pairs.
     """
-    return next(family_products(extension_family((tau1, tau2), ytilde)))[2]
+    _, _, num, den = next(family_products(extension_family((tau1, tau2), ytilde)))
+    return Fraction(num, den)
 
 
 def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
@@ -517,7 +521,7 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
         if pairing_numerator(x, y) * dy != -total * total * dx:
             raise AssertionError("origin-witness product mismatch")
         return Violation(_ORIGIN, Fraction(-total * total, dy * dy))
-    if x != -gossez_apply(y):
+    if x != neg_gossez_apply(y):
         raise AssertionError("membership reconstruction failed")
     return Member()
 
@@ -661,7 +665,7 @@ def random_offgraph_pair(rng: random.Random, support_max: int, coeff_bound: int)
             if not total:
                 continue
             # -G(y) - (total / y.den) * ones, entrywise over y.den
-            x = Seq._of([-v - total for v in gossez_apply(y).num], 0, y.den)
+            x = Seq._of([v - total for v in neg_gossez_apply(y).num], 0, y.den)
         else:
             base = random_graph_point(rng, support_max, coeff_bound)
             delta = random_summable(rng, support_max, coeff_bound)

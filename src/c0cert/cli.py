@@ -74,7 +74,17 @@ from .certify import (
     Violation,
 )
 from .gossez import gossez_apply
-from .seqspace import Frozen, Rational, Seq, _shown, pairing_numerator, rat, rat_str, unit
+from .seqspace import (
+    Frozen,
+    Rational,
+    Seq,
+    _shown,
+    pairing_numerator,
+    rat,
+    rat_str,
+    terms_str,
+    unit,
+)
 
 __all__ = [
     "ConfigError",
@@ -294,8 +304,10 @@ def parse_config(source: str) -> SuiteConfig:
 # in parallel) without changing any draw.
 #
 # Runners check the certify layer's integer (numerator, denominator) results
-# by cross-multiplication and build a Fraction only for a value that reaches
-# the report or a failure message.
+# by cross-multiplication, and write a value that reaches the report or a
+# failure message from its terms with ``terms_str``.  The skew and monotone
+# runners build a Fraction for each failing value they collect, so that
+# ``_Seen`` compares values.
 #
 # The two family suites audit the tau-free proof of ``certified_for_every_tau``
 # in one pass over their sample, drawn one point at a time and not kept.
@@ -443,7 +455,7 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
     per_tau = [_Failures() for _ in fam.points]
     for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, fam.total):
         if num * exp_den != exp_num * den or num <= 0:
-            margin = Fraction(num, den)
+            margin = terms_str(num, den)
             per_tau[k].append("margin {} != {} at tau = {}", margin, fam.total, fam.points[k].tau)
     failures = _Failures()
     for tau_failures in per_tau:
@@ -453,7 +465,7 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
     keys = [rat_str(ep.tau) for ep in fam.points]
     # family_products raises unless each product is negative and matches its closed form
     products = {
-        f"{keys[i]},{keys[j]}": rat_str(product) for i, j, product in family_products(fam)
+        f"{keys[i]},{keys[j]}": terms_str(num, den) for i, j, num, den in family_products(fam)
     }
     counts = {"graph_points": config.samples, "taus": len(config.taus), "tau_pairs": len(products)}
     evidence = {"closure_margin": rat_str(fam.total), "distinctness_products": products}
@@ -468,20 +480,23 @@ def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
         first_num, first_den = first.setdefault(k, (num, den))
         if num * first_den != first_num * den:
             varies.add(k)
+    exp_num, exp_den = fam.total.numerator, fam.total.denominator
     per_tau = {}
     for k, (ep, diagonal) in enumerate(zip(fam.points, fam.diagonal)):
         if k in varies:
             failures.append("Fitzpatrick values not constant at tau = {}", ep.tau)
             continue
-        value = Fraction(*first[k])
-        self_pairing = Fraction(diagonal, ep.xstar.den * ep.xstarstar.den)
-        gap = self_pairing - value
-        if gap != fam.total or gap <= 0:
+        # the gap is the self-pairing diagonal / self_den minus the value num / den
+        num, den = first[k]
+        self_den = ep.xstar.den * ep.xstarstar.den
+        gap_num, gap_den = diagonal * den - num * self_den, self_den * den
+        gap = terms_str(gap_num, gap_den)
+        if gap_num * exp_den != exp_num * gap_den or gap_num <= 0:
             failures.append("gap {} != expected {} at tau = {}", gap, fam.total, ep.tau)
         per_tau[rat_str(ep.tau)] = {
-            "fitzpatrick_value": rat_str(value),
-            "self_pairing": rat_str(self_pairing),
-            "gap": rat_str(gap),
+            "fitzpatrick_value": terms_str(num, den),
+            "self_pairing": terms_str(diagonal, self_den),
+            "gap": gap,
         }
     counts = {"graph_points": config.samples, "taus": len(config.taus)}
     evidence = {"expected_gap": rat_str(fam.total), "per_tau": per_tau}
@@ -572,10 +587,18 @@ def _indented(value: object, pad: str = "\n") -> str:
     """
     inner = pad + "  "
     if isinstance(value, dict):
-        items = [f"{_quoted(key)}: {_indented(value[key], inner)}" for key in sorted(value)]
+        # a str item is quoted here, not in a call of its own; (value[key],)
+        # binds each item once, as a plain assignment
+        items = [
+            f"{_quoted(key)}: {_quoted(item) if isinstance(item, str) else _indented(item, inner)}"
+            for key in sorted(value)
+            for item in (value[key],)
+        ]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        items = [_indented(item, inner) for item in value]
+        items = [
+            _quoted(item) if isinstance(item, str) else _indented(item, inner) for item in value
+        ]
         brackets = "[]"
     else:
         return _quoted(value) if isinstance(value, str) else json.dumps(value)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .seqspace import NonSummable, Seq, unit
 
-__all__ = ["NotInDomain", "gossez_apply", "t_solve", "unit_u", "unit_v"]
+__all__ = ["NotInDomain", "gossez_apply", "neg_gossez_apply", "t_solve", "unit_u", "unit_v"]
 
 
 class NotInDomain(ValueError):
@@ -30,26 +30,36 @@ class NotInDomain(ValueError):
 def gossez_apply(y: Seq) -> Seq:
     """Image of a finitely supported sequence under the skew map.
 
-    One pass over the support with running before/after sums, on the
-    integer numerators over y's denominator.  The result has tail
-    -total_sum(y), so it stays eventually constant.
+    The negation of ``neg_gossez_apply(y)``: its tail is -total_sum(y), so
+    it stays eventually constant.
+    """
+    return -neg_gossez_apply(y)
 
-    The result inherits y's canonical form.  Its last entry y_L - total
-    differs from the tail -total because y_L != 0.  A prime dividing the
+
+def neg_gossez_apply(y: Seq) -> Seq:
+    """-G(y) for a finitely supported y: the x of the graph point above y when sum(y) = 0.
+
+    One pass over the support with a running sum before n, on the integer
+    numerators over y's denominator: entry n is (sum before n) - (sum after
+    n) = y_n + 2 * before - total.  The result has tail total_sum(y), so it
+    stays eventually constant.
+
+    The result inherits y's canonical form.  Its last entry total - y_L
+    differs from the tail total because y_L != 0.  A prime dividing the
     denominator, the tail and every entry would divide entry 1, which is
-    total - y_1, and each y_n + y_{n+1}, the difference of entries n and
-    n + 1; so it would divide every y_n, which y's gcd of 1 rules out.
+    y_1 - total, and each y_n + y_{n+1}, the difference of entries n + 1 and
+    n; so it would divide every y_n, which y's gcd of 1 rules out.
     """
     if y.tnum:
-        raise NonSummable("gossez_apply requires a finitely supported argument")
+        raise NonSummable("the skew map requires a finitely supported argument")
     total = sum(y.num)
     out = []
     before = 0
     for yn in y.num:
-        # (sum after n) - (sum before n), with sum after n = total - before - yn
-        out.append(total - yn - 2 * before)
+        # (sum before n) - (sum after n), with sum after n = total - before - yn
+        out.append(yn + 2 * before - total)
         before += yn
-    return Seq._from_canonical(tuple(out), -total, y.den)
+    return Seq._from_canonical(tuple(out), total, y.den)
 
 
 def t_solve(x: Seq) -> Seq:
@@ -78,7 +88,7 @@ def t_solve(x: Seq) -> Seq:
         raise NotInDomain(f"no finitely supported preimage: residual sum {residual}")
     entries_rev.reverse()
     y = Seq._of(entries_rev, 0, x.den)
-    if -gossez_apply(y) != x:
+    if neg_gossez_apply(y) != x:
         raise AssertionError("solver disagrees with the forward map")
     return y
 

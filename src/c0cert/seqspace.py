@@ -12,7 +12,9 @@ therefore decidable by exact comparison.
 The kernels that feed a verdict, ``pairing_numerator`` and
 ``difference_terms``, return unreduced integers rather than a ``Fraction``.
 Verdicts are compared as integers, cross-multiplied over positive
-denominators, and a ``Fraction`` is built once per reported value.
+denominators.  A reported value goes from its integer terms to its string
+through ``terms_str``, which writes what ``str(Fraction(num, den))`` would;
+a ``Fraction`` is built only for config values and by the public wrappers.
 
 A ``Seq`` keeps its entries as integer numerators over one shared positive
 denominator: ``num`` for the prefix, ``tnum`` for the tail, ``den`` for all
@@ -56,6 +58,7 @@ __all__ = [
     "ONES",
     "rat",
     "rat_str",
+    "terms_str",
     "pairing",
     "pairing_numerator",
     "difference_terms",
@@ -117,7 +120,19 @@ def _shown(value: object) -> str:
 
 def rat_str(value: Rational) -> str:
     """Serialize as "p/q" in lowest terms, or just "p" when q = 1."""
-    return str(value)
+    return terms_str(value.numerator, value.denominator)
+
+
+def terms_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ints num and den > 0, without building the Fraction.
+
+    The terms are reduced by their gcd, and the denominator is left out
+    when it reduces to 1, so zero is "0".
+    """
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 class Frozen:
@@ -231,7 +246,7 @@ class Seq(Frozen):
         """An instance holding exactly these fields; nothing is trimmed or reduced.
 
         For results whose canonical form follows from their inputs', such as
-        a negation or the image under the skew map (see ``gossez_apply``);
+        a negation or the image under the skew map (see ``neg_gossez_apply``);
         ``_of`` canonicalizes what it wraps here.
         """
         s = object.__new__(cls)

@@ -197,7 +197,14 @@ def tampered(family, points):
 
 def pair_product(family, i, j):
     """The product of points i and j of ``family`` alone, from a two-point family."""
-    return next(family_products(tampered(family, (family.points[i], family.points[j]))))[2]
+    two = tampered(family, (family.points[i], family.points[j]))
+    _, _, num, den = next(family_products(two))
+    return Fraction(num, den)
+
+
+def products(kernel):
+    """``(i, j, product)`` for each ``(i, j, num, den)`` the kernel yields."""
+    return ((i, j, Fraction(num, den)) for i, j, num, den in kernel)
 
 
 def test_family_product_checks_the_closed_form():
@@ -222,11 +229,12 @@ def family_pairs(n):
 def test_family_products_match_the_per_pair_loop(taus, ytilde):
     family = extension_family(taus, ytilde)
     points, pairs = family.points, family_pairs(len(taus))
-    assert list(family_products(family)) == [
+    assert all(den > 0 for *_, den in family_products(family))
+    assert list(products(family_products(family))) == [
         (i, j, distinctness(taus[i], taus[j], ytilde)) for i, j in pairs
     ]
     # the direct product, four pairings per pair, with no shared diagonal
-    assert [product for _, _, product in family_products(family)] == [
+    assert [product for _, _, product in products(family_products(family))] == [
         Fraction(*difference_terms(p.xstarstar, q.xstarstar, p.xstar, q.xstar))
         for p, q in ((points[i], points[j]) for i, j in pairs)
     ]
@@ -247,7 +255,7 @@ def test_family_products_fail_where_the_per_pair_loop_does(taus, ytilde, data):
     i, j = pairs[first]
     with pytest.raises(AssertionError, match="distinctness mismatch") as per_pair:
         pair_product(family, i, j)
-    kernel = family_products(family)
+    kernel = products(family_products(family))
     assert [next(kernel) for _ in passed] == passed
     with pytest.raises(AssertionError) as raised:
         next(kernel)
@@ -268,19 +276,19 @@ def test_family_products_check_every_pair(taus, ytilde, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(c0cert.certify, "pairing_numerator", off_by_one)
-        products = {}
+        values = {}
         for k, l in pairs:
             try:
-                products[k, l] = pair_product(family, k, l)
+                values[k, l] = pair_product(family, k, l)
             except AssertionError as exc:
-                products[k, l] = str(exc)
-        assert [pair for pair, value in products.items() if isinstance(value, str)] == [(i, j)]
-        kernel = family_products(family)
+                values[k, l] = str(exc)
+        assert [pair for pair, value in values.items() if isinstance(value, str)] == [(i, j)]
+        kernel = products(family_products(family))
         passed = pairs[: pairs.index((i, j))]
-        assert [next(kernel) for _ in passed] == [(k, l, products[k, l]) for k, l in passed]
+        assert [next(kernel) for _ in passed] == [(k, l, values[k, l]) for k, l in passed]
         with pytest.raises(AssertionError) as raised:
             next(kernel)
-    assert str(raised.value) == products[i, j]
+    assert str(raised.value) == values[i, j]
 
 
 def test_family_products_reject_equal_taus():

@@ -925,18 +925,20 @@ def test_maximal_runner_reports_a_failed_recheck(monkeypatch):
 
 def test_gap_runner_reports_a_wrong_gap(monkeypatch):
     core = c0cert.cli.fitzpatrick_value_terms
-    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", raised_by_one(core))
-    (result,) = run_suite(fast_config(suites=["gap"])).results
-    assert not result.passed
-    assert result.failures == [
-        "gap 0 != expected 1 at tau = 1",
-        "gap 0 != expected 1 at tau = 2",
-    ]
-    assert result.evidence["per_tau"]["2"] == {
-        "fitzpatrick_value": "1",
-        "self_pairing": "1",
-        "gap": "0",
-    }
+    # a gap of 0 fails both tests, a gap of 2 only the comparison with s = 1
+    for step, gap in ((1, 0), (-1, 2)):
+        monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", raised_by_one(core, step))
+        (result,) = run_suite(fast_config(suites=["gap"])).results
+        assert not result.passed
+        assert result.failures == [
+            f"gap {gap} != expected 1 at tau = 1",
+            f"gap {gap} != expected 1 at tau = 2",
+        ]
+        assert result.evidence["per_tau"]["2"] == {
+            "fitzpatrick_value": str(step),
+            "self_pairing": "1",
+            "gap": str(gap),
+        }
 
 
 # --- family audit against the point-by-point loop --------------------------
@@ -1118,9 +1120,9 @@ def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
 
 
 # sha256 of render_json(report, with_timing=False) for extensions and gap at
-# 2,000 samples with G replaced by the identity, so that q != 0, with the
-# crash site's line number written as LINE.  Pinned from the runners that
-# kept the whole sample on this path.
+# 2,000 samples with G replaced by the identity, so that q != 0, and -G by
+# the negation, with the crash site's line number written as LINE.  Pinned
+# from the runners that kept the whole sample on this path.
 NON_SKEW_REPORT_SHA256 = {
     "1,2": "e5d5b157d1f61dfd16fe0c14e28003254bd2b88507a56fb55d4b7a055c9d2367",
     "1": "8940f44cada4ff892d548fe9353fdc58d750939c3058e6de0860f0782c207e27",
@@ -1131,6 +1133,7 @@ NON_SKEW_REPORT_SHA256 = {
 def test_family_suites_hold_no_sample_when_the_proof_covers_no_point(monkeypatch, taus):
     """With q != 0 every point is evaluated at every tau, and none is kept."""
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
+    monkeypatch.setattr("c0cert.certify.neg_gossez_apply", lambda y: -y)
     peaks = {}
     for samples in (500, 2000):
         config = fast_config(samples=samples, taus=taus.split(","), suites=["extensions", "gap"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from c0cert.gossez import (
     NotInDomain,
     gossez_apply,
+    neg_gossez_apply,
     t_solve,
     unit_u,
     unit_v,
@@ -76,11 +77,11 @@ def test_matches_brute_force_oracle(y):
     st.integers(min_value=1, max_value=12),
 )
 def test_image_is_canonical_as_built(y, nums, den):
-    """gossez_apply skips the canonicalizer: its output must already be canonical."""
+    """Both images skip the canonicalizer: each must already be canonical."""
     for s in (y, Seq._of(list(nums), 0, den), Seq._of(list(nums), 0, den) * 6):
-        g = gossez_apply(s)
-        again = Seq._of(list(g.num), g.tnum, g.den)
-        assert (g.num, g.tnum, g.den) == (again.num, again.tnum, again.den)
+        for g in (neg_gossez_apply(s), gossez_apply(s)):
+            again = Seq._of(list(g.num), g.tnum, g.den)
+            assert (g.num, g.tnum, g.den) == (again.num, again.tnum, again.den)
 
 
 @given(summables())

@@ -10,7 +10,7 @@ _SPEC = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mu
 mutants = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(mutants)
 
-# the first mutant (G without - yn), with a selection that never evaluates G
+# the first mutant (-G without yn), with a selection that never evaluates G
 BLIND = mutants.MUTANTS[0]._replace(tests=("tests/test_package.py",))
 
 
