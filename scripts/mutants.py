@@ -14,7 +14,8 @@ its files (``file::name``).  The mutant is killed when a test fails or a
 test file fails to import (pytest exit status 1 or 2).  The selections
 are expected to pass on the unmutated tree, as Tier-1 checks.
 
-One line is printed per mutant.  The exit status is 1 if any mutant
+One line is printed per mutant, and a last line with the number killed
+and the gate's wall time.  The exit status is 1 if any mutant
 survives, any old text does not occur exactly once, or pytest ends any
 other way (a missing test file or test name, say); otherwise 0.  Standard library
 only, apart from the test dependencies that pytest runs.
@@ -78,6 +79,7 @@ MUTANTS = (
         "",
         "violation_witness without its witness product recheck",
         ("tests/test_certify.py",),
+        ("test_an_off_by_one_pairing_trips_both_witness_checks",),
     ),
     Mutant(
         "src/c0cert/certify.py",
@@ -113,6 +115,7 @@ MUTANTS = (
         "other.num + (self.tnum,)",
         "Seq._combine padding other's prefix with self's tail",
         ("tests/test_seqspace.py",),
+        ("test_linear_ops_match_per_entry_reference",),
     ),
     Mutant(
         "src/c0cert/cli.py",
@@ -134,6 +137,7 @@ MUTANTS = (
         "for key in value\n",
         "_indented laying out keys unsorted",
         ("tests/test_cli.py",),
+        ("test_failing_and_passing_reports_are_rendered_as_json_dumps_renders_them",),
     ),
     Mutant(
         "src/c0cert/cli.py",
@@ -346,6 +350,30 @@ MUTANTS = (
         ("tests/test_certify.py",),
         ("test_family_products_match_the_per_pair_loop",),
     ),
+    Mutant(
+        "src/c0cert/cli.py",
+        'if value == "0" or',
+        "if value == 0 or",
+        "_Seen.add comparing its string value with the int 0",
+        ("tests/test_cli.py",),
+        ("test_seen_values_keep_zero_and_the_first_distinct_failing_values",),
+    ),
+    Mutant(
+        "src/c0cert/gossez.py",
+        "residual = terms_str(s_next, x.den)",
+        "residual = terms_str(-s_next, x.den)",
+        "t_solve's residual written with its sign flipped",
+        ("tests/test_gossez.py",),
+        ("test_solver_rejects_first_coordinate",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "proven_num, proven_den = proven",
+        "proven_den, proven_num = proven",
+        "_evaluations reading the proven value's terms swapped",
+        ("tests/test_cli.py",),
+        ("test_a_passing_family_suite_evaluates_only_its_first_point",),
+    ),
 )
 
 
@@ -380,13 +408,15 @@ def run(mutant: Mutant) -> str:
 
 def main(mutants: tuple[Mutant, ...] = MUTANTS) -> int:
     bad = 0
+    started = time.perf_counter()
     for mutant in mutants:
         start = time.perf_counter()
         outcome = run(mutant)
         seconds = time.perf_counter() - start
         bad += outcome != "killed"
         print(f"{outcome}: {mutant.label} [{' '.join(mutant.selection())}, {seconds:.0f} s]", flush=True)
-    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
+    total = time.perf_counter() - started
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed in {total:.0f} s")
     return 1 if bad else 0
 
 

@@ -30,8 +30,8 @@ denominator, and ``family_products`` yields such terms.  Verdicts are
 compared as integers: a/b = c/d holds iff a * d = b * c when b, d > 0, and a
 value's sign is its numerator's sign.  A reported value goes from its
 integer terms to its string through ``seqspace.terms_str``; a Fraction is
-built only for config values and by the public wrappers, never to compare
-a value.
+built only by ``rat``, for config values, and by the public wrappers, never
+to compare a value, and ``cli`` and ``gossez`` build none of their own.
 
 Sampling helpers are deterministic given their random.Random generator; use
 one generator per worker, with seeds derived by fixed splitting.

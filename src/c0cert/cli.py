@@ -52,7 +52,6 @@ import random
 import sys
 import time
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quoted
 
@@ -139,7 +138,7 @@ class SuiteConfig(Frozen):
         samples: int = 1000,
         support_max: int = 16,
         coeff_bound: int = 100,
-        taus: tuple[Rational, ...] = (Fraction(1), Fraction(2)),
+        taus: tuple[Rational, ...] = (rat(1), rat(2)),
         ytilde: Seq = unit(1),
         suites: tuple[str, ...] = SUITE_NAMES,
     ) -> None:
@@ -306,8 +305,8 @@ def parse_config(source: str) -> SuiteConfig:
 # Runners check the certify layer's integer (numerator, denominator) results
 # by cross-multiplication, and write a value that reaches the report or a
 # failure message from its terms with ``terms_str``.  The skew and monotone
-# runners build a Fraction for each failing value they collect, so that
-# ``_Seen`` compares values.
+# runners collect those strings in their ``_Seen``: equal rationals have
+# equal strings, so the set keeps distinct values.
 #
 # The two family suites audit the tau-free proof of ``certified_for_every_tau``
 # in one pass over their sample, drawn one point at a time and not kept.
@@ -323,10 +322,6 @@ def parse_config(source: str) -> SuiteConfig:
 # its messages are those of a loop over the taus.
 
 _Family = Callable[[], ExtensionFamily]
-
-# The one zero the skew and monotone suites record as a seen value, and the
-# Fitzpatrick value the gap suite's proof gives.
-_ZERO = Fraction(0)
 
 
 class _Failures(list):
@@ -351,15 +346,16 @@ class _Failures(list):
 
 
 class _Seen(set):
-    """The values a skew or monotone runner lists: 0, if seen, and its first failing ones.
+    """The values a skew or monotone runner lists: "0", if seen, and its first failing ones.
 
-    It keeps at most MAX_FAILURES_SHOWN distinct failing (nonzero) values,
-    the first seen, so the values a failing run lists, like its messages,
-    do not grow with its failures; its counts carry their number.
+    Each value is the string ``terms_str`` writes.  It keeps at most
+    MAX_FAILURES_SHOWN distinct failing (nonzero) values, the first seen, so
+    the values a failing run lists, like its messages, do not grow with its
+    failures; its counts carry their number.
     """
 
-    def add(self, value: Fraction) -> None:
-        if not value or len(self) < MAX_FAILURES_SHOWN + (_ZERO in self):
+    def add(self, value: str) -> None:
+        if value == "0" or len(self) < MAX_FAILURES_SHOWN + ("0" in self):
             set.add(self, value)
 
 
@@ -379,11 +375,11 @@ def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple
         y = random_summable(rng, config.support_max, config.coeff_bound)
         image = gossez_apply(y)
         num = pairing_numerator(image, y)
-        value = Fraction(num, image.den * y.den) if num else _ZERO
+        value = terms_str(num, image.den * y.den) if num else "0"
         seen.add(value)
         if num:
             failures.append("pairing(G(y), y) = {} for y = {}", value, y)
-    evidence = {"pairing_values": sorted(rat_str(v) for v in seen)}
+    evidence = {"pairing_values": sorted(seen)}
     return failures, {"samples": config.samples}, evidence
 
 
@@ -394,11 +390,11 @@ def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> t
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
         q = random_graph_point(rng, config.support_max, config.coeff_bound)
         num, den = monotone_product_terms(p, q)
-        value = Fraction(num, den) if num else _ZERO
+        value = terms_str(num, den) if num else "0"
         seen.add(value)
         if num:
             failures.append("monotone product {} for a graph pair", value)
-    evidence = {"products": sorted(rat_str(v) for v in seen)}
+    evidence = {"products": sorted(seen)}
     return failures, {"pairs": config.samples}, evidence
 
 
@@ -425,15 +421,17 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
 
 
 def _evaluations(
-    config: SuiteConfig, rng: random.Random, fam: ExtensionFamily, terms: Callable, proven: Fraction
+    config: SuiteConfig, rng: random.Random, fam: ExtensionFamily, terms: Callable, proven: tuple
 ) -> Iterator[tuple[int, int, int]]:
     """``(k, num, den)`` for each direct evaluation ``terms(fam.points[k], p)`` the audit needs.
 
     ``terms`` is ``closure_margin_terms`` or ``fitzpatrick_value_terms``,
-    and ``proven`` the value the proof gives them.  The first sampled point
-    is evaluated at every tau, in tau order, before any other point; the
-    rest follow by the rule above.
+    and ``proven`` the value the proof gives them, as integer terms
+    ``(num, den)`` with den > 0.  The first sampled point is evaluated at
+    every tau, in tau order, before any other point; the rest follow by the
+    rule above.
     """
+    proven_num, proven_den = proven
     points = _graph_sample(config, rng)
     first = next(points, None)
     if first is None:
@@ -441,7 +439,7 @@ def _evaluations(
     missed = []
     for k, ep in enumerate(fam.points):
         num, den = terms(ep, first)
-        if num * proven.denominator != proven.numerator * den:
+        if num * proven_den != proven_num * den:
             missed.append(k)
         yield k, num, den
     for p in points:
@@ -453,7 +451,7 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
     fam = family()
     exp_num, exp_den = fam.total.numerator, fam.total.denominator
     per_tau = [_Failures() for _ in fam.points]
-    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, fam.total):
+    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, (exp_num, exp_den)):
         if num * exp_den != exp_num * den or num <= 0:
             margin = terms_str(num, den)
             per_tau[k].append("margin {} != {} at tau = {}", margin, fam.total, fam.points[k].tau)
@@ -476,7 +474,7 @@ def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = _Failures()
     fam = family()
     first, varies = {}, set()  # each tau's first value; the taus where another differs
-    for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms, _ZERO):
+    for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms, (0, 1)):
         first_num, first_den = first.setdefault(k, (num, den))
         if num * first_den != first_num * den:
             varies.add(k)

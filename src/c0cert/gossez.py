@@ -16,9 +16,7 @@ is exactly the zero-sum summable sequences.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .seqspace import NonSummable, Seq, unit
+from .seqspace import NonSummable, Seq, terms_str, unit
 
 __all__ = ["NotInDomain", "gossez_apply", "neg_gossez_apply", "t_solve", "unit_u", "unit_v"]
 
@@ -84,7 +82,7 @@ def t_solve(x: Seq) -> Seq:
         entries_rev.append(s_i - s_next)
         s_next = s_i
     if s_next != 0:
-        residual = Fraction(s_next, x.den)
+        residual = terms_str(s_next, x.den)
         raise NotInDomain(f"no finitely supported preimage: residual sum {residual}")
     entries_rev.reverse()
     y = Seq._of(entries_rev, 0, x.den)

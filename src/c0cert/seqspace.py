@@ -14,7 +14,8 @@ The kernels that feed a verdict, ``pairing_numerator`` and
 Verdicts are compared as integers, cross-multiplied over positive
 denominators.  A reported value goes from its integer terms to its string
 through ``terms_str``, which writes what ``str(Fraction(num, den))`` would;
-a ``Fraction`` is built only for config values and by the public wrappers.
+a ``Fraction`` is built only by ``rat``, for config values, and by the
+public wrappers; ``cli`` and ``gossez`` build none of their own.
 
 A ``Seq`` keeps its entries as integer numerators over one shared positive
 denominator: ``num`` for the prefix, ``tnum`` for the tail, ``den`` for all

@@ -1100,6 +1100,32 @@ def test_a_failing_family_suite_draws_its_sample_once(monkeypatch):
         assert yielded == list(range(config.samples))
 
 
+def test_a_passing_family_suite_evaluates_only_its_first_point(monkeypatch):
+    """The proof covers every later point, and the first point misses at no tau."""
+    calls = {"closure_margin_terms": 0, "fitzpatrick_value_terms": 0}
+
+    def counted(name):
+        core = getattr(c0cert.cli, name)
+
+        def terms(ep, p):
+            calls[name] += 1
+            return core(ep, p)
+
+        return terms
+
+    for name in calls:
+        monkeypatch.setattr(c0cert.cli, name, counted(name))
+    # s = 8/35, so the proven value's numerator and denominator cannot trade places
+    config = fast_config(
+        samples=50,
+        ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"},
+        taus=[1, 2, "1/3"],
+        suites=["extensions", "gap"],
+    )
+    assert run_suite(config).passed
+    assert calls == {"closure_margin_terms": 3, "fitzpatrick_value_terms": 3}
+
+
 def failing_extensions_peak(samples: int) -> tuple[int, SuiteResult]:
     """tracemalloc peak, in bytes, of ``run_suite`` over ``extensions``, and its result."""
     peak, report = traced_run(fast_config(samples=samples, suites=["extensions"]))
@@ -1144,10 +1170,21 @@ def test_family_suites_hold_no_sample_when_the_proof_covers_no_point(monkeypatch
 
 
 def test_seen_values_keep_zero_and_the_first_distinct_failing_values():
-    seen = c0cert.cli._Seen()
-    for value in [3, 0, 1, 3, 2, 5, 4, 6, 0, 7]:
-        seen.add(Fraction(value))
-    assert seen == {0, 1, 2, 3, 4, 5}  # MAX_FAILURES_SHOWN = 5 nonzero values
+    # "0" seen before the five failing values, and seen only after them
+    for values in ("3 0 1 3 2 5 4 6 0 7", "3 1 3 2 5 4 6 0 7 0"):
+        seen = c0cert.cli._Seen()
+        for value in values.split():
+            seen.add(value)
+        assert seen == {"0", "1", "2", "3", "4", "5"}  # MAX_FAILURES_SHOWN = 5 nonzero values
+
+
+def test_failing_values_equal_as_rationals_are_listed_once(monkeypatch):
+    """Every pairing is 1, through terms that differ from sample to sample."""
+    monkeypatch.setattr(c0cert.cli, "pairing_numerator", lambda a, b: a.den * b.den)
+    (result,) = run_suite(fast_config(suites=["skew"])).results
+    assert result.evidence == {"pairing_values": ["1"]}
+    assert result.counts == {"samples": 25, "failures": 25}
+    assert len(result.failures) == 5
 
 
 def test_failing_skew_suite_lists_at_most_six_values(monkeypatch):

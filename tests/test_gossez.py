@@ -132,8 +132,11 @@ def test_solver_inverts_unit_vectors():
 
 
 def test_solver_rejects_first_coordinate():
-    with pytest.raises(NotInDomain):
-        t_solve(unit(1))
+    # the recurrence ends at S_1 = -x_1 - S_2 = -x_1, with S_2 = 0, not at 0
+    for x, residual in ((unit(1), "-1"), (Seq(["1/3"]), "-1/3")):
+        message = f"no finitely supported preimage: residual sum {residual}"
+        with pytest.raises(NotInDomain, match=f"^{message}$"):
+            t_solve(x)
 
 
 def test_solver_zero():
