@@ -23,7 +23,6 @@ import sys
 from c0cert.certify import extension_family
 from c0cert.cli import ConfigError, SuiteResult, config_from_obj, run_suite
 from c0cert.gossez import gossez_apply, t_solve, unit_u, unit_v
-from c0cert.seqspace import rat_str
 
 
 def section(result: SuiteResult, title: str) -> bool:
@@ -69,7 +68,7 @@ def main() -> int:
         print(f"worst (closest to zero) witness product: {worst}")
     if section(extensions, "the extension family"):
         for ep in extension_family(config.taus, config.ytilde).points:
-            print(f"tau = {rat_str(ep.tau):>4}:  x** = {ep.xstarstar}")
+            print(f"tau = {str(ep.tau):>4}:  x** = {ep.xstarstar}")
         margin = extensions.evidence["closure_margin"]
         print(f"margin on every sampled graph point = pairing(ones, ytilde) = {margin} > 0")
         print("pairwise incompatibility:")

@@ -316,7 +316,7 @@ MUTANTS = (
         "a1 * a2 * b1 * b2",
         "family_products' closed-form denominator without e",
         ("tests/test_certify.py",),
-        ("test_family_products_match_the_per_pair_loop",),
+        ("test_family_products_match_the_direct_products_over_mixed_denominators",),
     ),
     Mutant(
         "src/c0cert/cli.py",
@@ -348,7 +348,7 @@ MUTANTS = (
         "den = dss1 * fa * ds1",
         "family_products yielding den without fc",
         ("tests/test_certify.py",),
-        ("test_family_products_match_the_per_pair_loop",),
+        ("test_family_products_match_the_direct_products_over_mixed_denominators",),
     ),
     Mutant(
         "src/c0cert/cli.py",
@@ -373,6 +373,82 @@ MUTANTS = (
         "_evaluations reading the proven value's terms swapped",
         ("tests/test_cli.py",),
         ("test_a_passing_family_suite_evaluates_only_its_first_point",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        'failures.append("graph point misclassified: {!r}", verdict)',
+        "pass",
+        "_run_maximal passing a graph point taken for a violation",
+        ("tests/test_cli.py",),
+        ("test_maximal_runner_reports_a_graph_point_taken_for_a_violation",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        'failures.append("perturbed pair misclassified as a member")',
+        "pass",
+        "_run_maximal passing a perturbed pair taken for a member",
+        ("tests/test_cli.py",),
+        ("test_maximal_runner_reports_a_perturbed_pair_taken_for_a_member",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        """lines.append(f"- duration_s = {entry['duration_s']}")""",
+        "pass",
+        "render_markdown without its duration lines",
+        ("tests/test_cli.py",),
+        ("test_failing_markdown_report_with_timing",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        'lines.append(f"- FAILURE: {message}")',
+        "pass",
+        "render_markdown without its failure lines",
+        ("tests/test_cli.py",),
+        ("test_failing_markdown_report_with_timing",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "        if x.tnum or y.tnum:\n"
+        '            raise InvalidParameter("graph points need zero tails on both components")\n',
+        "",
+        "GraphPoint.__init__ without its zero-tail check",
+        ("tests/test_certify.py",),
+        ("test_graph_point_rejects_a_tail",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "    if ytilde.tnum:\n"
+        '        raise InvalidParameter("ytilde must be finitely supported")\n',
+        "",
+        "extension_family without its finite-support check",
+        ("tests/test_certify.py",),
+        ("test_extension_family_rejects_a_direction_with_a_tail",),
+    ),
+    Mutant(
+        "src/c0cert/gossez.py",
+        "    if neg_gossez_apply(y) != x:\n"
+        '        raise AssertionError("solver disagrees with the forward map")\n',
+        "",
+        "t_solve without its forward-map recheck",
+        ("tests/test_gossez.py",),
+        ("test_solver_refuses_a_disagreeing_forward_map",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "    if x != neg_gossez_apply(y):\n"
+        '        raise AssertionError("membership reconstruction failed")\n',
+        "",
+        "violation_witness without its membership reconstruction",
+        ("tests/test_certify.py",),
+        ("test_witness_refuses_a_failed_membership_reconstruction",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "            if num >= 0:\n",
+        "            if False:\n",
+        "family_products without its sign check",
+        ("tests/test_certify.py",),
+        ("test_family_products_refuse_a_nonnegative_product",),
     ),
 )
 

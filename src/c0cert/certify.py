@@ -28,10 +28,12 @@ Each value-returning certificate has an integer core, named with a
 ``_terms`` suffix, that returns an unreduced numerator over a positive
 denominator, and ``family_products`` yields such terms.  Verdicts are
 compared as integers: a/b = c/d holds iff a * d = b * c when b, d > 0, and a
-value's sign is its numerator's sign.  A reported value goes from its
-integer terms to its string through ``seqspace.terms_str``; a Fraction is
-built only by ``rat``, for config values, and by the public wrappers, never
-to compare a value, and ``cli`` and ``gossez`` build none of their own.
+value's sign is its numerator's sign.  A Fraction is built only by
+``rat``, for config values, and by the public wrappers, never to compare a
+value, and ``cli`` and ``gossez`` build none of their own.  Each value form
+has one writer: a value held as integer terms is written with
+``seqspace.terms_str``, and a Fraction, such as a tau or a violation
+product, with ``str()``.
 
 Sampling helpers are deterministic given their random.Random generator; use
 one generator per worker, with seeds derived by fixed splitting.

@@ -80,7 +80,6 @@ from .seqspace import (
     _shown,
     pairing_numerator,
     rat,
-    rat_str,
     terms_str,
     unit,
 )
@@ -150,10 +149,10 @@ class SuiteConfig(Frozen):
             "samples": self.samples,
             "support_max": self.support_max,
             "coeff_bound": self.coeff_bound,
-            "taus": [rat_str(t) for t in self.taus],
+            "taus": [str(t) for t in self.taus],
             "ytilde": {
-                "prefix": [rat_str(v) for v in self.ytilde.prefix],
-                "tail": rat_str(self.ytilde.tail),
+                "prefix": [terms_str(v, self.ytilde.den) for v in self.ytilde.num],
+                "tail": terms_str(self.ytilde.tnum, self.ytilde.den),
             },
             "suites": list(self.suites),
         }
@@ -303,10 +302,12 @@ def parse_config(source: str) -> SuiteConfig:
 # in parallel) without changing any draw.
 #
 # Runners check the certify layer's integer (numerator, denominator) results
-# by cross-multiplication, and write a value that reaches the report or a
-# failure message from its terms with ``terms_str``.  The skew and monotone
-# runners collect those strings in their ``_Seen``: equal rationals have
-# equal strings, so the set keeps distinct values.
+# by cross-multiplication.  A value that reaches the report or a failure
+# message is written from its terms with ``terms_str``, or, if the runner
+# holds it as a Fraction (a tau, the family's total, the worst violation
+# product), with ``str()``.  The skew and monotone runners collect those
+# strings in their ``_Seen``: equal rationals have equal strings, so the
+# set keeps distinct values.
 #
 # The two family suites audit the tau-free proof of ``certified_for_every_tau``
 # in one pass over their sample, drawn one point at a time and not kept.
@@ -415,7 +416,7 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
             failures.append("perturbed pair misclassified as a member")
         elif worst is None or verdict.product > worst:
             worst = verdict.product
-    evidence = {} if worst is None else {"max_violation_product": rat_str(worst)}
+    evidence = {} if worst is None else {"max_violation_product": str(worst)}
     counts = {"members": config.samples, "violations": config.samples}
     return failures, counts, evidence
 
@@ -460,13 +461,13 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
         failures.extend(tau_failures)
     if len(fam.points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
-    keys = [rat_str(ep.tau) for ep in fam.points]
+    keys = [str(ep.tau) for ep in fam.points]
     # family_products raises unless each product is negative and matches its closed form
     products = {
         f"{keys[i]},{keys[j]}": terms_str(num, den) for i, j, num, den in family_products(fam)
     }
     counts = {"graph_points": config.samples, "taus": len(config.taus), "tau_pairs": len(products)}
-    evidence = {"closure_margin": rat_str(fam.total), "distinctness_products": products}
+    evidence = {"closure_margin": str(fam.total), "distinctness_products": products}
     return failures, counts, evidence
 
 
@@ -491,13 +492,13 @@ def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
         gap = terms_str(gap_num, gap_den)
         if gap_num * exp_den != exp_num * gap_den or gap_num <= 0:
             failures.append("gap {} != expected {} at tau = {}", gap, fam.total, ep.tau)
-        per_tau[rat_str(ep.tau)] = {
+        per_tau[str(ep.tau)] = {
             "fitzpatrick_value": terms_str(num, den),
             "self_pairing": terms_str(diagonal, self_den),
             "gap": gap,
         }
     counts = {"graph_points": config.samples, "taus": len(config.taus)}
-    evidence = {"expected_gap": rat_str(fam.total), "per_tau": per_tau}
+    evidence = {"expected_gap": str(fam.total), "per_tau": per_tau}
     return failures, counts, evidence
 
 

@@ -12,10 +12,15 @@ therefore decidable by exact comparison.
 The kernels that feed a verdict, ``pairing_numerator`` and
 ``difference_terms``, return unreduced integers rather than a ``Fraction``.
 Verdicts are compared as integers, cross-multiplied over positive
-denominators.  A reported value goes from its integer terms to its string
-through ``terms_str``, which writes what ``str(Fraction(num, den))`` would;
-a ``Fraction`` is built only by ``rat``, for config values, and by the
-public wrappers; ``cli`` and ``gossez`` build none of their own.
+denominators.  A ``Fraction`` is built only by ``rat``, for config values,
+and by the public wrappers; ``cli`` and ``gossez`` build none of their own.
+
+Each value form has one writer.  A ``Fraction`` is written with ``str()``,
+which gives "p" or "p/q" in lowest terms with a positive denominator.
+Integer terms are written with ``terms_str(num, den)``, which gives the same
+string without building the ``Fraction``.  So no ``Fraction`` is built only
+to be written: ``Seq.__str__`` writes its entries from ``num``, ``tnum`` and
+``den``.
 
 A ``Seq`` keeps its entries as integer numerators over one shared positive
 denominator: ``num`` for the prefix, ``tnum`` for the tail, ``den`` for all
@@ -58,7 +63,6 @@ __all__ = [
     "ZERO",
     "ONES",
     "rat",
-    "rat_str",
     "terms_str",
     "pairing",
     "pairing_numerator",
@@ -117,11 +121,6 @@ def _shown(value: object) -> str:
             return f"<{sign}int of {value.bit_length()} bits>"
         return f"<{type(value).__name__} that cannot be printed>"
     return text if len(text) <= 40 else text[:40] + "..."
-
-
-def rat_str(value: Rational) -> str:
-    """Serialize as "p/q" in lowest terms, or just "p" when q = 1."""
-    return terms_str(value.numerator, value.denominator)
 
 
 def terms_str(num: int, den: int) -> str:
@@ -323,7 +322,7 @@ class Seq(Frozen):
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        shown = [rat_str(v) for v in self.prefix] + [rat_str(self.tail)] * 2
+        shown = [terms_str(v, self.den) for v in (*self.num, self.tnum, self.tnum)]
         return "(" + ", ".join(shown) + ", ...)"
 
 

@@ -36,12 +36,13 @@ from c0cert.certify import (
     certified_for_every_tau,
     violation_witness,
 )
-from c0cert.gossez import gossez_apply, unit_u, unit_v
+from c0cert.gossez import gossez_apply, neg_gossez_apply, unit_u, unit_v
 from c0cert.seqspace import (
     ONES,
     ZERO,
     NonSummable,
     Seq,
+    _derived,
     difference_terms,
     pairing,
     pairing_numerator,
@@ -71,6 +72,12 @@ def test_graph_point_accepts_unit_pair():
 def test_graph_point_rejects_mismatch():
     with pytest.raises(InvalidParameter):
         GraphPoint(unit(1), ZERO)
+
+
+def test_graph_point_rejects_a_tail():
+    # -G(ZERO) = ZERO != ONES as well: only the message tells the two checks apart
+    with pytest.raises(InvalidParameter, match="zero tails on both components"):
+        GraphPoint(ONES, ZERO)
 
 
 def test_graph_point_rejects_nonzero_sum():
@@ -117,6 +124,12 @@ def test_extension_point_tau_two():
 def test_extension_point_rejects_zero_sum_direction():
     with pytest.raises(InvalidParameter):
         extension_point(1, unit_u(1))
+
+
+def test_extension_family_rejects_a_direction_with_a_tail():
+    # ONES has no prefix, so the positive-sum check refuses it too, with its own message
+    with pytest.raises(InvalidParameter, match="ytilde must be finitely supported"):
+        extension_family([1], ONES)
 
 
 def test_extension_point_rejects_nonpositive_tau():
@@ -238,6 +251,38 @@ def test_family_products_match_the_per_pair_loop(taus, ytilde):
         Fraction(*difference_terms(p.xstarstar, q.xstarstar, p.xstar, q.xstar))
         for p, q in ((points[i], points[j]) for i, j in pairs)
     ]
+
+
+def test_family_products_match_the_direct_products_over_mixed_denominators():
+    # tau = 1/3 and 3/2 scale ytilde's denominator 1155, and s = 1139/1155, so
+    # the reduction factors and the closed form's denominator all exceed 1
+    taus = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2)]
+    family = extension_family(taus, Seq(["3/7", "-1/5", "2/3", "1/11"]))
+    points, pairs = family.points, family_pairs(len(taus))
+    direct = [
+        Fraction(*difference_terms(p.xstarstar, q.xstarstar, p.xstar, q.xstar))
+        for p, q in ((points[i], points[j]) for i, j in pairs)
+    ]
+    assert list(products(family_products(family))) == [
+        (i, j, product) for (i, j), product in zip(pairs, direct)
+    ]
+
+
+def test_family_products_refuse_a_nonnegative_product():
+    # extension_family refuses ytilde = (-1), whose sum s = -1 is negative.
+    # Built by hand, taus 1 and 2 give the product 1/2, which equals the closed
+    # form (1 - 2) * (1 - 1/2) * s: only the sign check can raise.
+    ytilde = Seq([-1])
+    g = gossez_apply(ytilde)
+    points = tuple(
+        _derived(ExtensionPoint, tau, ytilde, tau * ytilde, 1 / tau * ONES - tau * g)
+        for tau in (Fraction(1), Fraction(2))
+    )
+    diagonal = tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points)
+    q = pairing_numerator(g, ytilde)
+    family = ExtensionFamily(points, ytilde, Fraction(-1), g, q, diagonal)
+    with pytest.raises(AssertionError, match="^distinctness product must be negative, got 1/2$"):
+        next(family_products(family))
 
 
 @given(distinct_taus, positive_sum_summables(), st.data())
@@ -623,6 +668,16 @@ def test_witness_scale_zero_gives_the_origin():
     assert verdict.witness == ORIGIN
     assert verdict.product == -1
     assert_fraction_witness(-unit(2), unit(2))
+
+
+def test_witness_refuses_a_failed_membership_reconstruction(monkeypatch):
+    # the recurrence holds and sum(y) = 0: only the forward map can disagree
+    y = unit_u(2)
+    x = neg_gossez_apply(y)
+    real = c0cert.certify.neg_gossez_apply
+    monkeypatch.setattr(c0cert.certify, "neg_gossez_apply", lambda z: real(z) + unit(1))
+    with pytest.raises(AssertionError, match="membership reconstruction failed"):
+        violation_witness(x, y)
 
 
 def test_an_off_by_one_pairing_trips_both_witness_checks(monkeypatch):

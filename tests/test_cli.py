@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 import c0cert.certify
 import c0cert.cli
 from c0cert.certify import (
+    Member,
+    Violation,
     closure_margin_terms,
     distinctness,
     extension_point,
@@ -44,7 +46,7 @@ from c0cert.cli import (
     run_suite,
 )
 from c0cert.gossez import gossez_apply
-from c0cert.seqspace import ONES, Seq, pairing, rat_str, unit
+from c0cert.seqspace import ONES, Seq, pairing, unit
 
 FAST = {"samples": 25}
 
@@ -187,7 +189,7 @@ def test_extensions_at_the_tau_cap():
     ytilde = ["3/7", "-1/5", "2/3"]
     config = fast_config(
         samples=5,
-        taus=[rat_str(t) for t in taus],
+        taus=[str(t) for t in taus],
         ytilde={"prefix": ytilde, "tail": "0"},
         suites=["extensions", "gap"],  # the two suites that read taus
     )
@@ -197,7 +199,7 @@ def test_extensions_at_the_tau_cap():
     assert result.counts["tau_pairs"] == MAX_TAUS * (MAX_TAUS - 1) // 2 == 2016
     total = sum(map(Fraction, ytilde))
     assert result.evidence["distinctness_products"] == {
-        f"{rat_str(t1)},{rat_str(t2)}": rat_str((t1 - t2) * (1 / t1 - 1 / t2) * total)
+        f"{t1},{t2}": str((t1 - t2) * (1 / t1 - 1 / t2) * total)
         for i, t1 in enumerate(taus)
         for t2 in taus[i + 1 :]
     }
@@ -656,6 +658,38 @@ def test_markdown_report_mentions_suites():
         assert f"| {name} |" in text
 
 
+def test_failing_markdown_report_with_timing(monkeypatch):
+    def failing_runner(config, rng, family):
+        failures = c0cert.cli._Failures()
+        failures.append("pairing(G(y), y) = {} for y = {}", 1, unit(1))
+        return failures, {"samples": 1}, {"pairing_values": ["1"]}
+
+    monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", failing_runner)
+    ticks = iter([0.0, 0.25, 1.0, 1.5])
+    monkeypatch.setattr(c0cert.cli.time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr("datetime.datetime", FixedDatetime)
+    report = run_suite(fast_config(suites=["monotone", "skew"]))
+    text = render_markdown(report, with_timing=True)
+    assert text.startswith("# Certificate report\n\nOverall: **FAIL**\n")
+    assert text.endswith(
+        "| suite | status | counts |\n"
+        "| --- | --- | --- |\n"
+        "| monotone | pass | failures=0, pairs=25 |\n"
+        "| skew | fail | failures=1, samples=1 |\n"
+        "\n"
+        "## monotone: pass\n"
+        '- products = ["0"]\n'
+        "- duration_s = 0.25\n"
+        "\n"
+        "## skew: fail\n"
+        '- pairing_values = ["1"]\n'
+        "- FAILURE: pairing(G(y), y) = 1 for y = (1, 0, 0, ...)\n"
+        "- duration_s = 0.5\n"
+        "\n"
+        "Generated at 2024-02-29T12:34:56.789012+00:00\n"
+    )
+
+
 def test_emit_report_exit_codes(tmp_path, capsys):
     report = run_suite(fast_config(suites=["skew"]))
     out = tmp_path / "report.json"
@@ -923,6 +957,30 @@ def test_maximal_runner_reports_a_failed_recheck(monkeypatch):
     assert result.counts == {} and result.evidence == {}
 
 
+def test_maximal_runner_reports_a_perturbed_pair_taken_for_a_member(monkeypatch):
+    monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: Member())
+    (result,) = run_suite(fast_config(samples=7, suites=["maximal"])).results
+    assert not result.passed
+    assert result.counts == {"members": 7, "violations": 7, "failures": 7}
+    assert result.failures == ["perturbed pair misclassified as a member"] * 5
+    assert result.evidence == {}  # no violation, so no worst product
+
+
+def test_maximal_runner_reports_a_graph_point_taken_for_a_violation(monkeypatch):
+    verdict = Violation(c0cert.certify._ORIGIN, Fraction(-1))
+    monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: verdict)
+    (result,) = run_suite(fast_config(samples=7, suites=["maximal"])).results
+    assert not result.passed
+    assert result.counts == {"members": 7, "violations": 7, "failures": 7}
+    origin = "Seq(num=(), tnum=0, den=1)"
+    assert result.failures[0] == (
+        f"graph point misclassified: Violation(witness=GraphPoint(x={origin}, y={origin}), "
+        "product=Fraction(-1, 1))"
+    )
+    assert result.failures == result.failures[:1] * 5
+    assert result.evidence == {"max_violation_product": "-1"}
+
+
 def test_gap_runner_reports_a_wrong_gap(monkeypatch):
     core = c0cert.cli.fitzpatrick_value_terms
     # a gap of 0 fails both tests, a gap of 2 only the comparison with s = 1
@@ -970,10 +1028,10 @@ def reference_family_verdicts(config, sample):
             continue
         if gap != expected or gap <= 0:
             gap_failures.append(f"gap {gap} != expected {expected} at tau = {tau}")
-        per_tau[rat_str(tau)] = {
-            "fitzpatrick_value": rat_str(self_pairing - gap),
-            "self_pairing": rat_str(self_pairing),
-            "gap": rat_str(gap),
+        per_tau[str(tau)] = {
+            "fitzpatrick_value": str(self_pairing - gap),
+            "self_pairing": str(self_pairing),
+            "gap": str(gap),
         }
     return margin_failures, gap_failures, per_tau
 

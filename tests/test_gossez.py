@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import c0cert.gossez
 from c0cert.gossez import (
     NotInDomain,
     gossez_apply,
@@ -137,6 +138,13 @@ def test_solver_rejects_first_coordinate():
         message = f"no finitely supported preimage: residual sum {residual}"
         with pytest.raises(NotInDomain, match=f"^{message}$"):
             t_solve(x)
+
+
+def test_solver_refuses_a_disagreeing_forward_map(monkeypatch):
+    real = c0cert.gossez.neg_gossez_apply
+    monkeypatch.setattr(c0cert.gossez, "neg_gossez_apply", lambda y: real(y) + unit(1))
+    with pytest.raises(AssertionError, match="solver disagrees with the forward map"):
+        t_solve(-unit_v(1))
 
 
 def test_solver_zero():

@@ -19,7 +19,6 @@ from c0cert.seqspace import (
     pairing,
     pairing_numerator,
     rat,
-    rat_str,
     sup_norm,
     terms_str,
     total_sum,
@@ -386,14 +385,6 @@ def test_unit_and_constant():
 # --- rational strings -------------------------------------------------------
 
 
-def test_rat_str_format():
-    assert rat_str(Fraction(3, 4)) == "3/4"
-    assert rat_str(Fraction(5)) == "5"
-    assert rat_str(Fraction(-6, 8)) == "-3/4"
-    # terms_str writes the same strings from terms that need not be reduced
-    assert [terms_str(-6, 8), terms_str(0, 7), terms_str(12, 4)] == ["-3/4", "0", "3"]
-
-
 # numerators of either sign and zero, and terms well past one 30-bit limb
 multi_limb = st.integers(min_value=2**64, max_value=2**200)
 terms_numerators = st.one_of(
@@ -404,6 +395,8 @@ terms_denominators = st.one_of(st.just(1), st.integers(min_value=1, max_value=10
 
 @given(terms_numerators, terms_denominators, st.integers(min_value=1, max_value=2**70))
 def test_terms_str_writes_the_fractions_string(num, den, k):
+    # "p/q" in lowest terms, or "p" when q reduces to 1, from terms that need not be reduced
+    assert [terms_str(-6, 8), terms_str(0, 7), terms_str(12, 4)] == ["-3/4", "0", "3"]
     # k * num over k * den: the same value from terms that are not reduced
     for n, d in ((num, den), (k * num, k * den), (0, den), (num, 1)):
         assert terms_str(n, d) == str(Fraction(n, d))
