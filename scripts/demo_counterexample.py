@@ -5,7 +5,8 @@ Shows the skew operator on the first test vector, then runs every
 certificate suite once (``c0cert.cli.run_suite``) and prints its evidence:
 skewness and vanishing monotone products, constructive maximality against
 random perturbations, the family of bidual points that are all monotone
-against the graph yet pairwise incompatible, and the strict Fitzpatrick gap.
+against the graph yet pairwise incompatible, with the tau-free verdict that
+proves their margin on the whole graph, and the strict Fitzpatrick gap.
 Every number printed is an exact rational.
 
 Run from the repository root:
@@ -20,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from c0cert.certify import extension_family
+from c0cert.certify import extension_family, violation_witness
 from c0cert.cli import ConfigError, SuiteResult, config_from_obj, run_suite
 from c0cert.gossez import gossez_apply, t_solve, unit_u, unit_v
 
@@ -67,10 +68,14 @@ def main() -> int:
         print("every graph point is a member and every perturbed pair is refuted;")
         print(f"worst (closest to zero) witness product: {worst}")
     if section(extensions, "the extension family"):
-        for ep in extension_family(config.taus, config.ytilde).points:
+        family = extension_family(config.taus, config.ytilde)
+        for ep in family.points:
             print(f"tau = {str(ep.tau):>4}:  x** = {ep.xstarstar}")
         margin = extensions.evidence["closure_margin"]
         print(f"margin on every sampled graph point = pairing(ones, ytilde) = {margin} > 0")
+        verdict = violation_witness(-family.g, family.ytilde)
+        print(f"tau-free verdict on (-G(ytilde), ytilde): {verdict!r},")
+        print(f"  so the margin is {margin} at every graph point, for every tau > 0")
         print("pairwise incompatibility:")
         for pair, value in extensions.evidence["distinctness_products"].items():
             t1, t2 = pair.split(",")

@@ -66,14 +66,6 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/certify.py",
-        "        or sum(y.num)\n",
-        "",
-        "certified_for_every_tau without the range law c = sum(y)",
-        ("tests/test_certify.py",),
-        ("test_certified_for_every_tau_refuses_each_broken_identity",),
-    ),
-    Mutant(
-        "src/c0cert/certify.py",
         "            if num != -den:\n"
         '                raise AssertionError("witness normalization failed")\n',
         "",
@@ -119,8 +111,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        "points = _graph_sample(config, rng)",
-        "points = iter(list(_graph_sample(config, rng)))",
+        "enumerate(_graph_sample(config, rng))",
+        "enumerate(list(_graph_sample(config, rng)))",
         "_evaluations holding its whole sample",
         ("tests/test_cli.py",),
     ),
@@ -197,15 +189,6 @@ MUTANTS = (
             "test_family_product_checks_the_closed_form",
             "test_distinctness_examples",
         ),
-    ),
-    Mutant(
-        "src/c0cert/certify.py",
-        "        family.q\n"
-        "        or y.tnum\n",
-        "        y.tnum\n",
-        "certified_for_every_tau without its family.q test",
-        ("tests/test_certify.py",),
-        ("test_certified_for_every_tau_refuses_every_point_when_q_is_nonzero",),
     ),
     Mutant(
         "src/c0cert/certify.py",
@@ -435,8 +418,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/certify.py",
-        "    if x != neg_gossez_apply(y):\n"
-        '        raise AssertionError("membership reconstruction failed")\n',
+        "        if x != neg_gossez_apply(y):\n"
+        '            raise AssertionError("membership reconstruction failed")\n',
         "",
         "violation_witness without its membership reconstruction",
         ("tests/test_certify.py",),
@@ -449,6 +432,70 @@ MUTANTS = (
         "family_products without its sign check",
         ("tests/test_certify.py",),
         ("test_family_products_refuse_a_nonnegative_product",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "(ys[m] + ys[m - 1]) * fx",
+        "(ys[m] - ys[m - 1]) * fx",
+        "violation_witness scanning with y_m's sign flipped",
+        ("tests/test_certify.py",),
+        ("test_witness_example_member", "test_witness_relates_the_family_point_of_e1_at_tau_one"),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "(tail * dy - total * dx) * total",
+        "(tail * dy + total * dx) * total",
+        "violation_witness reading kappa as tail(x) + sigma",
+        ("tests/test_certify.py",),
+        ("test_witness_relates_the_family_point_of_e1_at_tau_one",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "    if pn < 0:\n        return Violation(_ORIGIN, product)\n",
+        "",
+        "violation_witness relating every pair whose recurrence holds",
+        ("tests/test_certify.py",),
+        ("test_witness_origin_branch",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "[x.tnum] * (width - len(x.num))",
+        "[0] * (width - len(x.num))",
+        "violation_witness padding x's prefix with 0, not its tail",
+        ("tests/test_certify.py",),
+        ("test_witness_relates_the_family_point_of_e1_at_tau_one",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "k = i % n",
+        "k = 0",
+        "_evaluations evaluating every later point at tau_0",
+        ("tests/test_cli.py",),
+        ("test_each_later_point_is_evaluated_at_its_rotated_tau",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "(tail * dy - total * dx) * total",
+        "(tail * dy + total * dx) * total",
+        "violation_witness reading kappa as tail(x) + sigma, under a family suite",
+        ("tests/test_cli.py",),
+        ("test_a_passing_family_suite_evaluates_only_its_first_point",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "proven_num * den or not hits[k]:",
+        "proven_num * den:",
+        "_evaluations passing on a later point only where it misses the proven value",
+        ("tests/test_cli.py",),
+        ("test_family_runners_match_the_direct_loop_off_the_graph",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "if verdict != Related(0):",
+        "if not isinstance(verdict, Related):",
+        "_whole_graph_proof taking any Related verdict for the proof",
+        ("tests/test_cli.py",),
+        ("test_a_family_suite_fails_on_any_verdict_but_related_with_margin_zero",),
     ),
 )
 

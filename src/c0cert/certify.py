@@ -5,9 +5,10 @@ identities that are checked literally:
 
 * ``monotone_product`` pairs two graph points off to exactly zero, the skew
   sharpening of the monotonicity inequality.
-* ``violation_witness`` is a constructive maximality check: any candidate
-  pair off the graph is refuted by an explicit graph point whose monotone
-  product with the candidate is strictly negative (normalized to -1 whenever
+* ``violation_witness`` decides the monotone polar of the graph: a
+  candidate pair is on the graph, or monotonically related to all of it
+  with one constant margin, or refuted by an explicit graph point whose
+  monotone product with it is strictly negative (normalized to -1 whenever
   a difference-recurrence index witnesses the failure).
 * ``closure_margin`` and ``family_products`` handle the one-parameter family
   of bidual points along a positive-sum direction, which
@@ -15,14 +16,12 @@ identities that are checked literally:
   points share computed once: each family point is monotone against the
   whole graph with one constant strictly positive margin, yet any two
   family points are strictly non-monotone against each other, so no single
-  monotone extension of the graph can contain two of them.
+  monotone extension of the graph can contain two of them.  One
+  tau-free ``violation_witness`` call proves that margin for every tau.
 * ``fitzpatrick_value`` and ``fitzpatrick_gap`` certify the same failure
   through the Fitzpatrick function: the supremum of the graph evaluations
   stays short of the family point's self-pairing by an exactly computed
   positive gap.
-* ``certified_for_every_tau`` proves the margin and the Fitzpatrick value
-  of a graph point for every tau > 0 at once, from four tau-free integers,
-  or says that the proof does not go through for that point.
 
 Each value-returning certificate has an integer core, named with a
 ``_terms`` suffix, that returns an unreduced numerator over a positive
@@ -69,6 +68,7 @@ __all__ = [
     "ExtensionPoint",
     "ExtensionFamily",
     "Member",
+    "Related",
     "Violation",
     "WitnessVerdict",
     "random_rational",
@@ -86,7 +86,6 @@ __all__ = [
     "fitzpatrick_value",
     "fitzpatrick_value_terms",
     "fitzpatrick_gap",
-    "certified_for_every_tau",
     "violation_witness",
 ]
 
@@ -167,15 +166,14 @@ class ExtensionFamily(Frozen):
     * ``ytilde``: their common direction;
     * ``total``: s = pairing(ones, ytilde) > 0, the closure margin and the
       Fitzpatrick gap of every point;
-    * ``g``: G(ytilde), and ``q``: the integer pairing_numerator(g, ytilde),
-      which skewness makes 0;
+    * ``g``: G(ytilde);
     * ``diagonal``: the integers pairing_numerator(xss_k, xs_k), so the
       self-pairing pairing(xs_k, xss_k) is diagonal[k] / (xs_k.den * xss_k.den).
 
     ``extension_family`` builds it, computing each value once.
     """
 
-    __slots__ = ("points", "ytilde", "total", "g", "q", "diagonal")
+    __slots__ = ("points", "ytilde", "total", "g", "diagonal")
 
 
 def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> ExtensionFamily:
@@ -214,7 +212,6 @@ def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> Exten
         ytilde,
         Fraction(sum(ytilde.num), ytilde.den),
         g,
-        pairing_numerator(g, ytilde),
         tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points),
     )
 
@@ -239,6 +236,17 @@ class Member(Frozen):
         pass
 
 
+class Related(Frozen):
+    """Verdict: the candidate is off the graph, yet monotone against all of it.
+
+    ``margin``, a Fraction >= 0, is the monotone product of the candidate
+    against every graph point, one constant, so a monotone extension of the
+    graph may contain the candidate.
+    """
+
+    __slots__ = ("margin",)
+
+
 class Violation(Frozen):
     """Verdict: an explicit graph point refutes the candidate pair.
 
@@ -255,7 +263,7 @@ class Violation(Frozen):
         object.__setattr__(self, "product", product)
 
 
-WitnessVerdict = Member | Violation
+WitnessVerdict = Member | Related | Violation
 
 # The normalized product of every difference-recurrence witness, once its
 # recomputed numerator and denominator are seen to cancel to -1.
@@ -283,8 +291,8 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     ytilde, ones).  Constancy with strict positivity over the graph
     certifies membership in the monotone closure of the graph.
 
-    This is the definition, evaluated directly; ``certified_for_every_tau``
-    proves the same constant for every tau > 0 at once.
+    This is the definition, evaluated directly; ``violation_witness`` on
+    (-G(ytilde), ytilde) proves the same constant for every tau > 0 at once.
     """
     return Fraction(*closure_margin_terms(ep, p))
 
@@ -311,7 +319,10 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, int, in
     and required to be strictly negative: the two points cannot live in a
     common monotone graph, so distinct parameters force distinct maximal
     monotone extensions into the bidual.  A failed check raises at the
-    first failing pair, with the message the pair alone would give.
+    first failing pair, with the message the pair alone would give.  On a
+    family that ``extension_family`` builds, s > 0 makes a product that
+    matches the closed form negative, so the sign check guards families
+    built by hand, such as one with s <= 0.
 
     The product expands by bilinearity into the four integer pairings
     P(k, l) = pairing_numerator(xss_k, xs_l) for k, l in {i, j}, each
@@ -422,57 +433,54 @@ def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Rationa
     return pairing(ep.xstar, ep.xstarstar) - Fraction(first_num, first_den)
 
 
-def certified_for_every_tau(family: ExtensionFamily, p: GraphPoint) -> bool:
-    """Whether the family certificate of ``p`` is proven for every tau > 0 at once.
-
-    For tau > 0 the family point along the family's direction ytilde is
-    xs = tau * ytilde, xss = -tau * g + (1/tau) * ones with g = G(ytilde).
-    Take a point p = (x, y) with y finitely supported, and let
-
-        q = pairing(g, ytilde),  s = sum(ytilde),
-        a = pairing(g, y),  b = pairing(x, ytilde),  c = sum(y),  d = pairing(x, y).
-
-    Each pairing below has a finitely supported side, so the definitions
-    expand by bilinearity:
-
-        closure_margin(tau, p)    = pairing(xss - x, xs - y)
-                                  = -tau^2 q + s + tau (a - b) - c / tau + d
-        fitzpatrick_value(tau, p) = pairing(x, xs) + pairing(xss, y) - pairing(x, y)
-                                  = tau (b - a) + c / tau - d
-
-    None of q, s, a, b, c and d depends on tau.  Where q = 0, a = b, c = 0
-    and d = 0, the margin is s and the Fitzpatrick value is 0 at every
-    tau > 0 at once.  On the graph these are skewness (q = 0, d = 0), the
-    range law (c = 0) and the antisymmetry of G (a = b).
-
-    g and q come from ``family``, built once.  If q != 0, the proof covers
-    no point, and the result is False.  Otherwise a point costs three
-    integer pairings and one sum: c and d must have zero numerators, and
-    a = b is compared cross-multiplied over the two denominators.  A point
-    whose y has a nonzero tail is not certified, since c and d need not
-    exist.
-    """
-    g, ytilde, x, y = family.g, family.ytilde, p.x, p.y
-    return not (
-        family.q
-        or y.tnum
-        or sum(y.num)
-        or pairing_numerator(x, y)
-        or pairing_numerator(g, y) * x.den * ytilde.den
-        != pairing_numerator(x, ytilde) * g.den * y.den
-    )
-
-
 def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
-    """Constructive graph-membership check for a candidate pair.
+    """The verdict on a candidate pair: on the graph, related to all of it, or refuted.
 
-    Scans the difference recurrence x_{m+1} - x_m = y_{m+1} + y_m over the
-    joint support plus one.  A failure at index m yields the witness
-    (-lam * v_m, lam * u_m) with lam chosen so the monotone product against
-    the candidate is exactly -1 (the quadratic term cancels because
-    pairing(v_m, u_m) = 0).  If the recurrence holds throughout but
-    sum(y) != 0, the origin is a witness with product -(sum(y))^2.
-    Otherwise x = -G(y) entrywise and the pair is a member of the graph.
+    x may have a constant tail; y must be finitely supported.  The polar
+    lemma: with sigma = sum(y) and kappa = tail(x) - sigma, the pair (x, y)
+    is monotonically related to every graph point iff
+
+        x_{m+1} - x_m = y_m + y_{m+1} for every m >= 1,  and  kappa * sigma >= 0,
+
+    and then its monotone product with every graph point is kappa * sigma.
+
+    Proof.  With u_m = -e_m + e_{m+1} and v_m = e_m + e_{m+1} = G(u_m), the
+    graph holds (-lam * v_m, lam * u_m) for every lam, and pairing(v_m, u_m)
+    = 0, so the product of (x, y) against that point is linear in lam:
+
+        pairing(x, y) + lam * gap_m ,   gap_m = (y_m + y_{m+1}) - (x_{m+1} - x_m) .
+
+    It is >= 0 for every lam only if gap_m = 0.  If every gap_m is 0, x and
+    -G(y) obey one recurrence, and -G(y) has tail sigma, so x = -G(y) +
+    kappa * ones.  Against a graph point (-G(y'), y'), where sum(y') = 0,
+    the product is then
+
+        pairing(-G(y - y') + kappa * ones, y - y') = kappa * sigma ,
+
+    since pairing(G(v), v) = 0 for summable v.  The product is continuous
+    on the graph, as |pairing(w, z)| <= |w|_inf |z|_1 and |G(z)|_inf <=
+    |z|_1, and the finitely supported zero-sum sequences are dense in the
+    zero-sum summable ones.  So finitely supported graph points decide
+    relatedness to the whole graph, and the lemma holds for every (x, y) in
+    l_inf x l_1, of which this function reads the eventually constant x
+    and the finitely supported y.
+
+    The verdicts:
+
+    * gap_m != 0 at a first index m: ``Violation`` with the witness
+      (-lam * v_m, lam * u_m), lam = -(pairing(x, y) + 1) / gap_m, whose
+      product is exactly -1;
+    * tail(x) = 0 and sigma = 0: x = -G(y), a ``Member``;
+    * otherwise kappa * sigma, which is the origin's product pairing(x, y):
+      ``Related(kappa * sigma)`` if it is >= 0, and ``Violation`` with the
+      origin as witness if it is negative.  With tail(x) = 0 it is
+      -sigma^2 < 0, so a pair with zero tails is never ``Related``.
+
+    A family point (-tau * G(ytilde) + ones / tau, tau * ytilde) has kappa =
+    1 / tau and sigma = tau * s, with s = sum(ytilde).  Its margin is s at
+    every graph point, and its Fitzpatrick value, pairing(x, y) minus the
+    least product, is 0.  ``violation_witness(-G(ytilde), ytilde) ==
+    Related(0)`` proves this for every tau > 0 at once.
 
     Everything runs on integers.  With g = gcd(x.den, y.den), the scan
     cross-multiplies by the reduced factors x.den / g and y.den / g, so
@@ -480,31 +488,33 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
         scaled_gap = gap_m * x.den * y.den / g
 
     is an integer with gap_m's sign, and for a pair built from one graph
-    point, where both denominators are equal, both factors are 1.  With
-    pn = pairing_numerator(x, y) = pairing(x, y) * x.den * y.den,
+    point, where both denominators are equal, both factors are 1.  x's
+    prefix is padded with its own tail.  With pn = pairing_numerator(x, y) =
+    pairing(x, y) * x.den * y.den,
 
         lam = -(pairing(x, y) + 1) / gap_m = -(pn + x.den * y.den) / (g * scaled_gap) ,
 
     and lam * u_m is built as one canonicalized sequence from that
     numerator over that denominator, its sign moved to the numerator.  On
-    the origin branch, pairing(x, y) = -total^2 with total = sum(y) reads
-    pn * y.den = -total^2 * x.den, compared as integers.
+    the last branch, pairing(x, y) = (tail(x) - sigma) * sigma reads pn *
+    y.den = (x.tnum * y.den - total * x.den) * total with total = sum(y.num),
+    compared as integers.
 
-    Every returned product is recomputed from the witness sequences, never
-    from the closed form alone, and this recomputation is the re-verification
-    of the witness: the product is exactly -1 once the recomputed numerator
-    equals minus its denominator, or -total^2 with total != 0 once the
-    origin's product pairing(x, y) equals it.  Any other outcome raises
-    AssertionError, so a returned product is strictly negative and callers
-    need not recheck it.
+    Every returned product and margin is recomputed from the sequences,
+    never from the closed form alone, and this recomputation is the
+    re-verification of the verdict: the witness product is exactly -1 once
+    the recomputed numerator equals minus its denominator, and kappa * sigma
+    is pairing(x, y) once the two agree.  Any other outcome raises
+    AssertionError, so a returned ``Violation`` product is strictly negative
+    and callers need not recheck it.
     """
-    if x.tnum or y.tnum:
-        raise NonSummable("candidate pair must have zero tails")
+    if y.tnum:
+        raise NonSummable("the candidate's y must have a zero tail")
     dx, dy = x.den, y.den
     g = gcd(dx, dy)
     fx, fy = dx // g, dy // g
     width = max(len(x.num), len(y.num)) + 1
-    xs = list(x.num) + [0] * (width - len(x.num))
+    xs = list(x.num) + [x.tnum] * (width - len(x.num))
     ys = list(y.num) + [0] * (width - len(y.num))
     for m in range(1, width):
         scaled_gap = (ys[m] + ys[m - 1]) * fx - (xs[m] - xs[m - 1]) * fy
@@ -518,14 +528,18 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
             if num != -den:
                 raise AssertionError("witness normalization failed")
             return Violation(witness, _MINUS_ONE)
-    total = sum(y.num)
-    if total:
-        if pairing_numerator(x, y) * dy != -total * total * dx:
-            raise AssertionError("origin-witness product mismatch")
-        return Violation(_ORIGIN, Fraction(-total * total, dy * dy))
-    if x != neg_gossez_apply(y):
-        raise AssertionError("membership reconstruction failed")
-    return Member()
+    tail, total = x.tnum, sum(y.num)
+    if not (tail or total):
+        if x != neg_gossez_apply(y):
+            raise AssertionError("membership reconstruction failed")
+        return Member()
+    pn = pairing_numerator(x, y)
+    if pn * dy != (tail * dy - total * dx) * total:
+        raise AssertionError("origin-witness product mismatch")
+    product = Fraction(pn, dx * dy)
+    if pn < 0:
+        return Violation(_ORIGIN, product)
+    return Related(product)
 
 
 def _below(rng: random.Random, n: int) -> int:

@@ -56,7 +56,6 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .certify import (
-    certified_for_every_tau,
     extension_family,
     closure_margin_terms,
     family_products,
@@ -70,6 +69,7 @@ from .certify import (
     ExtensionFamily,
     GraphPoint,
     Member,
+    Related,
     Violation,
 )
 from .gossez import gossez_apply
@@ -106,9 +106,9 @@ SUITE_NAMES = ("extensions", "gap", "maximal", "monotone", "skew")
 MAX_FAILURES_SHOWN = 5
 
 # Upper bounds on the work a config may request.  Sampled work grows with
-# samples + taus: each sampled point is certified once for every tau, and
-# each tau builds one family point per report and evaluates one graph point
-# directly.  Only the distinctness products grow with the square of the
+# samples + taus: each later sampled point is evaluated at one tau, and
+# each tau builds one family point per report and evaluates the first graph
+# point directly.  Only the distinctness products grow with the square of the
 # number n of taus: n * (n - 1) / 2 pairs from n**2 integer pairings.
 # support_max, the prefix length of ytilde and coeff_bound set the length
 # and the bit size of every exact entry.
@@ -309,18 +309,17 @@ def parse_config(source: str) -> SuiteConfig:
 # strings in their ``_Seen``: equal rationals have equal strings, so the
 # set keeps distinct values.
 #
-# The two family suites audit the tau-free proof of ``certified_for_every_tau``
-# in one pass over their sample, drawn one point at a time and not kept.
-# The proof gives every point it covers closure margin s and Fitzpatrick
-# value 0 at every tau > 0.  The first sampled point is evaluated directly
-# at every tau: it is the oracle that ties the proof to the definition.
-# Each later point is evaluated directly at every tau if the proof does not
-# cover it, and otherwise only at the taus where the first point's value
-# missed what the proof gives.  Points the proof covers pass either way
-# once the first point passes, so the failures are those of evaluating the
-# whole sample at every tau.  The pass goes point by point; the extensions
-# suite keeps each tau's failures apart and joins them in tau order, so
-# its messages are those of a loop over the taus.
+# Each family suite proves its claim for the whole graph with one tau-free
+# call, ``violation_witness(-G(ytilde), ytilde)``: ``Related(0)`` gives every
+# family point closure margin s and Fitzpatrick value 0 at every graph point
+# and every tau > 0 (see its docstring), and any other verdict is one
+# failure.  The sample, drawn one point at a time and not kept, ties the
+# proof to the definitions: the first point is evaluated directly at every
+# tau, and each later point i once, at tau_(i mod n) for n taus.
+# ``_evaluations`` yields the first point's evaluations and each later one
+# that differs from the proven value or from the first point's, so a runner
+# sees every failure and every value that differs from the first point's at
+# its tau, as a loop over every evaluation would.
 
 _Family = Callable[[], ExtensionFamily]
 
@@ -339,11 +338,6 @@ class _Failures(list):
         self.total += 1
         if len(self) < MAX_FAILURES_SHOWN:
             list.append(self, template.format(*args))
-
-    def extend(self, later: _Failures) -> None:
-        """Appends the failures of ``later`` after these."""
-        self.total += later.total
-        list.extend(self, later[: MAX_FAILURES_SHOWN - len(self)])
 
 
 class _Seen(set):
@@ -421,44 +415,51 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
     return failures, counts, evidence
 
 
+def _whole_graph_proof(fam: ExtensionFamily, failures: _Failures) -> None:
+    """Appends one failure unless (-G(ytilde), ytilde) is ``Related(0)``."""
+    verdict = violation_witness(-fam.g, fam.ytilde)
+    if verdict != Related(0):
+        failures.append("margin {} not proven on the whole graph: {!r}", fam.total, verdict)
+
+
 def _evaluations(
     config: SuiteConfig, rng: random.Random, fam: ExtensionFamily, terms: Callable, proven: tuple
 ) -> Iterator[tuple[int, int, int]]:
-    """``(k, num, den)`` for each direct evaluation ``terms(fam.points[k], p)`` the audit needs.
+    """``(k, num, den)`` for the direct evaluations ``terms(fam.points[k], p)`` a runner sees.
 
     ``terms`` is ``closure_margin_terms`` or ``fitzpatrick_value_terms``,
     and ``proven`` the value the proof gives them, as integer terms
     ``(num, den)`` with den > 0.  The first sampled point is evaluated at
-    every tau, in tau order, before any other point; the rest follow by the
-    rule above.
+    every tau, in tau order, and each of those is yielded.  Point i > 0 is
+    evaluated at tau_(i mod n), and yielded if its value is not the proven
+    one, or if the first point's value at that tau is not.
     """
     proven_num, proven_den = proven
-    points = _graph_sample(config, rng)
-    first = next(points, None)
-    if first is None:
+    points, n, hits = fam.points, len(fam.points), []  # hits[k]: first value at tau_k proven
+    for i, p in enumerate(_graph_sample(config, rng)):
+        if i:
+            k = i % n
+            num, den = terms(points[k], p)
+            if num * proven_den != proven_num * den or not hits[k]:
+                yield k, num, den
+            continue
+        for k, ep in enumerate(points):
+            num, den = terms(ep, p)
+            hits.append(num * proven_den == proven_num * den)
+            yield k, num, den
+    if not hits:
         raise EmptySample("need at least one graph point")
-    missed = []
-    for k, ep in enumerate(fam.points):
-        num, den = terms(ep, first)
-        if num * proven_den != proven_num * den:
-            missed.append(k)
-        yield k, num, den
-    for p in points:
-        for k in missed if certified_for_every_tau(fam, p) else range(len(fam.points)):
-            yield k, *terms(fam.points[k], p)
 
 
 def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
+    failures = _Failures()
     fam = family()
+    _whole_graph_proof(fam, failures)
     exp_num, exp_den = fam.total.numerator, fam.total.denominator
-    per_tau = [_Failures() for _ in fam.points]
     for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, (exp_num, exp_den)):
         if num * exp_den != exp_num * den or num <= 0:
             margin = terms_str(num, den)
-            per_tau[k].append("margin {} != {} at tau = {}", margin, fam.total, fam.points[k].tau)
-    failures = _Failures()
-    for tau_failures in per_tau:
-        failures.extend(tau_failures)
+            failures.append("margin {} != {} at tau = {}", margin, fam.total, fam.points[k].tau)
     if len(fam.points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
     keys = [str(ep.tau) for ep in fam.points]
@@ -474,6 +475,7 @@ def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) ->
 def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
     failures = _Failures()
     fam = family()
+    _whole_graph_proof(fam, failures)
     first, varies = {}, set()  # each tau's first value; the taus where another differs
     for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms, (0, 1)):
         first_num, first_den = first.setdefault(k, (num, den))

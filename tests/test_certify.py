@@ -18,6 +18,7 @@ from c0cert.certify import (
     GraphPoint,
     InvalidParameter,
     Member,
+    Related,
     Violation,
     _below,
     closure_margin,
@@ -33,7 +34,6 @@ from c0cert.certify import (
     random_offgraph_pair,
     random_rational,
     random_summable,
-    certified_for_every_tau,
     violation_witness,
 )
 from c0cert.gossez import gossez_apply, neg_gossez_apply, unit_u, unit_v
@@ -51,9 +51,10 @@ from c0cert.seqspace import (
 )
 
 from strategies import (
-    eventually_constants,
+    nonzero_rationals,
     positive_sum_summables,
     positive_taus,
+    rationals,
     summables,
     zero_sum_summables,
 )
@@ -204,7 +205,7 @@ def tampered(family, points):
     """``family`` with ``points`` in place of its own, and their diagonal recomputed."""
     diagonal = tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points)
     return ExtensionFamily(
-        tuple(points), family.ytilde, family.total, family.g, family.q, diagonal
+        tuple(points), family.ytilde, family.total, family.g, diagonal
     )
 
 
@@ -271,7 +272,8 @@ def test_family_products_match_the_direct_products_over_mixed_denominators():
 def test_family_products_refuse_a_nonnegative_product():
     # extension_family refuses ytilde = (-1), whose sum s = -1 is negative.
     # Built by hand, taus 1 and 2 give the product 1/2, which equals the closed
-    # form (1 - 2) * (1 - 1/2) * s: only the sign check can raise.
+    # form (1 - 2) * (1 - 1/2) * s: only the sign check can raise.  No family
+    # that extension_family builds reaches it, as s > 0 there.
     ytilde = Seq([-1])
     g = gossez_apply(ytilde)
     points = tuple(
@@ -279,8 +281,7 @@ def test_family_products_refuse_a_nonnegative_product():
         for tau in (Fraction(1), Fraction(2))
     )
     diagonal = tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points)
-    q = pairing_numerator(g, ytilde)
-    family = ExtensionFamily(points, ytilde, Fraction(-1), g, q, diagonal)
+    family = ExtensionFamily(points, ytilde, Fraction(-1), g, diagonal)
     with pytest.raises(AssertionError, match="^distinctness product must be negative, got 1/2$"):
         next(family_products(family))
 
@@ -356,7 +357,8 @@ def test_extension_family_against_independent_oracles(taus, ytilde):
         assert p.ytilde == ytilde and p.xstar == tau * ytilde
         assert p.xstarstar == -gossez_apply(tau * ytilde) + Fraction(1) / tau * ONES
     assert family.g == gossez_apply(ytilde)
-    assert family.q == 0
+    assert pairing(family.g, ytilde) == 0
+    assert violation_witness(-family.g, ytilde) == Related(0)  # margin s at every tau
     assert family.total == pairing(ONES, ytilde)
     # the self-pairing of tau * ytilde against -tau * g + (1/tau) * ones, by bilinearity
     s, q = pairing(ONES, ytilde), pairing(gossez_apply(ytilde), ytilde)
@@ -443,83 +445,6 @@ def test_fitzpatrick_gap_equals_direction_total(tau, ytilde, ys):
     assert gap > 0
 
 
-# --- tau-free family certificate ---------------------------------------------
-
-
-def tau_free_terms(ytilde, p):
-    """q, s, a, b, c, d of the ``certified_for_every_tau`` docstring, as Fractions."""
-    g = gossez_apply(ytilde)
-    return (
-        pairing(g, ytilde),
-        total_sum(ytilde),
-        pairing(g, p.y),
-        pairing(p.x, ytilde),
-        total_sum(p.y),
-        pairing(p.x, p.y),
-    )
-
-
-family_test_points = st.one_of(
-    zero_sum_summables().map(GraphPoint.from_y),
-    # off the graph: a != b, c != 0 and d != 0 in general
-    st.builds(lambda x, y: SimpleNamespace(x=x, y=y), eventually_constants(), summables()),
-    # x = -G(y) with sum(y) != 0 in general: c != 0 while a = b and d = 0
-    summables().map(lambda y: SimpleNamespace(x=-gossez_apply(y), y=y)),
-)
-
-
-@given(
-    st.lists(positive_taus, min_size=1, max_size=4),
-    positive_sum_summables(),
-    st.lists(family_test_points, min_size=1, max_size=5),
-)
-def test_certified_for_every_tau_expansion_and_soundness(taus, ytilde, sample):
-    """The tau expansion equals the definitions; a certified point holds at every tau."""
-    family = extension_family(taus[:1], ytilde)
-    certified = [certified_for_every_tau(family, p) for p in sample]
-    terms = [tau_free_terms(ytilde, p) for p in sample]
-    q = terms[0][0]
-    assert certified == [not (q or a != b or c or d) for _, _, a, b, c, d in terms]
-    for tau in taus:
-        ep = extension_point(tau, ytilde)
-        for p, ok, (q, s, a, b, c, d) in zip(sample, certified, terms):
-            margin = -tau * tau * q + s + tau * (a - b) - c / tau + d
-            fitzpatrick = tau * (b - a) + c / tau - d
-            assert closure_margin(ep, p) == margin
-            assert fitzpatrick_value(ep, p) == fitzpatrick
-            if ok:
-                assert margin == s and fitzpatrick == 0
-
-
-def test_certified_for_every_tau_refuses_each_broken_identity():
-    """One failed identity is enough to leave a point uncertified, and each one moves the margin."""
-    ytilde = Seq([1, 2])  # s = 3
-    y = unit_u(3)
-    on_graph = GraphPoint.from_y(y)
-    broken = {
-        "a != b": SimpleNamespace(x=on_graph.x + unit(1), y=y),
-        "c != 0": SimpleNamespace(x=-gossez_apply(unit(3)), y=unit(3)),
-        "d != 0": SimpleNamespace(x=on_graph.x + unit(3), y=y),
-    }
-    tailed = SimpleNamespace(x=ZERO, y=ONES)  # c and d do not exist
-    family = extension_family([2], ytilde)
-    assert certified_for_every_tau(family, on_graph)
-    for p in [*broken.values(), tailed]:
-        assert not certified_for_every_tau(family, p)
-    ep = extension_point(2, ytilde)
-    assert [closure_margin(ep, p) for p in broken.values()] == [1, Fraction(5, 2), 2]
-
-
-def test_certified_for_every_tau_refuses_every_point_when_q_is_nonzero(monkeypatch):
-    """A direction map that is not skew (q != 0) proves nothing about any point."""
-    sample = [ORIGIN, GraphPoint.from_y(unit_u(1))]
-    assert all(certified_for_every_tau(extension_family([1], unit(1)), p) for p in sample)
-    monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
-    family = extension_family([1], unit(1))
-    assert family.q
-    assert not any(certified_for_every_tau(family, p) for p in sample)
-
-
 # --- maximality witness -----------------------------------------------------
 
 
@@ -552,10 +477,58 @@ def test_witness_origin_branch():
 
 
 def test_witness_rejects_nonzero_tails():
-    with pytest.raises(NonSummable):
-        violation_witness(ONES, ZERO)
+    # x may have a tail: (ones, 0) is -G(0) + 1 * ones, related with margin 0
+    assert violation_witness(ONES, ZERO) == Related(0)
     with pytest.raises(NonSummable):
         violation_witness(ZERO, ONES)
+
+
+def test_witness_relates_the_family_point_of_e1_at_tau_one():
+    # w = -G(e_1) + ones = (1, 2, 2, ...), z = e_1: kappa = 1, sigma = 1
+    w = Seq([1], 2)
+    assert w == -gossez_apply(unit(1)) + ONES
+    assert violation_witness(w, unit(1)) == Related(1)
+    point = extension_point(1, unit(1))
+    assert (point.xstarstar, point.xstar) == (w, unit(1))
+
+
+def test_witness_refutes_ones_against_e1_at_the_first_index():
+    # x_2 - x_1 = 0 != y_1 + y_2 = 1; lam = -(pairing(ones, e_1) + 1) / 1 = -2
+    verdict = violation_witness(ONES, unit(1))
+    assert verdict == Violation(GraphPoint.from_y(2 * (unit(1) - unit(2))), Fraction(-1))
+    assert pairing(ONES - verdict.witness.x, unit(1) - verdict.witness.y) == -1
+
+
+def closed_form_g(z):
+    """G(z) from (G z)_n = sum over i of sgn(i - n) z_i, as Fractions: its prefix and its tail."""
+    entries = [z.entry(i) for i in range(1, len(z.num) + 1)]
+    prefix = [
+        sum((e if i > n else -e) for i, e in enumerate(entries, 1) if i != n)
+        for n in range(1, len(entries) + 1)
+    ]
+    return prefix, -sum(entries, Fraction(0))
+
+
+@given(summables(), rationals, st.data())
+def test_witness_decides_each_polar_point_by_the_closed_form_of_g(z, kappa, data):
+    """w = -G z + kappa * ones is related with margin kappa * sigma, refuted at the origin, or on the graph."""
+    prefix, tail = closed_form_g(z)
+    w = Seq([kappa - v for v in prefix], kappa - tail)
+    sigma = total_sum(z)
+    verdict = violation_witness(w, z)
+    if not (w.tnum or sigma):
+        assert verdict == Member()
+    elif kappa * sigma >= 0:
+        assert verdict == Related(kappa * sigma)
+    else:
+        assert verdict == Violation(ORIGIN, kappa * sigma)
+    # one entry moved: the recurrence fails, and the witness's product, recomputed, is -1
+    j = data.draw(st.integers(1, len(z.num) + 2))
+    moved = w + data.draw(nonzero_rationals) * unit(j)
+    verdict = violation_witness(moved, z)
+    assert isinstance(verdict, Violation) and verdict.product == -1
+    assert verdict.witness.x == -gossez_apply(verdict.witness.y)
+    assert pairing(moved - verdict.witness.x, z - verdict.witness.y) == -1
 
 
 @given(zero_sum_summables())

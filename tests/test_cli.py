@@ -21,6 +21,7 @@ import c0cert.certify
 import c0cert.cli
 from c0cert.certify import (
     Member,
+    Related,
     Violation,
     closure_margin_terms,
     distinctness,
@@ -910,8 +911,9 @@ def test_extensions_runner_reports_a_wrong_margin(monkeypatch):
     monkeypatch.setattr(c0cert.cli, "closure_margin_terms", raised_by_one(core))
     (result,) = run_suite(config).results
     assert not result.passed
-    assert result.counts["failures"] == 2 * 25
-    assert result.failures == ["margin 43/35 != 8/35 at tau = 1"] * 5
+    # the first point at both taus, then point i at tau_(i mod 2)
+    assert result.counts["failures"] == 2 + 24
+    assert result.failures == [f"margin 43/35 != 8/35 at tau = {tau}" for tau in (1, 2, 2, 1, 2)]
     assert result.evidence["closure_margin"] == "8/35"
 
 
@@ -999,30 +1001,33 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
         }
 
 
-# --- family audit against the point-by-point loop --------------------------
+# --- family evaluations against the direct loop -----------------------------
 #
-# The extensions and gap suites prove their verdicts for every tau from four
-# integers per sampled point.  In one pass over the sample they evaluate
-# directly the first point at every tau, each point that proof does not
-# cover at every tau, and the others at the taus where the first point's
-# value misses.  Off-graph points swapped into the sample must leave every
-# failure message, count and evidence value exactly as the direct
-# per-(tau, point) loop gives them.
+# The extensions and gap suites prove their verdicts for the whole graph
+# from one tau-free call.  In one pass over the sample they evaluate the
+# first point directly at every tau and each later point i at tau_(i mod n),
+# and pass on the evaluations a direct loop needs to see.  Off-graph points
+# swapped into the sample must leave every failure message, count and
+# evidence value exactly as the direct loop over those evaluations gives them.
 
 
 def reference_family_verdicts(config, sample):
-    """The extensions failures and the gap failures and per-tau evidence, point by point."""
+    """The extensions failures and the gap failures and per-tau evidence, evaluation by evaluation."""
     expected = pairing(ONES, config.ytilde)
+    points = [extension_point(tau, config.ytilde) for tau in config.taus]
+    n = len(points)
+    evaluated = [[] for _ in points]  # the sample points evaluated at each tau
     margin_failures, gap_failures, per_tau = [], [], {}
-    for tau in config.taus:
-        ep = extension_point(tau, config.ytilde)
-        for p in sample:
-            margin = Fraction(*closure_margin_terms(ep, p))
+    for i, p in enumerate(sample):
+        for k in [i % n] if i else range(n):
+            evaluated[k].append(p)
+            margin = Fraction(*closure_margin_terms(points[k], p))
             if margin != expected or margin <= 0:
-                margin_failures.append(f"margin {margin} != {expected} at tau = {tau}")
+                margin_failures.append(f"margin {margin} != {expected} at tau = {config.taus[k]}")
+    for tau, ep, on_tau in zip(config.taus, points, evaluated):
         self_pairing = pairing(ep.xstar, ep.xstarstar)
         try:
-            gap = fitzpatrick_gap(ep, sample)
+            gap = fitzpatrick_gap(ep, on_tau)
         except AssertionError:
             gap_failures.append(f"Fitzpatrick values not constant at tau = {tau}")
             continue
@@ -1036,10 +1041,12 @@ def reference_family_verdicts(config, sample):
     return margin_failures, gap_failures, per_tau
 
 
-# With ytilde (3/7, -1/5): x = -G(y) + delta for y = unit(4) has c = 1,
-# b - a = pairing(delta, ytilde) = 1 and d = pairing(delta, y) = 2.  Its
-# margin and Fitzpatrick value are right at tau = 1 and wrong at every other
-# tau, so it fails some taus and passes others.
+# With ytilde (3/7, -1/5), s = 8/35: x = -G(y) + delta for y = unit(4) and
+# delta = 7/3 * unit(1) + 2 * unit(4) has Fitzpatrick value tau + 1/tau - 2
+# and margin s minus that, by bilinearity (sum(y) = 1, pairing(delta,
+# ytilde) = 1, pairing(delta, y) = 2).  Both are right at tau = 1 and wrong
+# at every other tau, so it fails some taus and passes others.  As the first
+# point it differs from the later points at the taus where it is wrong.
 TAU_ONE_POINT = SimpleNamespace(
     x=-gossez_apply(unit(4)) + Fraction(7, 3) * unit(1) + 2 * unit(4), y=unit(4)
 )
@@ -1120,7 +1127,7 @@ def test_family_suites_memory_does_not_grow_with_samples(monkeypatch):
     """The family suites draw their sample one point at a time and keep none of it.
 
     So too when a sampler fault moves every drawn point off the graph, and
-    every point is evaluated at every tau.
+    every evaluation reaches the runner.
     """
     small, large = family_suites_peak(50), family_suites_peak(400)
     assert large - small <= 16 * 1024, (small, large)
@@ -1137,7 +1144,7 @@ def test_family_suites_memory_does_not_grow_with_samples(monkeypatch):
 
 
 def test_a_failing_family_suite_draws_its_sample_once(monkeypatch):
-    """One point that misses at four of five taus costs no second draw of the sample."""
+    """One point that misses at its tau costs no second draw of the sample."""
     drawn, yielded = c0cert.cli._graph_sample, []
 
     def swapped(config, rng):
@@ -1154,13 +1161,24 @@ def test_a_failing_family_suite_draws_its_sample_once(monkeypatch):
             suites=[suite],
         )
         (result,) = run_suite(config).results
-        assert result.counts["failures"] == 4, result.failures
+        # point 11 is evaluated at tau_(11 mod 5) = 2 only
+        assert result.counts["failures"] == 1, result.failures
         assert yielded == list(range(config.samples))
 
 
 def test_a_passing_family_suite_evaluates_only_its_first_point(monkeypatch):
-    """The proof covers every later point, and the first point misses at no tau."""
+    """Each drawn point is evaluated once, at its tau, and the first at every tau.
+
+    Only the first point's evaluations reach the runner: every later one
+    gives the proven value, as the first point does at every tau.
+    """
     calls = {"closure_margin_terms": 0, "fitzpatrick_value_terms": 0}
+    evaluations, yielded = c0cert.cli._evaluations, []
+
+    def watched(*args):
+        for k, num, den in evaluations(*args):
+            yielded.append(k)
+            yield k, num, den
 
     def counted(name):
         core = getattr(c0cert.cli, name)
@@ -1173,6 +1191,7 @@ def test_a_passing_family_suite_evaluates_only_its_first_point(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(c0cert.cli, name, counted(name))
+    monkeypatch.setattr(c0cert.cli, "_evaluations", watched)
     # s = 8/35, so the proven value's numerator and denominator cannot trade places
     config = fast_config(
         samples=50,
@@ -1181,7 +1200,58 @@ def test_a_passing_family_suite_evaluates_only_its_first_point(monkeypatch):
         suites=["extensions", "gap"],
     )
     assert run_suite(config).passed
-    assert calls == {"closure_margin_terms": 3, "fitzpatrick_value_terms": 3}
+    assert calls == {"closure_margin_terms": 3 + 49, "fitzpatrick_value_terms": 3 + 49}
+    assert yielded == [0, 1, 2] * 2  # the extensions suite's, then the gap suite's
+
+
+def test_each_later_point_is_evaluated_at_its_rotated_tau(monkeypatch):
+    """Point i > 0 is evaluated at tau_(i mod n), and each miss there is a failure."""
+    core, taus = c0cert.cli.closure_margin_terms, []
+
+    def missing_at_two(ep, p):
+        # the first point's three evaluations pass; every later one misses at tau = 2
+        taus.append(ep.tau)
+        num, den = core(ep, p)
+        return (num + den, den) if len(taus) > 3 and ep.tau == 2 else (num, den)
+
+    monkeypatch.setattr(c0cert.cli, "closure_margin_terms", missing_at_two)
+    config = fast_config(
+        ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"}, taus=[1, 2, "1/3"], suites=["extensions"]
+    )
+    (result,) = run_suite(config).results
+    assert taus == [1, 2, Fraction(1, 3)] + [config.taus[i % 3] for i in range(1, 25)]
+    assert result.counts["failures"] == len(range(1, 25, 3)) == 8
+    assert result.failures == ["margin 43/35 != 8/35 at tau = 2"] * 5
+
+
+# the verdict (-G(ytilde), ytilde) gets when G is replaced by the identity
+# and -G by the negation, as below; ytilde = unit(1), so s = 1
+NON_SKEW_VERDICT = (
+    "Violation(witness=GraphPoint(x=Seq(num=(), tnum=0, den=1), y=Seq(num=(), tnum=0, den=1)), "
+    "product=Fraction(-1, 1))"
+)
+
+
+def test_a_map_that_is_not_skew_leaves_the_family_margin_unproven(monkeypatch):
+    monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
+    monkeypatch.setattr("c0cert.certify.neg_gossez_apply", lambda y: -y)
+    # one tau: at two, the extensions suite crashes on the distinctness closed form
+    for result in run_suite(fast_config(taus=[1], suites=["extensions", "gap"])).results:
+        assert not result.passed
+        assert result.failures[0] == f"margin 1 not proven on the whole graph: {NON_SKEW_VERDICT}"
+
+
+def test_a_family_suite_fails_on_any_verdict_but_related_with_margin_zero(monkeypatch):
+    """Every evaluation passes, so the tau-free verdict is the one failure."""
+    clean = run_suite(fast_config(suites=["extensions", "gap"])).results
+    monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: Related(Fraction(1)))
+    results = run_suite(fast_config(suites=["extensions", "gap"])).results
+    for result, passed in zip(results, clean):
+        assert result.failures == [
+            "margin 1 not proven on the whole graph: Related(margin=Fraction(1, 1))"
+        ]
+        assert result.counts == {**passed.counts, "failures": 1}
+        assert result.evidence == passed.evidence
 
 
 def failing_extensions_peak(samples: int) -> tuple[int, SuiteResult]:
@@ -1197,25 +1267,25 @@ def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
     peaks = {}
     for samples in (50, 400):
         peaks[samples], result = failing_extensions_peak(samples)
-        assert result.counts["failures"] == 2 * samples  # every point fails at both taus
+        # the first point fails at both taus, and every later point at its tau
+        assert result.counts["failures"] == samples + 1
         assert len(result.failures) == 5
     assert peaks[400] - peaks[50] <= 16 * 1024, peaks
     assert peaks[400] < 128 * 1024, peaks
 
 
 # sha256 of render_json(report, with_timing=False) for extensions and gap at
-# 2,000 samples with G replaced by the identity, so that q != 0, and -G by
-# the negation, with the crash site's line number written as LINE.  Pinned
-# from the runners that kept the whole sample on this path.
+# 2,000 samples with G replaced by the identity, which is not skew, and -G
+# by the negation, with the crash site's line number written as LINE.
 NON_SKEW_REPORT_SHA256 = {
-    "1,2": "e5d5b157d1f61dfd16fe0c14e28003254bd2b88507a56fb55d4b7a055c9d2367",
-    "1": "8940f44cada4ff892d548fe9353fdc58d750939c3058e6de0860f0782c207e27",
+    "1,2": "b2f99ee01bba7af2cdd0fa61ea305656719aad12d194d30963d223c8d599b99f",
+    "1": "4cd5d50c176628ccc32b54c728b5a6b260854ea54c99db3be09ec3d82e399efe",
 }
 
 
 @pytest.mark.parametrize("taus", ["1,2", "1"])
 def test_family_suites_hold_no_sample_when_the_proof_covers_no_point(monkeypatch, taus):
-    """With q != 0 every point is evaluated at every tau, and none is kept."""
+    """With G not skew the tau-free proof fails and points miss, and none is kept."""
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
     monkeypatch.setattr("c0cert.certify.neg_gossez_apply", lambda y: -y)
     peaks = {}

@@ -33,6 +33,7 @@ def test_demo_prints_the_suites_evidence():
     done = run_demo("--samples", "5")
     assert done.returncode == 0, done.stderr
     assert "pairing(ones, ytilde) = 1 > 0" in done.stdout
+    assert "(-G(ytilde), ytilde): Related(margin=Fraction(0, 1))," in done.stdout
     assert "FAILURE" not in done.stdout
 
 

@@ -13,6 +13,7 @@ from c0cert.certify import (
     ExtensionPoint,
     GraphPoint,
     Member,
+    Related,
     Violation,
     extension_family,
     violation_witness,
@@ -33,8 +34,9 @@ FIELDS = {
     Seq: ("num", "tnum", "den"),
     GraphPoint: ("x", "y"),
     ExtensionPoint: ("tau", "ytilde", "xstar", "xstarstar"),
-    ExtensionFamily: ("points", "ytilde", "total", "g", "q", "diagonal"),
+    ExtensionFamily: ("points", "ytilde", "total", "g", "diagonal"),
     Member: (),
+    Related: ("margin",),
     Violation: ("witness", "product"),
     SuiteConfig: ("seed", "samples", "support_max", "coeff_bound", "taus", "ytilde", "suites"),
     SuiteResult: ("name", "counts", "evidence", "failures", "duration"),
@@ -45,8 +47,9 @@ FIELDS = {
 def instances() -> list:
     """One instance of each value class, in ``FIELDS`` order."""
     family = extension_family(["1/2", 3], Seq(["1/3", "-1/5", 2]))
+    related = violation_witness(Seq([1], 2), unit(1))
     violation = violation_witness(unit(1), ZERO)
-    assert isinstance(violation, Violation)
+    assert isinstance(related, Related) and isinstance(violation, Violation)
     config = config_from_obj({"samples": 3, "suites": ["gap", "maximal"]})
     report = run_suite(config)
     return [
@@ -55,6 +58,7 @@ def instances() -> list:
         family.points[1],
         family,
         Member(),
+        related,
         violation,
         config,
         report.results[0],
@@ -107,6 +111,7 @@ def test_value_classes_have_no_instance_dict():
 def test_pinned_reprs():
     assert repr(unit(2)) == "Seq(num=(0, 1), tnum=0, den=1)"
     assert repr(Member()) == "Member()"
+    assert repr(Related(Fraction(1))) == "Related(margin=Fraction(1, 1))"
     p = GraphPoint.from_y(unit_u(1))
     assert repr(p) == f"GraphPoint(x={p.x!r}, y={p.y!r})"
     assert repr(SuiteConfig()) == (
