@@ -24,6 +24,7 @@ import sys
 from c0cert.certify import extension_family, violation_witness
 from c0cert.cli import ConfigError, SuiteResult, config_from_obj, run_suite
 from c0cert.gossez import gossez_apply, t_solve, unit_u, unit_v
+from c0cert.seqspace import terms_str
 
 
 def section(result: SuiteResult, title: str) -> bool:
@@ -70,7 +71,7 @@ def main() -> int:
     if section(extensions, "the extension family"):
         family = extension_family(config.taus, config.ytilde)
         for ep in family.points:
-            print(f"tau = {str(ep.tau):>4}:  x** = {ep.xstarstar}")
+            print(f"tau = {terms_str(*ep.tau):>4}:  x** = {ep.xstarstar}")
         margin = extensions.evidence["closure_margin"]
         print(f"margin on every sampled graph point = pairing(ones, ytilde) = {margin} > 0")
         verdict = violation_witness(-family.g, family.ytilde)

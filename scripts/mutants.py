@@ -208,9 +208,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/certify.py",
-        "    for tau in taus:\n"
-        "        if tau <= 0:\n"
-        '            raise InvalidParameter(f"tau must be positive, got {tau}")\n',
+        "    for a, b in taus:\n"
+        "        if a <= 0:\n"
+        '            raise InvalidParameter(f"tau must be positive, got {terms_str(a, b)}")\n',
         "",
         "extension_family without its tau <= 0 loop",
         ("tests/test_certify.py",),
@@ -218,8 +218,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        '({where})"], {}, {}',
-        '({where})"], {"failures": 1}, {}',
+        "            counts, evidence = {}, {}\n",
+        '            counts, evidence = {"failures": 1}, {}\n',
         "run_suite's crash record with counts",
         ("tests/test_cli.py",),
         ("test_maximal_runner_reports_a_failed_recheck",),
@@ -491,11 +491,54 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        "if verdict != Related(0):",
+        "if verdict != Related((0, 1)):",
         "if not isinstance(verdict, Related):",
         "_whole_graph_proof taking any Related verdict for the proof",
         ("tests/test_cli.py",),
         ("test_a_family_suite_fails_on_any_verdict_but_related_with_margin_zero",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "import sys\n",
+        "import sys\nfrom fractions import Fraction\n",
+        "seqspace importing fractions at module level",
+        ("tests/test_package.py",),
+        ("test_the_library_path_loads_only_what_it_runs",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "    g = gcd(p, q)\n    return p // g, q // g\n",
+        "    return p, q\n",
+        "terms without its gcd reduction",
+        ("tests/test_cli.py",),
+        ("test_taus_equal_as_rationals_are_one_tau",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "if not (num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())):",
+        "if not (num.isdigit() and (not slash or den.isdigit())):",
+        "terms' wire check accepting non-ASCII digits",
+        ("tests/test_seqspace.py",),
+        (
+            "test_terms_and_rat_agree_with_fraction",
+            "test_terms_and_rat_agree_on_what_they_refuse",
+        ),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "num * worst[1] > worst[0] * den",
+        "num * worst[1] < worst[0] * den",
+        "_run_maximal keeping the violation product farthest from zero",
+        ("tests/test_cli.py",),
+        ("test_maximal_evidence_is_the_violation_product_closest_to_zero",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "list.append(failures, f",
+        'failures.append("{}", f',
+        "run_suite's crash record dropped past MAX_FAILURES_SHOWN",
+        ("tests/test_cli.py",),
+        ("test_a_crash_follows_the_failures_appended_before_it",),
     ),
 )
 

@@ -25,14 +25,17 @@ identities that are checked literally:
 
 Each value-returning certificate has an integer core, named with a
 ``_terms`` suffix, that returns an unreduced numerator over a positive
-denominator, and ``family_products`` yields such terms.  Verdicts are
-compared as integers: a/b = c/d holds iff a * d = b * c when b, d > 0, and a
-value's sign is its numerator's sign.  A Fraction is built only by
-``rat``, for config values, and by the public wrappers, never to compare a
-value, and ``cli`` and ``gossez`` build none of their own.  Each value form
-has one writer: a value held as integer terms is written with
-``seqspace.terms_str``, and a Fraction, such as a tau or a violation
-product, with ``str()``.
+denominator, and ``family_products`` yields such terms.  Every rational
+this module holds is a lowest-terms pair ``(num, den)``, den > 0, as
+``seqspace.terms`` returns it: a family point's tau, a family's total, a
+violation's product and a relation's margin.  Verdicts are compared as
+integers: a/b = c/d holds iff a * d = b * c when b, d > 0, and a value's
+sign is its numerator's sign.  A Fraction comes only out of a public
+wrapper that returns one (``monotone_product``, ``closure_margin``,
+``distinctness``, ``fitzpatrick_value``, ``fitzpatrick_gap`` and
+``random_rational``), which imports ``fractions`` in its own body, so the
+library path never loads it.  Integer terms are written with
+``seqspace.terms_str``.
 
 Sampling helpers are deterministic given their random.Random generator; use
 one generator per worker, with seeds derived by fixed splitting.
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 from operator import floordiv
 
@@ -51,13 +53,12 @@ from .seqspace import (
     ZERO,
     Frozen,
     NonSummable,
-    Rational,
     Seq,
     difference_terms,
     pairing,
     pairing_numerator,
     _derived,
-    rat,
+    terms,
     terms_str,
 )
 
@@ -141,20 +142,22 @@ class ExtensionPoint(Frozen):
 
     The first component stays summable; the second has constant tail
     tau * sum(ytilde) + 1/tau > 0, so it is bounded but not a null sequence.
-    ``extension_family`` builds these points.  All fields are recomputable
-    from (tau, ytilde); direct construction re-derives them through
-    ``extension_point`` and compares.
+    ``extension_family`` builds these points.  ``tau`` is held as its lowest
+    terms ``(a, b)``.  All fields are recomputable from (tau, ytilde); direct
+    construction re-derives them through ``extension_point`` and compares.
     """
 
     __slots__ = ("tau", "ytilde", "xstar", "xstarstar")
 
-    def __init__(self, tau: Rational, ytilde: Seq, xstar: Seq, xstarstar: Seq) -> None:
+    def __init__(
+        self, tau: Fraction | int | str | tuple[int, int], ytilde: Seq, xstar: Seq, xstarstar: Seq
+    ) -> None:
         derived = extension_point(tau, ytilde)
         if xstar != derived.xstar:
             raise InvalidParameter("xstar != tau * ytilde")
         if xstarstar != derived.xstarstar:
             raise InvalidParameter("xstarstar does not match its construction")
-        Frozen.__init__(self, tau, ytilde, xstar, xstarstar)
+        Frozen.__init__(self, derived.tau, ytilde, xstar, xstarstar)
 
 
 class ExtensionFamily(Frozen):
@@ -165,7 +168,7 @@ class ExtensionFamily(Frozen):
     * ``points``: the family points, in ``taus`` order;
     * ``ytilde``: their common direction;
     * ``total``: s = pairing(ones, ytilde) > 0, the closure margin and the
-      Fitzpatrick gap of every point;
+      Fitzpatrick gap of every point, as lowest terms ``(num, den)``;
     * ``g``: G(ytilde);
     * ``diagonal``: the integers pairing_numerator(xss_k, xs_k), so the
       self-pairing pairing(xs_k, xss_k) is diagonal[k] / (xs_k.den * xss_k.den).
@@ -176,7 +179,9 @@ class ExtensionFamily(Frozen):
     __slots__ = ("points", "ytilde", "total", "g", "diagonal")
 
 
-def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> ExtensionFamily:
+def extension_family(
+    taus: Sequence[Fraction | int | str | tuple[int, int]], ytilde: Seq
+) -> ExtensionFamily:
     """The family points for ``taus`` along ytilde, with the values they share.
 
     ``taus`` must be nonempty and each tau positive; ytilde must be finitely
@@ -194,15 +199,15 @@ def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> Exten
         raise InvalidParameter("ytilde must be finitely supported")
     if sum(ytilde.num) <= 0:  # the numerator of pairing(ones, ytilde) over ytilde.den > 0
         raise InvalidParameter("pairing(ones, ytilde) must be positive")
-    taus = [rat(tau) for tau in taus]
-    for tau in taus:
-        if tau <= 0:
-            raise InvalidParameter(f"tau must be positive, got {tau}")
+    taus = [terms(tau) for tau in taus]
+    for a, b in taus:
+        if a <= 0:
+            raise InvalidParameter(f"tau must be positive, got {terms_str(a, b)}")
     g = gossez_apply(ytilde)
     d = g.den
     points = []
     for tau in taus:
-        a, b = tau.numerator, tau.denominator
+        a, b = tau
         # over a * b * d, 1/tau is b * b * d and tau * v / d is a * a * v
         inv, aa = b * b * d, a * a
         xstarstar = Seq._of([inv - aa * v for v in g.num], inv - aa * g.tnum, a * b * d)
@@ -210,13 +215,13 @@ def extension_family(taus: Sequence[Rational | int | str], ytilde: Seq) -> Exten
     return ExtensionFamily(
         tuple(points),
         ytilde,
-        Fraction(sum(ytilde.num), ytilde.den),
+        terms((sum(ytilde.num), ytilde.den)),
         g,
         tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points),
     )
 
 
-def extension_point(tau: Rational | int | str, ytilde: Seq) -> ExtensionPoint:
+def extension_point(tau: Fraction | int | str | tuple[int, int], ytilde: Seq) -> ExtensionPoint:
     """Build the family point for parameter tau > 0 and direction ytilde.
 
     The positive total pairing(ones, ytilde) is exactly the closure margin
@@ -239,9 +244,9 @@ class Member(Frozen):
 class Related(Frozen):
     """Verdict: the candidate is off the graph, yet monotone against all of it.
 
-    ``margin``, a Fraction >= 0, is the monotone product of the candidate
-    against every graph point, one constant, so a monotone extension of the
-    graph may contain the candidate.
+    ``margin`` >= 0, as lowest terms ``(num, den)``, is the monotone product
+    of the candidate against every graph point, one constant, so a monotone
+    extension of the graph may contain the candidate.
     """
 
     __slots__ = ("margin",)
@@ -250,14 +255,14 @@ class Related(Frozen):
 class Violation(Frozen):
     """Verdict: an explicit graph point refutes the candidate pair.
 
-    ``product`` is the monotone product of the candidate against the
-    witness, strictly negative, so no monotone extension of the graph can
-    contain the candidate.
+    ``product``, as lowest terms ``(num, den)``, is the monotone product of
+    the candidate against the witness, strictly negative, so no monotone
+    extension of the graph can contain the candidate.
     """
 
     __slots__ = ("witness", "product")
 
-    def __init__(self, witness: GraphPoint, product: Rational) -> None:
+    def __init__(self, witness: GraphPoint, product: tuple[int, int]) -> None:
         # field by field, without Frozen.__init__'s loop: one per refuted pair
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "product", product)
@@ -267,13 +272,15 @@ WitnessVerdict = Member | Related | Violation
 
 # The normalized product of every difference-recurrence witness, once its
 # recomputed numerator and denominator are seen to cancel to -1.
-_MINUS_ONE = Fraction(-1)
+_MINUS_ONE = (-1, 1)
 # The witness of the origin branch, validated once, here.
 _ORIGIN = GraphPoint(ZERO, ZERO)
 
 
-def monotone_product(p: GraphPoint, q: GraphPoint) -> Rational:
+def monotone_product(p: GraphPoint, q: GraphPoint) -> Fraction:
     """pairing(p.x - q.x, p.y - q.y); identically zero on the graph."""
+    from fractions import Fraction
+
     return Fraction(*monotone_product_terms(p, q))
 
 
@@ -282,7 +289,7 @@ def monotone_product_terms(p: GraphPoint, q: GraphPoint) -> tuple[int, int]:
     return difference_terms(p.x, q.x, p.y, q.y)
 
 
-def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
+def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
     """Monotone product of a family point against a graph point.
 
     Equals pairing(ones, ep.ytilde) for every graph point: the graph part
@@ -294,6 +301,8 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     This is the definition, evaluated directly; ``violation_witness`` on
     (-G(ytilde), ytilde) proves the same constant for every tau > 0 at once.
     """
+    from fractions import Fraction
+
     return Fraction(*closure_margin_terms(ep, p))
 
 
@@ -336,12 +345,12 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, int, in
     the caller builds a Fraction or a string from them.  Nothing is held
     per pair, so the caller decides what to keep.
     """
-    terms = [(p.xstarstar, p.xstar, p.tau.numerator, p.tau.denominator) for p in family.points]
-    diagonal, s, e = family.diagonal, family.total.numerator, family.total.denominator
-    for i, (xss1, xs1, a1, b1) in enumerate(terms):
+    points = [(p.xstarstar, p.xstar, *p.tau) for p in family.points]
+    diagonal, (s, e) = family.diagonal, family.total
+    for i, (xss1, xs1, a1, b1) in enumerate(points):
         dss1, ds1 = xss1.den, xs1.den
-        for j in range(i + 1, len(terms)):
-            xss2, xs2, a2, b2 = terms[j]
+        for j in range(i + 1, len(points)):
+            xss2, xs2, a2, b2 = points[j]
             dss2, ds2 = xss2.den, xs2.den
             # tau_i = a_i / b_i in lowest terms, so k = 0 iff tau_i = tau_j
             k = a1 * b2 - a2 * b1
@@ -371,19 +380,23 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, int, in
 
 
 def distinctness(
-    tau1: Rational | int | str, tau2: Rational | int | str, ytilde: Seq
-) -> Rational:
+    tau1: Fraction | int | str | tuple[int, int],
+    tau2: Fraction | int | str | tuple[int, int],
+    ytilde: Seq,
+) -> Fraction:
     """Monotone product of the family points for tau1 and tau2 along ytilde.
 
     The two-point case of ``family_products``, which states and checks the
     preconditions, the closed form and the strict sign.  Callers that pair
     many taus build one ``extension_family`` and stream its pairs.
     """
+    from fractions import Fraction
+
     _, _, num, den = next(family_products(extension_family((tau1, tau2), ytilde)))
     return Fraction(num, den)
 
 
-def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
+def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
     """Fitzpatrick evaluation of a graph point against a family point:
 
         pairing(p.x, ep.xstar) + pairing(ep.xstarstar, p.y) - pairing(p.x, p.y) .
@@ -391,6 +404,8 @@ def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Rational:
     Constant over the graph, equal to the family point's self-pairing minus
     its closure margin.
     """
+    from fractions import Fraction
+
     return Fraction(*fitzpatrick_value_terms(ep, p))
 
 
@@ -408,7 +423,7 @@ def fitzpatrick_value_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int
     return total, dx * dy * ds * dss
 
 
-def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Rational:
+def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Fraction:
     """Self-pairing of the family point minus the best graph evaluation.
 
     The per-point evaluations must all coincide; the gap then equals
@@ -421,6 +436,8 @@ def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Rationa
     streaming over the sample, each evaluation cross-multiplied with the
     first.  An empty sample raises EmptySample.
     """
+    from fractions import Fraction
+
     points = iter(sample)
     first = next(points, None)
     if first is None:
@@ -480,7 +497,7 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     1 / tau and sigma = tau * s, with s = sum(ytilde).  Its margin is s at
     every graph point, and its Fitzpatrick value, pairing(x, y) minus the
     least product, is 0.  ``violation_witness(-G(ytilde), ytilde) ==
-    Related(0)`` proves this for every tau > 0 at once.
+    Related((0, 1))`` proves this for every tau > 0 at once.
 
     Everything runs on integers.  With g = gcd(x.den, y.den), the scan
     cross-multiplies by the reduced factors x.den / g and y.den / g, so
@@ -506,7 +523,10 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     the recomputed numerator equals minus its denominator, and kappa * sigma
     is pairing(x, y) once the two agree.  Any other outcome raises
     AssertionError, so a returned ``Violation`` product is strictly negative
-    and callers need not recheck it.
+    and callers need not recheck it.  Each product and margin is returned as
+    lowest terms ``(num, den)``: the shared ``(-1, 1)`` for a recurrence
+    witness, and pn over x.den * y.den, reduced by their gcd, on the last
+    branch.
     """
     if y.tnum:
         raise NonSummable("the candidate's y must have a zero tail")
@@ -536,7 +556,7 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     pn = pairing_numerator(x, y)
     if pn * dy != (tail * dy - total * dx) * total:
         raise AssertionError("origin-witness product mismatch")
-    product = Fraction(pn, dx * dy)
+    product = terms((pn, dx * dy))
     if pn < 0:
         return Violation(_ORIGIN, product)
     return Related(product)
@@ -556,8 +576,10 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def random_rational(rng: random.Random, coeff_bound: int) -> Rational:
+def random_rational(rng: random.Random, coeff_bound: int) -> Fraction:
     """A draw with numerator in [-coeff_bound, coeff_bound] and denominator in [1, coeff_bound]."""
+    from fractions import Fraction
+
     return Fraction(_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1)
 
 

@@ -21,11 +21,13 @@ since the work of a run grows with each.  Each rational in ``taus``, in
 the ``ytilde`` prefix and the ``ytilde`` tail is bounded like a drawn
 entry: in lowest terms, its numerator and denominator are at most
 MAX_COEFF_BOUND in absolute value.  All of them go through one parser,
-``_rational``, so a bad value gets the same message in each field.
+``_rational``, so a bad value gets the same message in each field, and
+each is held as its lowest terms ``(num, den)``, as ``seqspace.terms``
+returns it: no library path imports ``fractions``.
 
-Each suite has one runner, ``runner(config, rng, family) -> (failures,
-counts, evidence)``, and ``run_suite`` builds every suite result from what
-a runner returns or raises.
+Each suite has one runner, ``runner(config, rng, family, failures) ->
+(counts, evidence)``, and ``run_suite`` builds every suite result from what
+a runner appends, returns or raises.
 
 Exit codes: 0 all selected suites passed, 1 some suite failed, 2 config
 error, 3 report could not be written.
@@ -33,8 +35,10 @@ error, 3 report could not be written.
 The library path (``config_from_obj``, ``run_suite``, and ``render_json``
 or ``render_markdown`` without timing) loads only the modules it runs:
 ``main`` imports ``argparse`` when it builds its parser, ``datetime`` is
-imported only for the ``generated_at`` stamp of ``--timestamp on``, and
-config and report files are read and written with ``open``.
+imported only for the ``generated_at`` stamp of ``--timestamp on``, config
+and report files are read and written with ``open``, and no path of
+``main`` imports ``fractions``, since every rational is held as integer
+terms.
 
 ``render_json`` writes the bytes of ``json.dumps(obj, sort_keys=True,
 indent=2)`` without calling it on the report: with ``indent`` set, CPython's
@@ -75,11 +79,10 @@ from .certify import (
 from .gossez import gossez_apply
 from .seqspace import (
     Frozen,
-    Rational,
     Seq,
     _shown,
     pairing_numerator,
-    rat,
+    terms,
     terms_str,
     unit,
 )
@@ -126,7 +129,8 @@ class SuiteConfig(Frozen):
     """Validated run configuration; ``SuiteConfig()`` is the default run.
 
     ``config_from_obj`` fills the fields a document leaves out from these
-    defaults, so they are stated here only.
+    defaults, so they are stated here only.  Each tau is held as its lowest
+    terms ``(num, den)``.
     """
 
     __slots__ = ("seed", "samples", "support_max", "coeff_bound", "taus", "ytilde", "suites")
@@ -137,7 +141,7 @@ class SuiteConfig(Frozen):
         samples: int = 1000,
         support_max: int = 16,
         coeff_bound: int = 100,
-        taus: tuple[Rational, ...] = (rat(1), rat(2)),
+        taus: tuple[tuple[int, int], ...] = ((1, 1), (2, 1)),
         ytilde: Seq = unit(1),
         suites: tuple[str, ...] = SUITE_NAMES,
     ) -> None:
@@ -149,7 +153,7 @@ class SuiteConfig(Frozen):
             "samples": self.samples,
             "support_max": self.support_max,
             "coeff_bound": self.coeff_bound,
-            "taus": [str(t) for t in self.taus],
+            "taus": [terms_str(*t) for t in self.taus],
             "ytilde": {
                 "prefix": [terms_str(v, self.ytilde.den) for v in self.ytilde.num],
                 "tail": terms_str(self.ytilde.tnum, self.ytilde.den),
@@ -179,23 +183,25 @@ class SuiteReport(Frozen):
         return all(r.passed for r in self.results)
 
 
-def _rational(item: object, where: str) -> Rational:
-    """``item`` parsed by ``rat``, bounded like a drawn entry.
+def _rational(item: object, where: str) -> tuple[int, int]:
+    """The lowest terms ``(num, den)`` of ``item``, parsed by ``terms``, bounded like a drawn entry.
 
-    In lowest terms, |numerator| and denominator must be at most
-    MAX_COEFF_BOUND: a larger config entry only grows every exact value
-    computed from it.
+    |num| and den must be at most MAX_COEFF_BOUND: a larger config entry
+    only grows every exact value computed from it.  A pair, the form
+    ``terms`` also reads, is the library's own and no JSON value.
     """
+    expected = "expected an integer or a 'p/q' string"
+    if isinstance(item, tuple):
+        raise ConfigError(f"{where}: {expected}, got {_shown(item)}")
     try:
-        value = rat(item)
+        num, den = terms(item)
     except TypeError:
-        expected = "expected an integer or a 'p/q' string"
         raise ConfigError(f"{where}: {expected}, got {_shown(item)}") from None
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{where}: malformed rational string {_shown(item)}") from None
-    if max(abs(value.numerator), value.denominator) > MAX_COEFF_BOUND:
+    if max(abs(num), den) > MAX_COEFF_BOUND:
         raise ConfigError(f"{where}: |numerator| and denominator must be at most {MAX_COEFF_BOUND}")
-    return value
+    return num, den
 
 
 def _parse_int(value: object, where: str, minimum: int, maximum: int | None = None) -> int:
@@ -235,9 +241,9 @@ def config_from_obj(obj: object) -> SuiteConfig:
     taus = []
     for i, item in enumerate(raw_taus):
         tau = _rational(item, f"taus[{i}]")
-        if tau <= 0:
-            raise ConfigError(f"taus[{i}]: must be positive, got {tau}")
-        if tau not in taus:  # deduplicate, keeping first occurrence order
+        if tau[0] <= 0:
+            raise ConfigError(f"taus[{i}]: must be positive, got {terms_str(*tau)}")
+        if tau not in taus:  # lowest terms, so equal taus are equal pairs; keep the first
             taus.append(tau)
 
     raw_ytilde = obj["ytilde"]
@@ -291,35 +297,37 @@ def parse_config(source: str) -> SuiteConfig:
 
 # --- suite runners ---------------------------------------------------------
 #
-# A runner takes (config, rng, family) and returns (failures, counts,
+# A runner takes (config, rng, family, failures) and returns (counts,
 # evidence); ``run_suite`` builds the suite's result from them.  A runner
-# appends its failures to a ``_Failures``, which formats and keeps the first
-# MAX_FAILURES_SHOWN messages and counts the rest, and the skew and monotone
-# runners collect the values they list in a ``_Seen``, which keeps 0 and the
-# first MAX_FAILURES_SHOWN failing values; so a failing run's memory does not
+# appends its failures to ``failures``, the ``_Failures`` that ``run_suite``
+# made for it, which formats and keeps the first MAX_FAILURES_SHOWN messages
+# and counts the rest; so if the runner crashes, ``run_suite`` still holds
+# them and adds the crash record after them.  The skew and monotone runners
+# collect the values they list in a ``_Seen``, which keeps 0 and the first
+# MAX_FAILURES_SHOWN failing values; so a failing run's memory does not
 # grow with its failures.  Each suite draws from its own deterministic
 # generator, seed split by suite name, so suites could run in any order (or
 # in parallel) without changing any draw.
 #
 # Runners check the certify layer's integer (numerator, denominator) results
-# by cross-multiplication.  A value that reaches the report or a failure
-# message is written from its terms with ``terms_str``, or, if the runner
-# holds it as a Fraction (a tau, the family's total, the worst violation
-# product), with ``str()``.  The skew and monotone runners collect those
-# strings in their ``_Seen``: equal rationals have equal strings, so the
-# set keeps distinct values.
+# by cross-multiplication.  Every rational the library holds (a tau, the
+# family's total, a verdict's product or margin) is such a pair too, so no
+# runner builds a Fraction, and a value that reaches the report or a failure
+# message is written from its terms with ``terms_str``.  The skew and
+# monotone runners collect those strings in their ``_Seen``: equal rationals
+# have equal strings, so the set keeps distinct values.
 #
 # Each family suite proves its claim for the whole graph with one tau-free
-# call, ``violation_witness(-G(ytilde), ytilde)``: ``Related(0)`` gives every
-# family point closure margin s and Fitzpatrick value 0 at every graph point
-# and every tau > 0 (see its docstring), and any other verdict is one
-# failure.  The sample, drawn one point at a time and not kept, ties the
-# proof to the definitions: the first point is evaluated directly at every
-# tau, and each later point i once, at tau_(i mod n) for n taus.
-# ``_evaluations`` yields the first point's evaluations and each later one
-# that differs from the proven value or from the first point's, so a runner
-# sees every failure and every value that differs from the first point's at
-# its tau, as a loop over every evaluation would.
+# call, ``violation_witness(-G(ytilde), ytilde)``: ``Related((0, 1))``,
+# margin 0, gives every family point closure margin s and Fitzpatrick value
+# 0 at every graph point and every tau > 0 (see its docstring), and any
+# other verdict is one failure.  The sample, drawn one point at a time and
+# not kept, ties the proof to the definitions: the first point is evaluated
+# directly at every tau, and each later point i once, at tau_(i mod n) for n
+# taus.  ``_evaluations`` yields the first point's evaluations and each later
+# one that differs from the proven value or from the first point's, so a
+# runner sees every failure and every value that differs from the first
+# point's at its tau, as a loop over every evaluation would.
 
 _Family = Callable[[], ExtensionFamily]
 
@@ -363,8 +371,9 @@ def _graph_sample(config: SuiteConfig, rng: random.Random) -> Iterator[GraphPoin
         yield random_graph_point(rng, config.support_max, config.coeff_bound)
 
 
-def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = _Failures()
+def _run_skew(
+    config: SuiteConfig, rng: random.Random, family: _Family, failures: _Failures
+) -> tuple:
     seen = _Seen()
     for _ in range(config.samples):
         y = random_summable(rng, config.support_max, config.coeff_bound)
@@ -375,11 +384,12 @@ def _run_skew(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple
         if num:
             failures.append("pairing(G(y), y) = {} for y = {}", value, y)
     evidence = {"pairing_values": sorted(seen)}
-    return failures, {"samples": config.samples}, evidence
+    return {"samples": config.samples}, evidence
 
 
-def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = _Failures()
+def _run_monotone(
+    config: SuiteConfig, rng: random.Random, family: _Family, failures: _Failures
+) -> tuple:
     seen = _Seen()
     for _ in range(config.samples):
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
@@ -390,12 +400,13 @@ def _run_monotone(config: SuiteConfig, rng: random.Random, family: _Family) -> t
         if num:
             failures.append("monotone product {} for a graph pair", value)
     evidence = {"products": sorted(seen)}
-    return failures, {"pairs": config.samples}, evidence
+    return {"pairs": config.samples}, evidence
 
 
-def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = _Failures()
-    worst = None  # violation product closest to zero; must stay negative
+def _run_maximal(
+    config: SuiteConfig, rng: random.Random, family: _Family, failures: _Failures
+) -> tuple:
+    worst = None  # violation product closest to zero, as (num, den); must stay negative
     for _ in range(config.samples):
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
         verdict = violation_witness(p.x, p.y)
@@ -408,18 +419,21 @@ def _run_maximal(config: SuiteConfig, rng: random.Random, family: _Family) -> tu
         verdict = violation_witness(x, y)
         if not isinstance(verdict, Violation):
             failures.append("perturbed pair misclassified as a member")
-        elif worst is None or verdict.product > worst:
+            continue
+        num, den = verdict.product
+        if worst is None or num * worst[1] > worst[0] * den:
             worst = verdict.product
-    evidence = {} if worst is None else {"max_violation_product": str(worst)}
+    evidence = {} if worst is None else {"max_violation_product": terms_str(*worst)}
     counts = {"members": config.samples, "violations": config.samples}
-    return failures, counts, evidence
+    return counts, evidence
 
 
 def _whole_graph_proof(fam: ExtensionFamily, failures: _Failures) -> None:
-    """Appends one failure unless (-G(ytilde), ytilde) is ``Related(0)``."""
+    """Appends one failure unless (-G(ytilde), ytilde) is ``Related((0, 1))``."""
     verdict = violation_witness(-fam.g, fam.ytilde)
-    if verdict != Related(0):
-        failures.append("margin {} not proven on the whole graph: {!r}", fam.total, verdict)
+    if verdict != Related((0, 1)):
+        margin = terms_str(*fam.total)
+        failures.append("margin {} not proven on the whole graph: {!r}", margin, verdict)
 
 
 def _evaluations(
@@ -451,29 +465,31 @@ def _evaluations(
         raise EmptySample("need at least one graph point")
 
 
-def _run_extensions(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = _Failures()
+def _run_extensions(
+    config: SuiteConfig, rng: random.Random, family: _Family, failures: _Failures
+) -> tuple:
     fam = family()
     _whole_graph_proof(fam, failures)
-    exp_num, exp_den = fam.total.numerator, fam.total.denominator
-    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, (exp_num, exp_den)):
+    exp_num, exp_den = fam.total
+    total = terms_str(exp_num, exp_den)
+    keys = [terms_str(*ep.tau) for ep in fam.points]
+    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, fam.total):
         if num * exp_den != exp_num * den or num <= 0:
-            margin = terms_str(num, den)
-            failures.append("margin {} != {} at tau = {}", margin, fam.total, fam.points[k].tau)
+            failures.append("margin {} != {} at tau = {}", terms_str(num, den), total, keys[k])
     if len(fam.points) < 2:
         failures.append("insufficient distinct taus for pairwise distinctness")
-    keys = [str(ep.tau) for ep in fam.points]
     # family_products raises unless each product is negative and matches its closed form
     products = {
         f"{keys[i]},{keys[j]}": terms_str(num, den) for i, j, num, den in family_products(fam)
     }
     counts = {"graph_points": config.samples, "taus": len(config.taus), "tau_pairs": len(products)}
-    evidence = {"closure_margin": str(fam.total), "distinctness_products": products}
-    return failures, counts, evidence
+    evidence = {"closure_margin": total, "distinctness_products": products}
+    return counts, evidence
 
 
-def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
-    failures = _Failures()
+def _run_gap(
+    config: SuiteConfig, rng: random.Random, family: _Family, failures: _Failures
+) -> tuple:
     fam = family()
     _whole_graph_proof(fam, failures)
     first, varies = {}, set()  # each tau's first value; the taus where another differs
@@ -481,11 +497,13 @@ def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
         first_num, first_den = first.setdefault(k, (num, den))
         if num * first_den != first_num * den:
             varies.add(k)
-    exp_num, exp_den = fam.total.numerator, fam.total.denominator
+    exp_num, exp_den = fam.total
+    total = terms_str(exp_num, exp_den)
     per_tau = {}
     for k, (ep, diagonal) in enumerate(zip(fam.points, fam.diagonal)):
+        tau = terms_str(*ep.tau)
         if k in varies:
-            failures.append("Fitzpatrick values not constant at tau = {}", ep.tau)
+            failures.append("Fitzpatrick values not constant at tau = {}", tau)
             continue
         # the gap is the self-pairing diagonal / self_den minus the value num / den
         num, den = first[k]
@@ -493,15 +511,15 @@ def _run_gap(config: SuiteConfig, rng: random.Random, family: _Family) -> tuple:
         gap_num, gap_den = diagonal * den - num * self_den, self_den * den
         gap = terms_str(gap_num, gap_den)
         if gap_num * exp_den != exp_num * gap_den or gap_num <= 0:
-            failures.append("gap {} != expected {} at tau = {}", gap, fam.total, ep.tau)
-        per_tau[str(ep.tau)] = {
+            failures.append("gap {} != expected {} at tau = {}", gap, total, tau)
+        per_tau[tau] = {
             "fitzpatrick_value": terms_str(num, den),
             "self_pairing": terms_str(diagonal, self_den),
             "gap": gap,
         }
     counts = {"graph_points": config.samples, "taus": len(config.taus)}
-    evidence = {"expected_gap": str(fam.total), "per_tau": per_tau}
-    return failures, counts, evidence
+    evidence = {"expected_gap": total, "per_tau": per_tau}
+    return counts, evidence
 
 
 _RUNNERS = {
@@ -516,16 +534,19 @@ _RUNNERS = {
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suites; certificate errors become suite failures.
 
-    Each runner is called as ``runner(config, rng, family)``: ``rng`` is the
-    suite's own generator, and ``family`` returns the report's
+    Each runner is called as ``runner(config, rng, family, failures)``:
+    ``rng`` is the suite's own generator, ``family`` returns the report's
     ``ExtensionFamily``, built at most once per call, for the first family
-    suite that runs.  A build that raises is not cached, so each family
-    suite records the crash.  A runner returns ``(failures, counts,
-    evidence)``, with ``failures`` a ``_Failures``: the result keeps its at
-    most MAX_FAILURES_SHOWN messages, and its counts add ``failures``, the
-    number of messages the runner appended.  A crash is recorded as the
-    one failure ``Type: message (file.py:LINE)``, naming the innermost
-    frame of its traceback, with no counts and no evidence.
+    suite that runs, and ``failures`` is a fresh ``_Failures`` the runner
+    appends to.  A build that raises is not cached, so each family suite
+    records the crash.  A runner returns ``(counts, evidence)``: the result
+    keeps the at most MAX_FAILURES_SHOWN messages of ``failures``, and its
+    counts add ``failures``, the number of messages the runner appended.
+
+    A crash keeps the failures appended before it and adds the crash
+    record ``Type: message (file.py:LINE)``, naming the innermost frame of
+    its traceback, after them, even past MAX_FAILURES_SHOWN; the result has
+    no counts and no evidence.
     """
 
     @cache
@@ -535,15 +556,18 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     results = []
     for name in config.suites:
         started = time.perf_counter()
+        failures = _Failures()
         try:
-            failures, counts, evidence = _RUNNERS[name](config, _rng(config, name), family)
+            counts, evidence = _RUNNERS[name](config, _rng(config, name), family, failures)
             counts = {**counts, "failures": failures.total}
         except Exception as exc:  # a crash is itself a failed certificate
             tb = exc.__traceback__
             while tb.tb_next is not None:  # walk to the innermost frame
                 tb = tb.tb_next
             where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
-            failures, counts, evidence = [f"{type(exc).__name__}: {exc} ({where})"], {}, {}
+            # past the cap too: the crash record is always shown
+            list.append(failures, f"{type(exc).__name__}: {exc} ({where})")
+            counts, evidence = {}, {}
         duration = time.perf_counter() - started
         results.append(SuiteResult(name, counts, evidence, list(failures), duration))
     return SuiteReport(config, results)

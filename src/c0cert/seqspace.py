@@ -1,26 +1,31 @@
 """Exact arithmetic on eventually constant rational sequences.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``): always in
-lowest terms, positive denominator, no rounding anywhere.  Sequences are
-stored as a finite prefix plus a constant tail value.  That subspace is
-closed under addition, scaling, the skew operator and its inverse, and the
-duality pairing, and it contains every vector this project manipulates:
-finitely supported summable sequences, the all-ones sequence, and the bidual
-points produced by the extension construction.  Every identity we certify is
-therefore decidable by exact comparison.
+Scalars are arbitrary-precision rationals held as integer terms: a pair
+``(num, den)`` of ints in lowest terms with ``den > 0``, no rounding
+anywhere.  Sequences are stored as a finite prefix plus a constant tail
+value.  That subspace is closed under addition, scaling, the skew operator
+and its inverse, and the duality pairing, and it contains every vector this
+project manipulates: finitely supported summable sequences, the all-ones
+sequence, and the bidual points produced by the extension construction.
+Every identity we certify is therefore decidable by exact comparison.
 
-The kernels that feed a verdict, ``pairing_numerator`` and
-``difference_terms``, return unreduced integers rather than a ``Fraction``.
-Verdicts are compared as integers, cross-multiplied over positive
-denominators.  A ``Fraction`` is built only by ``rat``, for config values,
-and by the public wrappers; ``cli`` and ``gossez`` build none of their own.
+``terms(value)`` is the one parser of rationals: it reads an int, a "p/q"
+wire string, a ``fractions.Fraction`` or an integer pair, and returns the
+lowest terms.  The library holds every rational it keeps in that form (a
+config tau, a family's total, a verdict's product or margin), and the
+kernels that feed a verdict, ``pairing_numerator`` and
+``difference_terms``, return unreduced integers.  Verdicts are compared as
+integers, cross-multiplied over positive denominators.  A ``Fraction``
+comes only out of a public wrapper that returns one (``rat``, ``pairing``,
+the norms and sums, ``Seq.prefix``, ``.tail`` and ``.entry``), and each of
+them imports ``fractions`` in its own body, so no library path loads
+``fractions``, ``decimal`` or ``numbers``.
 
 Each value form has one writer.  A ``Fraction`` is written with ``str()``,
 which gives "p" or "p/q" in lowest terms with a positive denominator.
 Integer terms are written with ``terms_str(num, den)``, which gives the same
-string without building the ``Fraction``.  So no ``Fraction`` is built only
-to be written: ``Seq.__str__`` writes its entries from ``num``, ``tnum`` and
-``den``.
+string without building the ``Fraction``: ``Seq.__str__`` writes its
+entries from ``num``, ``tnum`` and ``den``.
 
 A ``Seq`` keeps its entries as integer numerators over one shared positive
 denominator: ``num`` for the prefix, ``tnum`` for the tail, ``den`` for all
@@ -31,7 +36,7 @@ over the result, instead of normalizing a ``Fraction`` per entry.
 
 There is one boundary constructor and one trusted internal path.
 ``Seq(prefix, tail)`` takes rationals, coerces and validates each through
-``rat`` and puts them over their least common denominator;
+``terms`` and puts them over their least common denominator;
 ``Seq._of(num, tnum, den)`` takes a fresh list of ints over a positive int
 denominator, as every internally derived sequence has, and checks nothing.
 Both end in ``__post_init__``, the single canonicalizer: it trims and
@@ -49,19 +54,18 @@ Indices are 1-based everywhere.
 
 from __future__ import annotations
 
-import re
+import sys
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
 __all__ = [
-    "Rational",
     "NonSummable",
     "Seq",
     "ZERO",
     "ONES",
+    "terms",
     "rat",
     "terms_str",
     "pairing",
@@ -73,35 +77,65 @@ __all__ = [
     "unit",
 ]
 
-# The one and only scalar type.  Fraction keeps gcd(|p|, q) = 1 and q > 0 by
-# construction, and str() round-trips the "p/q" wire format used by the CLI.
-Rational = Fraction
-
-# The "p/q" wire format: an optionally negative integer, optionally over an
-# unsigned one (q = 0 is left to Fraction to refuse), ASCII digits only.
-_WIRE_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
 
 class NonSummable(ValueError):
     """An absolutely summable argument was required but the tail is nonzero."""
 
 
-def rat(value: Rational | int | str) -> Rational:
-    """Coerce an int, a "p/q" string, or a Rational to an exact Rational.
+def terms(value: Fraction | int | str | tuple[int, int]) -> tuple[int, int]:
+    """The lowest terms ``(num, den)``, den > 0, of an exact rational.
 
-    This is the one parser of rationals arriving from outside.  Floats and
-    booleans raise TypeError: a float would silently trade exactness for a
-    binary approximation, and JSON ``true`` is not a number.  A string must
-    be an integer or "p/q" (ValueError otherwise, ZeroDivisionError for
-    q = 0); decimal and exponent forms such as "0.5" or "1e1" are refused.
+    This is the one parser of rationals.  It reads an int, a "p/q" string,
+    a Fraction, or a pair ``(num, den)`` of ints with den != 0, the form the
+    library holds.  Floats and booleans raise TypeError: a float would
+    silently trade exactness for a binary approximation, and JSON ``true``
+    is not a number.  A string must be an optional "-", ASCII digits, and
+    optionally "/" and ASCII digits (ValueError otherwise, ZeroDivisionError
+    for q = 0); decimal and exponent forms such as "0.5" or "1e1" are
+    refused.  The format is checked with ``str`` methods, so parsing
+    compiles no regular expression, and a Fraction is recognized without
+    importing ``fractions``: a program that never loaded it holds none.
     """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value), 1
+    if isinstance(value, str):
+        negative = value.startswith("-")
+        num, slash, den = (value[1:] if negative else value).partition("/")
+        if not (num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())):
+            raise ValueError(f"malformed rational {_shown(value)}: expected an integer or 'p/q'")
+        p, q = int(num), int(den) if slash else 1
+        if negative:
+            p = -p
+    elif type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+        p, q = value
+        if q < 0:
+            p, q = -p, -q
+        elif q and gcd(p, q) == 1:
+            return value  # a held pair is already in lowest terms: shared, not copied
+    else:
+        fractions = sys.modules.get("fractions")
+        if fractions is None or not isinstance(value, fractions.Fraction):
+            raise TypeError(f"refusing {_shown(value)}: exact rationals are ints or 'p/q' strings")
+        return value.numerator, value.denominator
+    if not q:
+        raise ZeroDivisionError(f"zero denominator in {_shown(value)}")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def rat(value: Fraction | int | str) -> Fraction:
+    """``terms(value)`` as a Fraction, for an int, a "p/q" string or a Fraction.
+
+    The pair form is the library's own, so a tuple raises TypeError here,
+    like every other non-rational.
+    """
+    from fractions import Fraction
+
     if type(value) is Fraction:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+    if isinstance(value, tuple):
         raise TypeError(f"refusing {_shown(value)}: exact rationals are ints or 'p/q' strings")
-    if isinstance(value, str) and not _WIRE_RATIONAL.fullmatch(value):
-        raise ValueError(f"malformed rational {_shown(value)}: expected an integer or 'p/q'")
-    return Fraction(value)
+    return Fraction(*terms(value))
 
 
 def _shown(value: object) -> str:
@@ -201,8 +235,8 @@ def _derived(cls: type, *values: object) -> Frozen:
 class Seq(Frozen):
     """An eventually constant rational sequence.
 
-    ``Seq(prefix, tail)`` takes rationals (ints, "p/q" strings or
-    Fractions): entries 1..len(prefix) are ``prefix``, every later entry
+    ``Seq(prefix, tail)`` takes rationals (anything ``terms`` reads):
+    entries 1..len(prefix) are ``prefix``, every later entry
     equals ``tail``.  Integer numerators over a common denominator go
     through ``Seq._of`` instead.  Construction canonicalizes (see the
     module docstring), so structural equality is sequence equality and
@@ -217,16 +251,18 @@ class Seq(Frozen):
     __slots__ = ("num", "tnum", "den")
 
     def __init__(
-        self, prefix: Iterable[Rational | int | str] = (), tail: Rational | int | str = 0
+        self,
+        prefix: Iterable[Fraction | int | str | tuple[int, int]] = (),
+        tail: Fraction | int | str | tuple[int, int] = 0,
     ) -> None:
         # The boundary path: coerce to ints over the least common denominator,
         # then hand over to the canonicalizer exactly as ``_of`` does.
-        values = [rat(v) for v in prefix]
-        t = rat(tail)
+        values = [terms(v) for v in prefix]
+        tnum, tden = terms(tail)
         # a list, not a generator: see certify._draw_summable on star-calls
-        den = lcm(t.denominator, *[v.denominator for v in values])
-        object.__setattr__(self, "num", [v.numerator * (den // v.denominator) for v in values])
-        object.__setattr__(self, "tnum", t.numerator * (den // t.denominator))
+        den = lcm(tden, *[q for _, q in values])
+        object.__setattr__(self, "num", [p * (den // q) for p, q in values])
+        object.__setattr__(self, "tnum", tnum * (den // tden))
         object.__setattr__(self, "den", den)
         self.__post_init__()
 
@@ -278,17 +314,23 @@ class Seq(Frozen):
         return hash((self.num, self.tnum, self.den))
 
     @property
-    def prefix(self) -> tuple[Rational, ...]:
-        """Entries 1..len(prefix) as Rationals."""
+    def prefix(self) -> tuple[Fraction, ...]:
+        """Entries 1..len(prefix) as Fractions."""
+        from fractions import Fraction
+
         return tuple(Fraction(v, self.den) for v in self.num)
 
     @property
-    def tail(self) -> Rational:
+    def tail(self) -> Fraction:
         """The constant value of every entry beyond the prefix."""
+        from fractions import Fraction
+
         return Fraction(self.tnum, self.den)
 
-    def entry(self, i: int) -> Rational:
+    def entry(self, i: int) -> Fraction:
         """Entry at 1-based index ``i``."""
+        from fractions import Fraction
+
         if i < 1:
             raise IndexError(f"index {i} out of range: indices start at 1")
         return Fraction(self.num[i - 1] if i <= len(self.num) else self.tnum, self.den)
@@ -314,10 +356,9 @@ class Seq(Frozen):
         # flipping every sign keeps the gcd and the last-entry condition
         return Seq._from_canonical(tuple([-v for v in self.num]), -self.tnum, self.den)
 
-    def __mul__(self, c: Rational | int | str) -> Seq:
-        c = rat(c)
-        p = c.numerator
-        return Seq._of([p * v for v in self.num], p * self.tnum, c.denominator * self.den)
+    def __mul__(self, c: Fraction | int | str | tuple[int, int]) -> Seq:
+        p, q = terms(c)
+        return Seq._of([p * v for v in self.num], p * self.tnum, q * self.den)
 
     __rmul__ = __mul__
 
@@ -330,13 +371,15 @@ ZERO = Seq()
 ONES = Seq((), 1)
 
 
-def pairing(x: Seq, y: Seq) -> Rational:
+def pairing(x: Seq, y: Seq) -> Fraction:
     """Duality product sum_i x_i * y_i.
 
     Defined whenever at least one argument is finitely supported (the sum is
     then finite and exact); symmetric in its arguments.  Raises NonSummable
     when both tails are nonzero, since the series then diverges.
     """
+    from fractions import Fraction
+
     return Fraction(pairing_numerator(x, y), x.den * y.den)
 
 
@@ -384,20 +427,26 @@ def difference_terms(a: Seq, b: Seq, c: Seq, d: Seq) -> tuple[int, int]:
     return num, a.den * fa * c.den * fc
 
 
-def sup_norm(a: Seq) -> Rational:
+def sup_norm(a: Seq) -> Fraction:
     """max_i |a_i|, attained on the prefix or at the tail."""
+    from fractions import Fraction
+
     return Fraction(max((abs(a.tnum), *map(abs, a.num))), a.den)
 
 
-def l1_norm(a: Seq) -> Rational:
+def l1_norm(a: Seq) -> Fraction:
     """sum_i |a_i|; requires a finitely supported argument."""
+    from fractions import Fraction
+
     if a.tnum:
         raise NonSummable("l1_norm of a sequence with nonzero tail diverges")
     return Fraction(sum(map(abs, a.num)), a.den)
 
 
-def total_sum(a: Seq) -> Rational:
+def total_sum(a: Seq) -> Fraction:
     """sum_i a_i; requires a finitely supported argument."""
+    from fractions import Fraction
+
     if a.tnum:
         raise NonSummable("total_sum of a sequence with nonzero tail diverges")
     return Fraction(sum(a.num), a.den)

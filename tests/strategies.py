@@ -1,4 +1,8 @@
-"""Shared hypothesis strategies: exact rationals and eventually constant sequences."""
+"""Shared hypothesis strategies: exact rationals and eventually constant sequences.
+
+Also ``fraction_of``, the Fraction oracle's view of a rational the library
+holds as integer terms.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +21,13 @@ nonzero_rationals = rationals.filter(lambda q: q != 0)
 positive_taus = st.fractions(
     min_value=Fraction(1, 20), max_value=Fraction(20), max_denominator=20
 )
+
+
+def fraction_of(pair: tuple[int, int]) -> Fraction:
+    """The Fraction of a held ``(num, den)``, which must be in lowest terms with den > 0."""
+    value = Fraction(*pair)
+    assert (value.numerator, value.denominator) == pair, pair
+    return value
 
 
 def summables(max_len: int = 10) -> st.SearchStrategy[Seq]:

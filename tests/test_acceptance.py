@@ -33,6 +33,8 @@ from c0cert.certify import (
 from c0cert.gossez import NotInDomain, gossez_apply, t_solve, unit_u, unit_v
 from c0cert.seqspace import ONES, Seq, pairing, total_sum, unit
 
+from strategies import fraction_of
+
 SUPPORT_MAX = 16
 COEFF_BOUND = 100
 
@@ -145,7 +147,7 @@ def test_criterion_6_maximality_witnesses():
             ok = (
                 ok
                 and isinstance(verdict, Violation)
-                and verdict.product == -1
+                and verdict.product == (-1, 1)
                 and pairing(x - verdict.witness.x, y - verdict.witness.y) == -1
             )
     # sum-breaking pairs keep the recurrence: the origin witnesses -(sum)^2
@@ -158,12 +160,13 @@ def test_criterion_6_maximality_witnesses():
         count += 1
         x = -gossez_apply(y) - total * ONES
         verdict = violation_witness(x, y)
+        product = fraction_of(verdict.product) if isinstance(verdict, Violation) else None
         ok = (
             ok
-            and isinstance(verdict, Violation)
-            and verdict.product == -(total**2)
-            and verdict.product < 0
-            and pairing(x - verdict.witness.x, y - verdict.witness.y) == verdict.product
+            and product is not None
+            and product == -(total**2)
+            and product < 0
+            and pairing(x - verdict.witness.x, y - verdict.witness.y) == product
         )
     _check(6, "maximality witnesses, 500+600 pairs", ok)
 

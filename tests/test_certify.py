@@ -51,6 +51,7 @@ from c0cert.seqspace import (
 )
 
 from strategies import (
+    fraction_of,
     nonzero_rationals,
     positive_sum_summables,
     positive_taus,
@@ -277,11 +278,11 @@ def test_family_products_refuse_a_nonnegative_product():
     ytilde = Seq([-1])
     g = gossez_apply(ytilde)
     points = tuple(
-        _derived(ExtensionPoint, tau, ytilde, tau * ytilde, 1 / tau * ONES - tau * g)
-        for tau in (Fraction(1), Fraction(2))
+        _derived(ExtensionPoint, (tau, 1), ytilde, tau * ytilde, Fraction(1, tau) * ONES - tau * g)
+        for tau in (1, 2)
     )
     diagonal = tuple(pairing_numerator(p.xstarstar, p.xstar) for p in points)
-    family = ExtensionFamily(points, ytilde, Fraction(-1), g, diagonal)
+    family = ExtensionFamily(points, ytilde, (-1, 1), g, diagonal)
     with pytest.raises(AssertionError, match="^distinctness product must be negative, got 1/2$"):
         next(family_products(family))
 
@@ -352,14 +353,14 @@ def test_extension_family_against_independent_oracles(taus, ytilde):
         family = extension_family(taus, ytilde)
     assert evaluated == [ytilde]  # G once, for any number of taus
     points = family.points
-    assert [p.tau for p in points] == taus and family.ytilde == ytilde
+    assert [fraction_of(p.tau) for p in points] == taus and family.ytilde == ytilde
     for tau, p in zip(taus, points):
         assert p.ytilde == ytilde and p.xstar == tau * ytilde
         assert p.xstarstar == -gossez_apply(tau * ytilde) + Fraction(1) / tau * ONES
     assert family.g == gossez_apply(ytilde)
     assert pairing(family.g, ytilde) == 0
-    assert violation_witness(-family.g, ytilde) == Related(0)  # margin s at every tau
-    assert family.total == pairing(ONES, ytilde)
+    assert violation_witness(-family.g, ytilde) == Related((0, 1))  # margin s at every tau
+    assert fraction_of(family.total) == pairing(ONES, ytilde)
     # the self-pairing of tau * ytilde against -tau * g + (1/tau) * ones, by bilinearity
     s, q = pairing(ONES, ytilde), pairing(gossez_apply(ytilde), ytilde)
     for tau, p, num in zip(taus, points, family.diagonal):
@@ -452,7 +453,7 @@ def test_witness_example_first_coordinate():
     verdict = violation_witness(unit(1), ZERO)
     assert isinstance(verdict, Violation)
     assert verdict.witness == GraphPoint(unit_v(1), -unit_u(1))
-    assert verdict.product == -1
+    assert verdict.product == (-1, 1)
 
 
 def test_witness_example_member():
@@ -462,7 +463,7 @@ def test_witness_example_member():
 def test_witness_example_swapped_pair():
     verdict = violation_witness(ZERO, unit(1))
     assert isinstance(verdict, Violation)
-    assert verdict.product == -1
+    assert verdict.product == (-1, 1)
 
 
 def test_witness_origin_branch():
@@ -473,12 +474,12 @@ def test_witness_origin_branch():
     verdict = violation_witness(x, y)
     assert isinstance(verdict, Violation)
     assert verdict.witness == ORIGIN
-    assert verdict.product == -total_sum(y) ** 2 == -1
+    assert fraction_of(verdict.product) == -total_sum(y) ** 2 == -1
 
 
 def test_witness_rejects_nonzero_tails():
     # x may have a tail: (ones, 0) is -G(0) + 1 * ones, related with margin 0
-    assert violation_witness(ONES, ZERO) == Related(0)
+    assert violation_witness(ONES, ZERO) == Related((0, 1))
     with pytest.raises(NonSummable):
         violation_witness(ZERO, ONES)
 
@@ -487,7 +488,7 @@ def test_witness_relates_the_family_point_of_e1_at_tau_one():
     # w = -G(e_1) + ones = (1, 2, 2, ...), z = e_1: kappa = 1, sigma = 1
     w = Seq([1], 2)
     assert w == -gossez_apply(unit(1)) + ONES
-    assert violation_witness(w, unit(1)) == Related(1)
+    assert violation_witness(w, unit(1)) == Related((1, 1))
     point = extension_point(1, unit(1))
     assert (point.xstarstar, point.xstar) == (w, unit(1))
 
@@ -495,7 +496,7 @@ def test_witness_relates_the_family_point_of_e1_at_tau_one():
 def test_witness_refutes_ones_against_e1_at_the_first_index():
     # x_2 - x_1 = 0 != y_1 + y_2 = 1; lam = -(pairing(ones, e_1) + 1) / 1 = -2
     verdict = violation_witness(ONES, unit(1))
-    assert verdict == Violation(GraphPoint.from_y(2 * (unit(1) - unit(2))), Fraction(-1))
+    assert verdict == Violation(GraphPoint.from_y(2 * (unit(1) - unit(2))), (-1, 1))
     assert pairing(ONES - verdict.witness.x, unit(1) - verdict.witness.y) == -1
 
 
@@ -516,17 +517,18 @@ def test_witness_decides_each_polar_point_by_the_closed_form_of_g(z, kappa, data
     w = Seq([kappa - v for v in prefix], kappa - tail)
     sigma = total_sum(z)
     verdict = violation_witness(w, z)
+    product = kappa * sigma
     if not (w.tnum or sigma):
         assert verdict == Member()
-    elif kappa * sigma >= 0:
-        assert verdict == Related(kappa * sigma)
+    elif product >= 0:
+        assert verdict == Related((product.numerator, product.denominator))
     else:
-        assert verdict == Violation(ORIGIN, kappa * sigma)
+        assert verdict == Violation(ORIGIN, (product.numerator, product.denominator))
     # one entry moved: the recurrence fails, and the witness's product, recomputed, is -1
     j = data.draw(st.integers(1, len(z.num) + 2))
     moved = w + data.draw(nonzero_rationals) * unit(j)
     verdict = violation_witness(moved, z)
-    assert isinstance(verdict, Violation) and verdict.product == -1
+    assert isinstance(verdict, Violation) and verdict.product == (-1, 1)
     assert verdict.witness.x == -gossez_apply(verdict.witness.y)
     assert pairing(moved - verdict.witness.x, z - verdict.witness.y) == -1
 
@@ -542,8 +544,9 @@ def test_witness_sound_on_null_side_perturbations(y, delta):
     p = GraphPoint.from_y(y)
     verdict = violation_witness(p.x + delta, p.y)
     assert isinstance(verdict, Violation)
-    assert pairing(p.x + delta - verdict.witness.x, p.y - verdict.witness.y) == verdict.product
-    assert verdict.product == -1
+    product = fraction_of(verdict.product)
+    assert pairing(p.x + delta - verdict.witness.x, p.y - verdict.witness.y) == product
+    assert product == -1
 
 
 @given(zero_sum_summables(), summables())
@@ -552,8 +555,9 @@ def test_witness_sound_on_summable_side_perturbations(y, delta):
     p = GraphPoint.from_y(y)
     verdict = violation_witness(p.x, p.y + delta)
     assert isinstance(verdict, Violation)
-    assert pairing(p.x - verdict.witness.x, p.y + delta - verdict.witness.y) == verdict.product
-    assert verdict.product < 0
+    product = fraction_of(verdict.product)
+    assert pairing(p.x - verdict.witness.x, p.y + delta - verdict.witness.y) == product
+    assert product < 0
 
 
 @given(summables())
@@ -564,7 +568,7 @@ def test_witness_sound_on_sum_breaking_pairs(y):
     verdict = violation_witness(x, y)
     assert isinstance(verdict, Violation)
     assert verdict.witness == ORIGIN
-    assert verdict.product == -(total**2)
+    assert fraction_of(verdict.product) == -(total**2)
 
 
 def fraction_witness(x, y):
@@ -593,7 +597,7 @@ def assert_fraction_witness(x, y):
     assert isinstance(verdict, Violation)
     assert verdict.witness.y == witness_y
     assert verdict.witness.x == -gossez_apply(witness_y)
-    assert verdict.product == product < 0
+    assert fraction_of(verdict.product) == product < 0
 
 
 @given(zero_sum_summables(), summables(), st.integers(min_value=0, max_value=2))
@@ -639,7 +643,7 @@ def test_witness_scale_zero_gives_the_origin():
     verdict = violation_witness(-unit(2), unit(2))
     assert isinstance(verdict, Violation)
     assert verdict.witness == ORIGIN
-    assert verdict.product == -1
+    assert verdict.product == (-1, 1)
     assert_fraction_witness(-unit(2), unit(2))
 
 
@@ -693,7 +697,7 @@ def test_offgraph_sampler_leaves_graph():
         assert x != -gossez_apply(y)
         verdict = violation_witness(x, y)
         assert isinstance(verdict, Violation)
-        assert verdict.product < 0
+        assert fraction_of(verdict.product) < 0
 
 
 @given(

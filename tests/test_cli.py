@@ -30,6 +30,7 @@ from c0cert.certify import (
 )
 from c0cert.cli import (
     MAX_COEFF_BOUND,
+    MAX_FAILURES_SHOWN,
     MAX_SAMPLES,
     MAX_SUPPORT,
     MAX_TAUS,
@@ -48,6 +49,8 @@ from c0cert.cli import (
 )
 from c0cert.gossez import gossez_apply
 from c0cert.seqspace import ONES, Seq, pairing, unit
+
+from strategies import fraction_of
 
 FAST = {"samples": 25}
 
@@ -70,19 +73,25 @@ def test_minimal_config_gets_defaults():
     assert cfg.support_max == 16
     assert cfg.coeff_bound == 100
     assert cfg.suites == ("extensions", "gap", "maximal", "monotone", "skew")
-    assert cfg.taus == (Fraction(1), Fraction(2))
+    assert cfg.taus == ((1, 1), (2, 1))
     assert cfg.ytilde == unit(1)
     assert config_from_obj({}) == SuiteConfig()
 
 
 def test_duplicate_taus_are_deduplicated():
     cfg = config_from_obj({"taus": [1, 1]})
-    assert cfg.taus == (Fraction(1),)
+    assert cfg.taus == ((1, 1),)
+
+
+def test_taus_equal_as_rationals_are_one_tau():
+    """Each tau is held in lowest terms, so "2/2" is the tau 1 again."""
+    assert config_from_obj({"taus": ["1", "2/2"]}).taus == ((1, 1),)
+    assert config_from_obj({"taus": ["3/6", "4/8", 1]}).taus == ((1, 2), (1, 1))
 
 
 def test_rational_strings_parse():
     cfg = config_from_obj({"taus": ["1/3", "2", "1/3"]})
-    assert cfg.taus == (Fraction(1, 3), Fraction(2))
+    assert cfg.taus == ((1, 3), (2, 1))
 
 
 @pytest.mark.parametrize(
@@ -391,9 +400,19 @@ RATIONAL_FIELDS = {
         ("1/x", "malformed rational string '1/x'"),
         ("2/0", "malformed rational string '2/0'"),
         ([HUGE], "expected an integer or a 'p/q' string, got <list that cannot be printed>"),
+        ((1, 2), "expected an integer or a 'p/q' string, got (1, 2)"),
         ("1/1000001", "|numerator| and denominator must be at most 1000000"),
     ],
-    ids=["float", "bool", "decimal", "not-a-number", "zero-denominator", "list", "past-the-bound"],
+    ids=[
+        "float",
+        "bool",
+        "decimal",
+        "not-a-number",
+        "zero-denominator",
+        "list",
+        "pair",
+        "past-the-bound",
+    ],
 )
 def test_every_config_rational_gets_one_message_set(field, value, message):
     """taus, ytilde's prefix entries and its tail share one parser and its messages."""
@@ -408,7 +427,7 @@ def test_every_config_rational_gets_one_message_set(field, value, message):
         SuiteConfig(),
         SuiteConfig(  # like the many_taus benchmark workload
             samples=20,
-            taus=tuple(Fraction(t) for t in range(1, 21)),
+            taus=tuple((t, 1) for t in range(1, 21)),
             ytilde=Seq(["3/7", "-1/5", "2/3", "1/11"]),
         ),
         SuiteConfig(samples=20, support_max=MAX_SUPPORT, coeff_bound=MAX_COEFF_BOUND),
@@ -435,7 +454,7 @@ configs = st.builds(
     support_max=st.integers(2, MAX_SUPPORT),
     coeff_bound=st.integers(1, MAX_COEFF_BOUND),
     taus=st.lists(st.builds(Fraction, positive, positive), min_size=1, max_size=8, unique=True)
-    .map(tuple),
+    .map(lambda taus: tuple((t.numerator, t.denominator) for t in taus)),
     ytilde=st.lists(st.builds(Fraction, bounded, positive), max_size=8)
     .filter(lambda entries: sum(entries) > 0)
     .map(Seq),
@@ -605,7 +624,7 @@ def test_failing_and_passing_reports_are_rendered_as_json_dumps_renders_them(pas
 
 
 def test_crash_report_is_rendered_as_json_dumps_renders_it(monkeypatch):
-    def crashing_runner(config, rng, family):
+    def crashing_runner(config, rng, family, failures):
         raise ValueError('a "quoted" \\ value, \u03b5 \u2013 \u00fc, \U0001f600\n')
 
     monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", crashing_runner)
@@ -660,10 +679,9 @@ def test_markdown_report_mentions_suites():
 
 
 def test_failing_markdown_report_with_timing(monkeypatch):
-    def failing_runner(config, rng, family):
-        failures = c0cert.cli._Failures()
+    def failing_runner(config, rng, family, failures):
         failures.append("pairing(G(y), y) = {} for y = {}", 1, unit(1))
-        return failures, {"samples": 1}, {"pairing_values": ["1"]}
+        return {"samples": 1}, {"pairing_values": ["1"]}
 
     monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", failing_runner)
     ticks = iter([0.0, 0.25, 1.0, 1.5])
@@ -798,7 +816,7 @@ def test_markdown_report_is_byte_identical(capsys):
 
 
 def test_run_suite_records_the_crash_site(monkeypatch):
-    def crashing_runner(config, rng, family):
+    def crashing_runner(config, rng, family, failures):
         return distinctness(1, 1, unit(1))
 
     monkeypatch.setitem(c0cert.cli._RUNNERS, "skew", crashing_runner)
@@ -865,7 +883,7 @@ def test_family_suites_fail_on_an_empty_sample():
 
 def test_a_family_point_crash_fails_both_family_suites(monkeypatch, tmp_path, capsys):
     def crashing(taus, ytilde):
-        raise ValueError(f"no family point at tau = {taus[0]}")
+        raise ValueError(f"no family point at tau = {Fraction(*taus[0])}")
 
     monkeypatch.setattr(c0cert.cli, "extension_family", crashing)
     report = run_suite(fast_config(suites=["extensions", "gap", "skew"]))
@@ -969,7 +987,7 @@ def test_maximal_runner_reports_a_perturbed_pair_taken_for_a_member(monkeypatch)
 
 
 def test_maximal_runner_reports_a_graph_point_taken_for_a_violation(monkeypatch):
-    verdict = Violation(c0cert.certify._ORIGIN, Fraction(-1))
+    verdict = Violation(c0cert.certify._ORIGIN, (-1, 1))
     monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: verdict)
     (result,) = run_suite(fast_config(samples=7, suites=["maximal"])).results
     assert not result.passed
@@ -977,10 +995,20 @@ def test_maximal_runner_reports_a_graph_point_taken_for_a_violation(monkeypatch)
     origin = "Seq(num=(), tnum=0, den=1)"
     assert result.failures[0] == (
         f"graph point misclassified: Violation(witness=GraphPoint(x={origin}, y={origin}), "
-        "product=Fraction(-1, 1))"
+        "product=(-1, 1))"
     )
     assert result.failures == result.failures[:1] * 5
     assert result.evidence == {"max_violation_product": "-1"}
+
+
+def test_maximal_evidence_is_the_violation_product_closest_to_zero(monkeypatch):
+    """Products are compared as rationals: not by numerator, not by denominator."""
+    products = [(-3, 1), (-1, 4), (-2, 9), (-1, 3), (-5, 2)]
+    verdicts = iter([Member()] * 5 + [Violation(c0cert.certify._ORIGIN, p) for p in products])
+    monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: next(verdicts))
+    (result,) = run_suite(fast_config(samples=5, suites=["maximal"])).results
+    assert result.passed
+    assert result.evidence == {"max_violation_product": "-2/9"}
 
 
 def test_gap_runner_reports_a_wrong_gap(monkeypatch):
@@ -1014,7 +1042,8 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
 def reference_family_verdicts(config, sample):
     """The extensions failures and the gap failures and per-tau evidence, evaluation by evaluation."""
     expected = pairing(ONES, config.ytilde)
-    points = [extension_point(tau, config.ytilde) for tau in config.taus]
+    taus = [fraction_of(tau) for tau in config.taus]
+    points = [extension_point(tau, config.ytilde) for tau in taus]
     n = len(points)
     evaluated = [[] for _ in points]  # the sample points evaluated at each tau
     margin_failures, gap_failures, per_tau = [], [], {}
@@ -1023,8 +1052,8 @@ def reference_family_verdicts(config, sample):
             evaluated[k].append(p)
             margin = Fraction(*closure_margin_terms(points[k], p))
             if margin != expected or margin <= 0:
-                margin_failures.append(f"margin {margin} != {expected} at tau = {config.taus[k]}")
-    for tau, ep, on_tau in zip(config.taus, points, evaluated):
+                margin_failures.append(f"margin {margin} != {expected} at tau = {taus[k]}")
+    for tau, ep, on_tau in zip(taus, points, evaluated):
         self_pairing = pairing(ep.xstar, ep.xstarstar)
         try:
             gap = fitzpatrick_gap(ep, on_tau)
@@ -1212,14 +1241,14 @@ def test_each_later_point_is_evaluated_at_its_rotated_tau(monkeypatch):
         # the first point's three evaluations pass; every later one misses at tau = 2
         taus.append(ep.tau)
         num, den = core(ep, p)
-        return (num + den, den) if len(taus) > 3 and ep.tau == 2 else (num, den)
+        return (num + den, den) if len(taus) > 3 and ep.tau == (2, 1) else (num, den)
 
     monkeypatch.setattr(c0cert.cli, "closure_margin_terms", missing_at_two)
     config = fast_config(
         ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"}, taus=[1, 2, "1/3"], suites=["extensions"]
     )
     (result,) = run_suite(config).results
-    assert taus == [1, 2, Fraction(1, 3)] + [config.taus[i % 3] for i in range(1, 25)]
+    assert taus == [(1, 1), (2, 1), (1, 3)] + [config.taus[i % 3] for i in range(1, 25)]
     assert result.counts["failures"] == len(range(1, 25, 3)) == 8
     assert result.failures == ["margin 43/35 != 8/35 at tau = 2"] * 5
 
@@ -1228,7 +1257,7 @@ def test_each_later_point_is_evaluated_at_its_rotated_tau(monkeypatch):
 # and -G by the negation, as below; ytilde = unit(1), so s = 1
 NON_SKEW_VERDICT = (
     "Violation(witness=GraphPoint(x=Seq(num=(), tnum=0, den=1), y=Seq(num=(), tnum=0, den=1)), "
-    "product=Fraction(-1, 1))"
+    "product=(-1, 1))"
 )
 
 
@@ -1241,15 +1270,38 @@ def test_a_map_that_is_not_skew_leaves_the_family_margin_unproven(monkeypatch):
         assert result.failures[0] == f"margin 1 not proven on the whole graph: {NON_SKEW_VERDICT}"
 
 
+@pytest.mark.parametrize("samples, kept", [(1, 3), (25, MAX_FAILURES_SHOWN)])
+def test_a_crash_follows_the_failures_appended_before_it(monkeypatch, samples, kept):
+    """With G not skew, the extensions suite at taus 1, 2 fails its proof and margins, then crashes.
+
+    Its result keeps the failures appended before the crash, up to the cap,
+    and the crash record after them, past the cap too.
+    """
+    monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
+    monkeypatch.setattr("c0cert.certify.neg_gossez_apply", lambda y: -y)
+    config = fast_config(samples=samples, taus=[1, 2], suites=["extensions"])
+    (result,) = run_suite(config).results
+    *kept_failures, crash = result.failures
+    assert len(kept_failures) == kept
+    assert kept_failures[0] == f"margin 1 not proven on the whole graph: {NON_SKEW_VERDICT}"
+    # the first point misses at both taus; with 25 samples, later points miss too
+    taus = [message.rpartition(" != 1 at tau = ")[2] for message in kept_failures[1:]]
+    assert taus == ["1", "2", "2", "1"][: kept - 1]
+    found = re.fullmatch(
+        r"AssertionError: distinctness mismatch: direct -3/2 != closed -1/2 \(certify\.py:\d+\)",
+        crash,
+    )
+    assert found, crash
+    assert result.counts == {} and result.evidence == {}
+
+
 def test_a_family_suite_fails_on_any_verdict_but_related_with_margin_zero(monkeypatch):
     """Every evaluation passes, so the tau-free verdict is the one failure."""
     clean = run_suite(fast_config(suites=["extensions", "gap"])).results
-    monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: Related(Fraction(1)))
+    monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: Related((1, 1)))
     results = run_suite(fast_config(suites=["extensions", "gap"])).results
     for result, passed in zip(results, clean):
-        assert result.failures == [
-            "margin 1 not proven on the whole graph: Related(margin=Fraction(1, 1))"
-        ]
+        assert result.failures == ["margin 1 not proven on the whole graph: Related(margin=(1, 1))"]
         assert result.counts == {**passed.counts, "failures": 1}
         assert result.evidence == passed.evidence
 
@@ -1278,8 +1330,8 @@ def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
 # 2,000 samples with G replaced by the identity, which is not skew, and -G
 # by the negation, with the crash site's line number written as LINE.
 NON_SKEW_REPORT_SHA256 = {
-    "1,2": "b2f99ee01bba7af2cdd0fa61ea305656719aad12d194d30963d223c8d599b99f",
-    "1": "4cd5d50c176628ccc32b54c728b5a6b260854ea54c99db3be09ec3d82e399efe",
+    "1,2": "459b81fecf42daab561dfb545f55d72e99319f14effb2506f9cfab5482e10026",
+    "1": "ba840e6d846ec41e6e597c775bac724304f536962bfe835487eb7d036e810dd8",
 }
 
 

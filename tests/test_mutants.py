@@ -11,7 +11,10 @@ mutants = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(mutants)
 
 # the first mutant (-G without yn), with a selection that never evaluates G
-BLIND = mutants.MUTANTS[0]._replace(tests=("tests/test_package.py",))
+BLIND = mutants.MUTANTS[0]._replace(
+    tests=("tests/test_package.py",),
+    names=("test_package_exports_each_modules_names_once_in_module_order",),
+)
 
 
 def test_every_mutant_applies_to_the_tree_once():

@@ -20,6 +20,7 @@ from c0cert.seqspace import (
     pairing_numerator,
     rat,
     sup_norm,
+    terms,
     terms_str,
     total_sum,
     unit,
@@ -175,6 +176,65 @@ def test_rat_accepts_the_wire_format():
     assert rat(Fraction(2, 3)) == Fraction(2, 3)
     with pytest.raises(ZeroDivisionError):
         rat("1/0")
+
+
+# --- one parser: terms, with Fraction as the oracle ---------------------------
+
+# Every value the wire format admits: an int, a "p/q" or "p" string (leading
+# zeros and a "-" included) and a Fraction.
+parsed_values = st.one_of(
+    st.integers(),
+    st.from_regex(r"-?[0-9]{1,40}(/0*[1-9][0-9]{0,40})?", fullmatch=True),
+    st.fractions(),
+)
+
+
+@given(parsed_values)
+@example("-0/007")
+@example("0012")
+def test_terms_and_rat_agree_with_fraction(value):
+    expected = Fraction(value)
+    assert terms(value) == (expected.numerator, expected.denominator)
+    assert rat(value) == expected and type(rat(value)) is Fraction
+
+
+# What ``rat`` refused before ``terms`` parsed for it, with the exception
+# type it raised: the malformed strings with ValueError, q = 0 with
+# ZeroDivisionError, an integer past the int/str digit limit with ValueError,
+# and what is not an int, a string or a Fraction with TypeError.
+REFUSED = [
+    ("0.5", ValueError),
+    ("1e1", ValueError),
+    ("+1", ValueError),
+    (" 1", ValueError),
+    ("1/-2", ValueError),
+    ("\u0661", ValueError),
+    ("", ValueError),
+    ("1/0", ZeroDivisionError),
+    ("1" * 5000, ValueError),
+    (True, TypeError),
+    (0.5, TypeError),
+    ([1, 3], TypeError),
+]
+
+
+@pytest.mark.parametrize("value, error", REFUSED, ids=[repr(value)[:12] for value, _ in REFUSED])
+def test_terms_and_rat_agree_on_what_they_refuse(value, error):
+    for parse in (terms, rat):
+        with pytest.raises(error) as refused:
+            parse(value)
+        assert type(refused.value) is error
+
+
+def test_terms_reads_a_pair_in_lowest_terms():
+    assert terms((2, -4)) == (-1, 2)
+    assert terms((0, -7)) == (0, 1)
+    assert terms((3, 1)) == (3, 1)
+    with pytest.raises(ZeroDivisionError):
+        terms((1, 0))
+    for pair in ((1, 2, 3), (1.0, 2), (True, 1), (1,)):
+        with pytest.raises(TypeError):
+            terms(pair)
 
 
 # --- linear structure -------------------------------------------------------
