@@ -351,14 +351,6 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        "proven_num, proven_den = proven",
-        "proven_den, proven_num = proven",
-        "_evaluations reading the proven value's terms swapped",
-        ("tests/test_cli.py",),
-        ("test_a_passing_family_suite_evaluates_only_its_first_point",),
-    ),
-    Mutant(
-        "src/c0cert/cli.py",
         'failures.append("graph point misclassified: {!r}", verdict)',
         "pass",
         "_run_maximal passing a graph point taken for a violation",
@@ -467,11 +459,28 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        "k = i % n",
-        "k = 0",
+        "else (i % n,)",
+        "else (0,)",
         "_evaluations evaluating every later point at tau_0",
         ("tests/test_cli.py",),
         ("test_each_later_point_is_evaluated_at_its_rotated_tau",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "range(n) if i == 0",
+        "(0,) if i == 0",
+        "_evaluations evaluating the first drawn point at tau_0 only",
+        ("tests/test_cli.py",),
+        ("test_every_family_evaluation_reaches_its_runner",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "    if config.samples < 1:\n"
+        '        raise EmptySample("need at least one graph point")\n',
+        "",
+        "_evaluations without its EmptySample guard",
+        ("tests/test_cli.py",),
+        ("test_family_suites_fail_on_an_empty_sample",),
     ),
     Mutant(
         "src/c0cert/certify.py",
@@ -479,15 +488,7 @@ MUTANTS = (
         "(tail * dy + total * dx) * total",
         "violation_witness reading kappa as tail(x) + sigma, under a family suite",
         ("tests/test_cli.py",),
-        ("test_a_passing_family_suite_evaluates_only_its_first_point",),
-    ),
-    Mutant(
-        "src/c0cert/cli.py",
-        "proven_num * den or not hits[k]:",
-        "proven_num * den:",
-        "_evaluations passing on a later point only where it misses the proven value",
-        ("tests/test_cli.py",),
-        ("test_family_runners_match_the_direct_loop_off_the_graph",),
+        ("test_every_family_evaluation_reaches_its_runner",),
     ),
     Mutant(
         "src/c0cert/cli.py",

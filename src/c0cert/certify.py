@@ -149,9 +149,7 @@ class ExtensionPoint(Frozen):
 
     __slots__ = ("tau", "ytilde", "xstar", "xstarstar")
 
-    def __init__(
-        self, tau: Fraction | int | str | tuple[int, int], ytilde: Seq, xstar: Seq, xstarstar: Seq
-    ) -> None:
+    def __init__(self, tau: object, ytilde: Seq, xstar: Seq, xstarstar: Seq) -> None:
         derived = extension_point(tau, ytilde)
         if xstar != derived.xstar:
             raise InvalidParameter("xstar != tau * ytilde")
@@ -179,9 +177,7 @@ class ExtensionFamily(Frozen):
     __slots__ = ("points", "ytilde", "total", "g", "diagonal")
 
 
-def extension_family(
-    taus: Sequence[Fraction | int | str | tuple[int, int]], ytilde: Seq
-) -> ExtensionFamily:
+def extension_family(taus: Sequence[object], ytilde: Seq) -> ExtensionFamily:
     """The family points for ``taus`` along ytilde, with the values they share.
 
     ``taus`` must be nonempty and each tau positive; ytilde must be finitely
@@ -221,7 +217,7 @@ def extension_family(
     )
 
 
-def extension_point(tau: Fraction | int | str | tuple[int, int], ytilde: Seq) -> ExtensionPoint:
+def extension_point(tau: object, ytilde: Seq) -> ExtensionPoint:
     """Build the family point for parameter tau > 0 and direction ytilde.
 
     The positive total pairing(ones, ytilde) is exactly the closure margin
@@ -379,11 +375,7 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, int, in
             yield i, j, num, den
 
 
-def distinctness(
-    tau1: Fraction | int | str | tuple[int, int],
-    tau2: Fraction | int | str | tuple[int, int],
-    ytilde: Seq,
-) -> Fraction:
+def distinctness(tau1: object, tau2: object, ytilde: Seq) -> Fraction:
     """Monotone product of the family points for tau1 and tau2 along ytilde.
 
     The two-point case of ``family_products``, which states and checks the

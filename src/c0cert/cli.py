@@ -324,10 +324,9 @@ def parse_config(source: str) -> SuiteConfig:
 # other verdict is one failure.  The sample, drawn one point at a time and
 # not kept, ties the proof to the definitions: the first point is evaluated
 # directly at every tau, and each later point i once, at tau_(i mod n) for n
-# taus.  ``_evaluations`` yields the first point's evaluations and each later
-# one that differs from the proven value or from the first point's, so a
-# runner sees every failure and every value that differs from the first
-# point's at its tau, as a loop over every evaluation would.
+# taus.  ``_evaluations`` yields every one of these evaluations, and the
+# runner checks each: the margin against s, and the Fitzpatrick value
+# against the first one at its tau.
 
 _Family = Callable[[], ExtensionFamily]
 
@@ -437,32 +436,23 @@ def _whole_graph_proof(fam: ExtensionFamily, failures: _Failures) -> None:
 
 
 def _evaluations(
-    config: SuiteConfig, rng: random.Random, fam: ExtensionFamily, terms: Callable, proven: tuple
+    config: SuiteConfig, rng: random.Random, fam: ExtensionFamily, terms: Callable
 ) -> Iterator[tuple[int, int, int]]:
-    """``(k, num, den)`` for the direct evaluations ``terms(fam.points[k], p)`` a runner sees.
+    """``(k, num, den)`` for each direct evaluation ``terms(fam.points[k], p)``.
 
-    ``terms`` is ``closure_margin_terms`` or ``fitzpatrick_value_terms``,
-    and ``proven`` the value the proof gives them, as integer terms
-    ``(num, den)`` with den > 0.  The first sampled point is evaluated at
-    every tau, in tau order, and each of those is yielded.  Point i > 0 is
-    evaluated at tau_(i mod n), and yielded if its value is not the proven
-    one, or if the first point's value at that tau is not.
+    ``terms`` is ``closure_margin_terms`` or ``fitzpatrick_value_terms``.
+    The first sampled point is evaluated at every tau, in tau order, and
+    point i > 0 at tau_(i mod n) for n taus.  Every evaluation is yielded,
+    and the runner checks each.  Raises ``EmptySample``, before any draw,
+    when the config asks for no sample.
     """
-    proven_num, proven_den = proven
-    points, n, hits = fam.points, len(fam.points), []  # hits[k]: first value at tau_k proven
-    for i, p in enumerate(_graph_sample(config, rng)):
-        if i:
-            k = i % n
-            num, den = terms(points[k], p)
-            if num * proven_den != proven_num * den or not hits[k]:
-                yield k, num, den
-            continue
-        for k, ep in enumerate(points):
-            num, den = terms(ep, p)
-            hits.append(num * proven_den == proven_num * den)
-            yield k, num, den
-    if not hits:
+    if config.samples < 1:
         raise EmptySample("need at least one graph point")
+    points, n = fam.points, len(fam.points)
+    for i, p in enumerate(_graph_sample(config, rng)):
+        for k in range(n) if i == 0 else (i % n,):
+            num, den = terms(points[k], p)
+            yield k, num, den
 
 
 def _run_extensions(
@@ -473,7 +463,7 @@ def _run_extensions(
     exp_num, exp_den = fam.total
     total = terms_str(exp_num, exp_den)
     keys = [terms_str(*ep.tau) for ep in fam.points]
-    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms, fam.total):
+    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms):
         if num * exp_den != exp_num * den or num <= 0:
             failures.append("margin {} != {} at tau = {}", terms_str(num, den), total, keys[k])
     if len(fam.points) < 2:
@@ -493,7 +483,7 @@ def _run_gap(
     fam = family()
     _whole_graph_proof(fam, failures)
     first, varies = {}, set()  # each tau's first value; the taus where another differs
-    for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms, (0, 1)):
+    for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms):
         first_num, first_den = first.setdefault(k, (num, den))
         if num * first_den != first_num * den:
             varies.add(k)

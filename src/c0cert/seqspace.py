@@ -82,7 +82,7 @@ class NonSummable(ValueError):
     """An absolutely summable argument was required but the tail is nonzero."""
 
 
-def terms(value: Fraction | int | str | tuple[int, int]) -> tuple[int, int]:
+def terms(value: object) -> tuple[int, int]:
     """The lowest terms ``(num, den)``, den > 0, of an exact rational.
 
     This is the one parser of rationals.  It reads an int, a "p/q" string,
@@ -123,7 +123,7 @@ def terms(value: Fraction | int | str | tuple[int, int]) -> tuple[int, int]:
     return p // g, q // g
 
 
-def rat(value: Fraction | int | str) -> Fraction:
+def rat(value: object) -> Fraction:
     """``terms(value)`` as a Fraction, for an int, a "p/q" string or a Fraction.
 
     The pair form is the library's own, so a tuple raises TypeError here,
@@ -250,11 +250,7 @@ class Seq(Frozen):
 
     __slots__ = ("num", "tnum", "den")
 
-    def __init__(
-        self,
-        prefix: Iterable[Fraction | int | str | tuple[int, int]] = (),
-        tail: Fraction | int | str | tuple[int, int] = 0,
-    ) -> None:
+    def __init__(self, prefix: Iterable[object] = (), tail: object = 0) -> None:
         # The boundary path: coerce to ints over the least common denominator,
         # then hand over to the canonicalizer exactly as ``_of`` does.
         values = [terms(v) for v in prefix]
@@ -356,7 +352,7 @@ class Seq(Frozen):
         # flipping every sign keeps the gcd and the last-entry condition
         return Seq._from_canonical(tuple([-v for v in self.num]), -self.tnum, self.den)
 
-    def __mul__(self, c: Fraction | int | str | tuple[int, int]) -> Seq:
+    def __mul__(self, c: object) -> Seq:
         p, q = terms(c)
         return Seq._of([p * v for v in self.num], p * self.tnum, q * self.den)
 

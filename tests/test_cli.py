@@ -1034,7 +1034,7 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
 # The extensions and gap suites prove their verdicts for the whole graph
 # from one tau-free call.  In one pass over the sample they evaluate the
 # first point directly at every tau and each later point i at tau_(i mod n),
-# and pass on the evaluations a direct loop needs to see.  Off-graph points
+# and pass every evaluation on to the runner's checks.  Off-graph points
 # swapped into the sample must leave every failure message, count and
 # evidence value exactly as the direct loop over those evaluations gives them.
 
@@ -1195,11 +1195,10 @@ def test_a_failing_family_suite_draws_its_sample_once(monkeypatch):
         assert yielded == list(range(config.samples))
 
 
-def test_a_passing_family_suite_evaluates_only_its_first_point(monkeypatch):
+def test_every_family_evaluation_reaches_its_runner(monkeypatch):
     """Each drawn point is evaluated once, at its tau, and the first at every tau.
 
-    Only the first point's evaluations reach the runner: every later one
-    gives the proven value, as the first point does at every tau.
+    Every one of those evaluations reaches the runner, in draw order.
     """
     calls = {"closure_margin_terms": 0, "fitzpatrick_value_terms": 0}
     evaluations, yielded = c0cert.cli._evaluations, []
@@ -1221,7 +1220,6 @@ def test_a_passing_family_suite_evaluates_only_its_first_point(monkeypatch):
     for name in calls:
         monkeypatch.setattr(c0cert.cli, name, counted(name))
     monkeypatch.setattr(c0cert.cli, "_evaluations", watched)
-    # s = 8/35, so the proven value's numerator and denominator cannot trade places
     config = fast_config(
         samples=50,
         ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"},
@@ -1230,7 +1228,8 @@ def test_a_passing_family_suite_evaluates_only_its_first_point(monkeypatch):
     )
     assert run_suite(config).passed
     assert calls == {"closure_margin_terms": 3 + 49, "fitzpatrick_value_terms": 3 + 49}
-    assert yielded == [0, 1, 2] * 2  # the extensions suite's, then the gap suite's
+    # the extensions suite's, then the gap suite's
+    assert yielded == ([0, 1, 2] + [i % 3 for i in range(1, 50)]) * 2
 
 
 def test_each_later_point_is_evaluated_at_its_rotated_tau(monkeypatch):

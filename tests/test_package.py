@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
 import subprocess
 import sys
+import typing
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import c0cert
-from c0cert import certify, gossez, seqspace
+from c0cert import certify, cli, gossez, seqspace
 
 MODULES = (seqspace, gossez, certify)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -79,3 +82,50 @@ def test_main_never_loads_fractions(tmp_path, format):
     )
     assert run_child(code) == "0 []\n"
     assert out.read_text(encoding="utf-8").startswith("{" if format == "json" else "# Certificate")
+
+
+# The public wrappers that return a Fraction, each importing fractions in its
+# own body.  Their return is the one annotation that may name Fraction: every
+# parameter that takes what ``terms`` reads is annotated ``object``.
+FRACTION_VIEWS = {
+    "seqspace.rat",
+    "seqspace.Seq.prefix",
+    "seqspace.Seq.tail",
+    "seqspace.Seq.entry",
+    "seqspace.pairing",
+    "seqspace.sup_norm",
+    "seqspace.l1_norm",
+    "seqspace.total_sum",
+    "certify.monotone_product",
+    "certify.closure_margin",
+    "certify.distinctness",
+    "certify.fitzpatrick_value",
+    "certify.fitzpatrick_gap",
+    "certify.random_rational",
+}
+
+
+def defined_functions(module):
+    """Each function and method that ``module`` defines, by qualified name."""
+    found = {}
+    for value in vars(module).values():
+        for member in vars(value).values() if isinstance(value, type) else (value,):
+            func = getattr(member, "fget", getattr(member, "__func__", member))
+            if inspect.isfunction(func) and func.__module__ == module.__name__:
+                found[func.__qualname__] = func
+    return found
+
+
+def test_every_annotation_resolves():
+    views = set()
+    for module in (seqspace, gossez, certify, cli):
+        short = module.__name__.rpartition(".")[2]
+        for name, func in defined_functions(module).items():
+            try:
+                typing.get_type_hints(func)
+            except NameError:
+                views.add(f"{short}.{name}")
+                typing.get_type_hints(func, localns={"Fraction": Fraction})
+                params = {k: v for k, v in func.__annotations__.items() if k != "return"}
+                assert "Fraction" not in str(params), name
+    assert views == FRACTION_VIEWS
