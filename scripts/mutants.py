@@ -303,11 +303,28 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        "if gap_num * exp_den != exp_num * gap_den or gap_num <= 0:",
-        "if gap_num <= 0:",
-        "_run_gap's gap check reduced to its sign",
+        "if diagonal * exp_den != exp_num * self_den or diagonal <= 0:",
+        "if diagonal <= 0:",
+        "_run_gap's self-pairing check reduced to its sign",
         ("tests/test_cli.py",),
         ("test_gap_runner_reports_a_wrong_gap",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "        if num:\n            failures.append(\"Fitzpatrick value",
+        "        if num < 0:\n            failures.append(\"Fitzpatrick value",
+        "_run_gap passing a positive Fitzpatrick value",
+        ("tests/test_cli.py",),
+        ("test_gap_runner_reports_a_wrong_gap",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "        if diagonal * exp_den != exp_num * self_den or diagonal <= 0:\n"
+        '            failures.append("gap {} != expected {} at tau = {}", gap, total, key)\n',
+        "",
+        "_run_gap without its self-pairing comparison with s",
+        ("tests/test_cli.py",),
+        ("test_gap_runner_reports_a_compensated_fault",),
     ),
     Mutant(
         "src/c0cert/seqspace.py",

@@ -214,6 +214,16 @@ def _parse_int(value: object, where: str, minimum: int, maximum: int | None = No
     return value
 
 
+def _str_first(key: object) -> tuple:
+    """A sort key for dict keys of any types: the str keys first, in their own order.
+
+    Any other key, which only a Python caller can pass, follows them,
+    ordered by its ``_shown`` form, so no str is compared with another type
+    and the key itself never raises.
+    """
+    return (not isinstance(key, str), key if isinstance(key, str) else _shown(key))
+
+
 def config_from_obj(obj: object) -> SuiteConfig:
     """Validate a decoded JSON document into a SuiteConfig.
 
@@ -225,7 +235,7 @@ def config_from_obj(obj: object) -> SuiteConfig:
         raise ConfigError("config must be a JSON object")
     unknown = set(obj).difference(SuiteConfig.__slots__)
     if unknown:
-        raise ConfigError(f"unknown config keys: {_shown(sorted(unknown))}")
+        raise ConfigError(f"unknown config keys: {_shown(sorted(unknown, key=_str_first))}")
     obj = {**_DEFAULTS, **obj}
 
     seed = _parse_int(obj["seed"], "seed", 0)
@@ -251,7 +261,7 @@ def config_from_obj(obj: object) -> SuiteConfig:
         raise ConfigError("ytilde: expected an object with 'prefix' and 'tail'")
     unknown = set(raw_ytilde) - {"prefix", "tail"}
     if unknown:
-        raise ConfigError(f"ytilde: unknown keys {_shown(sorted(unknown))}")
+        raise ConfigError(f"ytilde: unknown keys {_shown(sorted(unknown, key=_str_first))}")
     prefix = raw_ytilde.get("prefix", [])
     if not isinstance(prefix, list):
         raise ConfigError("ytilde: 'prefix' must be a list")
@@ -325,8 +335,9 @@ def parse_config(source: str) -> SuiteConfig:
 # not kept, ties the proof to the definitions: the first point is evaluated
 # directly at every tau, and each later point i once, at tau_(i mod n) for n
 # taus.  ``_evaluations`` yields every one of these evaluations, and the
-# runner checks each: the margin against s, and the Fitzpatrick value
-# against the first one at its tau.
+# runner checks each against the proven value: the margin against s, and
+# the Fitzpatrick value against 0.  So each tau's gap is its self-pairing,
+# checked against s.
 
 _Family = Callable[[], ExtensionFamily]
 
@@ -443,8 +454,10 @@ def _evaluations(
     ``terms`` is ``closure_margin_terms`` or ``fitzpatrick_value_terms``.
     The first sampled point is evaluated at every tau, in tau order, and
     point i > 0 at tau_(i mod n) for n taus.  Every evaluation is yielded,
-    and the runner checks each.  Raises ``EmptySample``, before any draw,
-    when the config asks for no sample.
+    and the runner checks each against the value the whole-graph proof
+    gives: a margin against s, and a Fitzpatrick value against 0 at every
+    tau.  Raises ``EmptySample``, before any draw, when the config asks for
+    no sample.
     """
     if config.samples < 1:
         raise EmptySample("need at least one graph point")
@@ -482,31 +495,20 @@ def _run_gap(
 ) -> tuple:
     fam = family()
     _whole_graph_proof(fam, failures)
-    first, varies = {}, set()  # each tau's first value; the taus where another differs
+    keys = [terms_str(*ep.tau) for ep in fam.points]
     for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms):
-        first_num, first_den = first.setdefault(k, (num, den))
-        if num * first_den != first_num * den:
-            varies.add(k)
+        if num:
+            failures.append("Fitzpatrick value {} != 0 at tau = {}", terms_str(num, den), keys[k])
     exp_num, exp_den = fam.total
     total = terms_str(exp_num, exp_den)
     per_tau = {}
-    for k, (ep, diagonal) in enumerate(zip(fam.points, fam.diagonal)):
-        tau = terms_str(*ep.tau)
-        if k in varies:
-            failures.append("Fitzpatrick values not constant at tau = {}", tau)
-            continue
-        # the gap is the self-pairing diagonal / self_den minus the value num / den
-        num, den = first[k]
+    for key, ep, diagonal in zip(keys, fam.points, fam.diagonal):
+        # the gap is the self-pairing diagonal / self_den minus the proven value 0
         self_den = ep.xstar.den * ep.xstarstar.den
-        gap_num, gap_den = diagonal * den - num * self_den, self_den * den
-        gap = terms_str(gap_num, gap_den)
-        if gap_num * exp_den != exp_num * gap_den or gap_num <= 0:
-            failures.append("gap {} != expected {} at tau = {}", gap, total, tau)
-        per_tau[tau] = {
-            "fitzpatrick_value": terms_str(num, den),
-            "self_pairing": terms_str(diagonal, self_den),
-            "gap": gap,
-        }
+        gap = terms_str(diagonal, self_den)
+        if diagonal * exp_den != exp_num * self_den or diagonal <= 0:
+            failures.append("gap {} != expected {} at tau = {}", gap, total, key)
+        per_tau[key] = {"fitzpatrick_value": "0", "self_pairing": gap, "gap": gap}
     counts = {"graph_points": config.samples, "taus": len(config.taus)}
     evidence = {"expected_gap": total, "per_tau": per_tau}
     return counts, evidence

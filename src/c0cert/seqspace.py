@@ -401,22 +401,18 @@ def pairing_numerator(x: Seq, y: Seq) -> int:
 def difference_terms(a: Seq, b: Seq, c: Seq, d: Seq) -> tuple[int, int]:
     """``pairing(a - b, c - d)`` as an unreduced numerator over a positive denominator.
 
-    When one side's two sequences both have zero tails, neither difference
-    is built: the product expands into four ``pairing_numerator`` calls,
-    each summed at C level.  When both sides carry tails, they are paired
-    as built differences, the two-step definition itself.  Raises
-    NonSummable exactly where the two-step form does: when both
-    differences have nonzero tails.
+    One side's two sequences must both have zero tails, as at every caller:
+    then neither difference is built, and the product expands into four
+    ``pairing_numerator`` calls, each summed at C level.  Otherwise a
+    sequence with a tail on one side meets one on the other side in one of
+    the four, which raises NonSummable, even where the two differences
+    themselves would pair.
     """
-    if (a.tnum or b.tnum) and (c.tnum or d.tnum):
-        x, y = a - b, c - d
-        return pairing_numerator(x, y), x.den * y.den
     # a - b has numerators a.num * fa - b.num * fb over a.den * fa; c - d alike
     g = gcd(a.den, b.den)
     fa, fb = b.den // g, a.den // g
     g = gcd(c.den, d.den)
     fc, fd = d.den // g, c.den // g
-    # every one of the four pairings has a finitely supported argument
     num = fa * (fc * pairing_numerator(a, c) - fd * pairing_numerator(a, d)) - fb * (
         fc * pairing_numerator(b, c) - fd * pairing_numerator(b, d)
     )

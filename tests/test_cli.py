@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 import c0cert.certify
 import c0cert.cli
 from c0cert.certify import (
+    ExtensionFamily,
     Member,
     Related,
     Violation,
     closure_margin_terms,
     distinctness,
     extension_point,
-    fitzpatrick_gap,
+    fitzpatrick_value,
 )
 from c0cert.cli import (
     MAX_COEFF_BOUND,
@@ -48,7 +49,7 @@ from c0cert.cli import (
     run_suite,
 )
 from c0cert.gossez import gossez_apply
-from c0cert.seqspace import ONES, Seq, pairing, unit
+from c0cert.seqspace import ONES, Seq, _derived, pairing, unit
 
 from strategies import fraction_of
 
@@ -381,6 +382,23 @@ def test_config_errors_show_an_unprintable_value_by_its_size_or_type(obj, messag
     with pytest.raises(ConfigError) as excinfo:
         config_from_obj(obj)
     assert str(excinfo.value) == message
+
+
+def test_unknown_keys_of_mixed_types_are_a_config_error():
+    """Only a Python caller passes a key that is not a str: it is listed after the str keys.
+
+    The str keys keep their own order, which their reprs do not share
+    ("'x y'" sorts before "'x'").
+    """
+    for obj, message in (
+        ({1: 2, "zz": 3}, "unknown config keys: ['zz', 1]"),
+        ({"ytilde": {1: 2, "q": 3}}, "ytilde: unknown keys ['q', 1]"),
+        ({"x y": 1, "x": 2, (1,): 3}, "unknown config keys: ['x', 'x y', (1,)]"),
+        ({HUGE: 1, "a": 2}, "unknown config keys: <list that cannot be printed>"),
+    ):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_obj(obj)
+        assert str(excinfo.value) == message
 
 
 RATIONAL_FIELDS = {
@@ -1011,11 +1029,37 @@ def test_maximal_evidence_is_the_violation_product_closest_to_zero(monkeypatch):
     assert result.evidence == {"max_violation_product": "-2/9"}
 
 
+def with_self_pairings_raised_by(step):
+    """``extension_family`` with each self-pairing raised by ``step``: diagonal[k] by step * self_den."""
+
+    def raised(taus, ytilde):
+        fam = c0cert.certify.extension_family(taus, ytilde)
+        diagonal = tuple(
+            v + step * ep.xstar.den * ep.xstarstar.den for v, ep in zip(fam.diagonal, fam.points)
+        )
+        return _derived(ExtensionFamily, fam.points, fam.ytilde, fam.total, fam.g, diagonal)
+
+    return raised
+
+
 def test_gap_runner_reports_a_wrong_gap(monkeypatch):
+    clean = run_suite(fast_config(suites=["gap"])).results[0].evidence
     core = c0cert.cli.fitzpatrick_value_terms
-    # a gap of 0 fails both tests, a gap of 2 only the comparison with s = 1
-    for step, gap in ((1, 0), (-1, 2)):
+    # a Fitzpatrick value of either sign fails at every evaluation; the gaps stay s = 1
+    for step in (1, -1):
         monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", raised_by_one(core, step))
+        (result,) = run_suite(fast_config(suites=["gap"])).results
+        assert not result.passed
+        # the first point at both taus, then point i at tau_(i mod 2)
+        assert result.counts["failures"] == 2 + 24
+        assert result.failures == [
+            f"Fitzpatrick value {step} != 0 at tau = {tau}" for tau in (1, 2, 2, 1, 2)
+        ]
+        assert result.evidence == clean
+    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", core)
+    # a gap of 0 fails both tests, a gap of 2 only the comparison with s = 1
+    for step, gap in ((-1, 0), (1, 2)):
+        monkeypatch.setattr(c0cert.cli, "extension_family", with_self_pairings_raised_by(step))
         (result,) = run_suite(fast_config(suites=["gap"])).results
         assert not result.passed
         assert result.failures == [
@@ -1023,10 +1067,26 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
             f"gap {gap} != expected 1 at tau = 2",
         ]
         assert result.evidence["per_tau"]["2"] == {
-            "fitzpatrick_value": str(step),
-            "self_pairing": "1",
+            "fitzpatrick_value": "0",
+            "self_pairing": str(gap),
             "gap": str(gap),
         }
+
+
+def test_gap_runner_reports_a_compensated_fault(monkeypatch):
+    """Every value and every self-pairing off by +1 leaves each gap at s, and fails both checks."""
+    core = c0cert.cli.fitzpatrick_value_terms
+    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", raised_by_one(core))
+    monkeypatch.setattr(c0cert.cli, "extension_family", with_self_pairings_raised_by(1))
+    (result,) = run_suite(fast_config(suites=["gap"])).results
+    assert not result.passed
+    # each evaluation misses 0, then each tau's gap misses s = 1
+    assert result.counts == {"graph_points": 25, "taus": 2, "failures": 2 + 24 + 2}
+    assert result.failures == [
+        f"Fitzpatrick value 1 != 0 at tau = {tau}" for tau in (1, 2, 2, 1, 2)
+    ]
+    evidence = {"fitzpatrick_value": "0", "self_pairing": "2", "gap": "2"}
+    assert result.evidence == {"expected_gap": "1", "per_tau": {"1": evidence, "2": evidence}}
 
 
 # --- family evaluations against the direct loop -----------------------------
@@ -1040,33 +1100,29 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
 
 
 def reference_family_verdicts(config, sample):
-    """The extensions failures and the gap failures and per-tau evidence, evaluation by evaluation."""
+    """The extensions failures and the gap failures and per-tau evidence, evaluation by evaluation.
+
+    Each margin is checked against s, each Fitzpatrick value against 0, and
+    each tau's self-pairing, its gap, against s.
+    """
     expected = pairing(ONES, config.ytilde)
     taus = [fraction_of(tau) for tau in config.taus]
     points = [extension_point(tau, config.ytilde) for tau in taus]
     n = len(points)
-    evaluated = [[] for _ in points]  # the sample points evaluated at each tau
     margin_failures, gap_failures, per_tau = [], [], {}
     for i, p in enumerate(sample):
         for k in [i % n] if i else range(n):
-            evaluated[k].append(p)
             margin = Fraction(*closure_margin_terms(points[k], p))
             if margin != expected or margin <= 0:
                 margin_failures.append(f"margin {margin} != {expected} at tau = {taus[k]}")
-    for tau, ep, on_tau in zip(taus, points, evaluated):
-        self_pairing = pairing(ep.xstar, ep.xstarstar)
-        try:
-            gap = fitzpatrick_gap(ep, on_tau)
-        except AssertionError:
-            gap_failures.append(f"Fitzpatrick values not constant at tau = {tau}")
-            continue
+            value = fitzpatrick_value(points[k], p)
+            if value != 0:
+                gap_failures.append(f"Fitzpatrick value {value} != 0 at tau = {taus[k]}")
+    for tau, ep in zip(taus, points):
+        gap = pairing(ep.xstar, ep.xstarstar)  # the self-pairing minus the proven value 0
         if gap != expected or gap <= 0:
             gap_failures.append(f"gap {gap} != expected {expected} at tau = {tau}")
-        per_tau[str(tau)] = {
-            "fitzpatrick_value": str(self_pairing - gap),
-            "self_pairing": str(self_pairing),
-            "gap": str(gap),
-        }
+        per_tau[str(tau)] = {"fitzpatrick_value": "0", "self_pairing": str(gap), "gap": str(gap)}
     return margin_failures, gap_failures, per_tau
 
 
@@ -1130,7 +1186,7 @@ def test_family_runners_match_the_direct_loop_off_the_graph(monkeypatch, swaps):
     assert ext.failures == margin_failures[:5]
     assert ext.counts == {**clean["extensions"].counts, "failures": len(margin_failures)}
     assert ext.evidence == clean["extensions"].evidence
-    assert gap.failures == gap_failures
+    assert gap.failures == gap_failures[:5]
     assert gap.counts == {**clean["gap"].counts, "failures": len(gap_failures)}
     assert gap.evidence == {**clean["gap"].evidence, "per_tau": per_tau}
 
@@ -1329,8 +1385,8 @@ def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
 # 2,000 samples with G replaced by the identity, which is not skew, and -G
 # by the negation, with the crash site's line number written as LINE.
 NON_SKEW_REPORT_SHA256 = {
-    "1,2": "459b81fecf42daab561dfb545f55d72e99319f14effb2506f9cfab5482e10026",
-    "1": "ba840e6d846ec41e6e597c775bac724304f536962bfe835487eb7d036e810dd8",
+    "1,2": "5e5a0d88292669a92c24a8130b941dc745b714c7063b92cd3f29eda91efaf622",
+    "1": "b2a44b04bcd739cc64d49d58c55dcf46d483ebd5abc235eafe988f89b5278716",
 }
 
 

@@ -310,24 +310,34 @@ def test_pairing_and_sums_match_per_entry_reference(rx, tx, ry):
     assert sup_norm(x) == max(abs(v) for v in [*rx, tx])
 
 
+def check_difference_terms(a: Seq, b: Seq, c: Seq, d: Seq) -> None:
+    """difference_terms against pairing(a - b, c - d), in both argument orders.
+
+    With a tail on each side it raises NonSummable, whether or not the two
+    differences pair; otherwise it equals the two-step form over den > 0.
+    """
+    for args in ((a, b, c, d), (c, d, a, b)):
+        if (args[0].tnum or args[1].tnum) and (args[2].tnum or args[3].tnum):
+            with pytest.raises(NonSummable):
+                difference_terms(*args)
+        else:
+            num, den = difference_terms(*args)
+            assert den > 0
+            assert Fraction(num, den) == pairing(args[0] - args[1], args[2] - args[3])
+
+
 @given(
     eventually_constants(), eventually_constants(), raw_prefixes, raw_prefixes, rationals,
     st.booleans(),
 )
 def test_difference_terms_matches_two_step_form_on_tailed_sides(a, b, rc, rd, t, shared):
-    """The fused kernel equals pairing(a - b, c - d), NonSummable included.
+    """c and d carry tails, shared or not: a tailed a or b makes the kernel raise.
 
-    c - d is finitely supported exactly when c and d share their tail.
+    A shared tail makes c - d finitely supported, so the two-step form
+    pairs it with any a - b; the kernel still raises when a or b has a tail.
     """
     c, d = Seq(tuple(rc), t), Seq(tuple(rd), t if shared else t + 1)
-    for args in ((a, b, c, d), (c, d, a, b)):
-        try:
-            expected = pairing(args[0] - args[1], args[2] - args[3])
-        except NonSummable:
-            with pytest.raises(NonSummable):
-                difference_terms(*args)
-        else:
-            assert Fraction(*difference_terms(*args)) == expected
+    check_difference_terms(a, b, c, d)
 
 
 @given(
@@ -335,36 +345,26 @@ def test_difference_terms_matches_two_step_form_on_tailed_sides(a, b, rc, rd, t,
     st.sampled_from(["zero", "shared", "distinct"]),
 )
 def test_difference_terms_matches_two_step_form_on_every_path(a, b, rc, rd, t, tails):
-    """Fraction(*difference_terms(a, b, c, d)) == pairing(a - b, c - d), over den > 0.
+    """Zero tails on c and d take the four-pairing path, in either argument order.
 
-    Zero tails on c and d take the four-pairing path, in either argument
-    order.  A shared tail makes c - d finitely supported while both sides
-    carry tails: the path that pairs the built differences.  Distinct tails make c - d tailed, so
-    the kernel must raise NonSummable exactly where the two-step form does.
+    With shared or distinct tails on c and d, the kernel raises NonSummable
+    unless a and b both have zero tails.
     """
     tc, td = {"zero": (0, 0), "shared": (t, t), "distinct": (t, t + 1)}[tails]
-    c, d = Seq(tuple(rc), tc), Seq(tuple(rd), td)
-    for args in ((a, b, c, d), (c, d, a, b)):
-        try:
-            expected = pairing(args[0] - args[1], args[2] - args[3])
-        except NonSummable:
-            with pytest.raises(NonSummable):
-                difference_terms(*args)
-        else:
-            num, den = difference_terms(*args)
-            assert den > 0
-            assert Fraction(num, den) == expected
+    check_difference_terms(a, b, Seq(tuple(rc), tc), Seq(tuple(rd), td))
 
 
 def test_difference_terms_examples():
     assert Fraction(*difference_terms(ONES, ZERO, unit(2), unit(1))) == 0
+    assert Fraction(*difference_terms(unit(2), unit(1), ONES, ZERO)) == 0
     # (0, 1, 1, 1, ...) against (0, 1, -2, 0, ...)
     assert Fraction(*difference_terms(ONES, unit(1), unit(2), 2 * unit(3))) == -1
-    # tails on both sides, finite results: ONES against -unit(2), in either order
+    # tails on both sides: the two-step form gives -1 (ONES against -unit(2)),
+    # and the kernel raises, in either order
     for args in ((ONES, ZERO, ONES, ONES + unit(2)), (ONES, ONES + unit(2), ONES, ZERO)):
-        num, den = difference_terms(*args)
-        assert den > 0
-        assert Fraction(num, den) == -1
+        assert pairing(args[0] - args[1], args[2] - args[3]) == -1
+        with pytest.raises(NonSummable):
+            difference_terms(*args)
     with pytest.raises(NonSummable):
         difference_terms(ONES, ZERO, ONES, unit(1))
 
