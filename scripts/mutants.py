@@ -234,9 +234,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/seqspace.py",
-        '        object.__setattr__(self, "den", den)\n'
-        "        self.__post_init__()\n",
-        '        object.__setattr__(self, "den", den)\n',
+        "tnum * (den // tden), den)\n        self.__post_init__()\n",
+        "tnum * (den // tden), den)\n",
         "Seq.__init__ without its canonicalizer",
         ("tests/test_seqspace.py",),
     ),
@@ -509,8 +508,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/cli.py",
-        "if verdict != Related((0, 1)):",
-        "if not isinstance(verdict, Related):",
+        "if verdict == Related((0, 1)):",
+        "if isinstance(verdict, Related):",
         "_whole_graph_proof taking any Related verdict for the proof",
         ("tests/test_cli.py",),
         ("test_a_family_suite_fails_on_any_verdict_but_related_with_margin_zero",),
@@ -557,6 +556,30 @@ MUTANTS = (
         "run_suite's crash record dropped past MAX_FAILURES_SHOWN",
         ("tests/test_cli.py",),
         ("test_a_crash_follows_the_failures_appended_before_it",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "for name in cls.__slots__]",
+        "for name in reversed(cls.__slots__)]",
+        "Frozen binding the slot setters in reversed __slots__ order",
+        # ZERO = Seq() then fails, so importing c0cert fails and collection kills it
+        ("tests/test_values.py",),
+    ),
+    Mutant(
+        "src/c0cert/seqspace.py",
+        "    return Fraction(num, den)\n",
+        "    return Fraction(den, num)\n",
+        "_fraction building den / num",
+        ("tests/test_seqspace.py",),
+        ("test_norm_examples",),
+    ),
+    Mutant(
+        "src/c0cert/cli.py",
+        "        if proven:\n",
+        "        if True:\n",
+        "_run_gap stating the proven per-tau values when the proof failed",
+        ("tests/test_cli.py",),
+        ("test_an_unproven_gap_suite_states_no_fitzpatrick_value",),
     ),
 )
 

@@ -33,9 +33,14 @@ integers: a/b = c/d holds iff a * d = b * c when b, d > 0, and a value's
 sign is its numerator's sign.  A Fraction comes only out of a public
 wrapper that returns one (``monotone_product``, ``closure_margin``,
 ``distinctness``, ``fitzpatrick_value``, ``fitzpatrick_gap`` and
-``random_rational``), which imports ``fractions`` in its own body, so the
-library path never loads it.  Integer terms are written with
-``seqspace.terms_str``.
+``random_rational``), which builds it through ``seqspace._fraction``, the
+one body that imports ``fractions``, so the library path never loads it.
+Integer terms are written with ``seqspace.terms_str``.
+
+The value classes store their fields through the slot setters that
+``Frozen`` binds once per class: the verdicts ``Member``, ``Related`` and
+``Violation`` are built positionally, and ``violation_witness`` returns one
+shared ``Member``.
 
 Sampling helpers are deterministic given their random.Random generator; use
 one generator per worker, with seeds derived by fixed splitting.
@@ -58,6 +63,7 @@ from .seqspace import (
     pairing,
     pairing_numerator,
     _derived,
+    _fraction,
     terms,
     terms_str,
 )
@@ -125,10 +131,12 @@ class GraphPoint(Frozen):
         x = neg_gossez_apply(y)
         if x.tnum:
             raise InvalidParameter("graph points need zero tails on both components")
-        # stored field by field, as Seq._from_canonical does: this runs per drawn point
+        # stored without Frozen.__init__'s loop, as Seq._from_canonical does: this
+        # runs per drawn point
         p = object.__new__(cls)
-        object.__setattr__(p, "x", x)
-        object.__setattr__(p, "y", y)
+        set_x, set_y = cls._setters
+        set_x(p, x)
+        set_y(p, y)
         return p
 
 
@@ -232,10 +240,6 @@ class Member(Frozen):
 
     __slots__ = ()
 
-    def __init__(self) -> None:
-        # nothing to store, so no Frozen.__init__ loop per member verdict
-        pass
-
 
 class Related(Frozen):
     """Verdict: the candidate is off the graph, yet monotone against all of it.
@@ -258,11 +262,6 @@ class Violation(Frozen):
 
     __slots__ = ("witness", "product")
 
-    def __init__(self, witness: GraphPoint, product: tuple[int, int]) -> None:
-        # field by field, without Frozen.__init__'s loop: one per refuted pair
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "product", product)
-
 
 WitnessVerdict = Member | Related | Violation
 
@@ -271,13 +270,13 @@ WitnessVerdict = Member | Related | Violation
 _MINUS_ONE = (-1, 1)
 # The witness of the origin branch, validated once, here.
 _ORIGIN = GraphPoint(ZERO, ZERO)
+# The verdict on every graph point: it holds no field, so one serves all.
+_MEMBER = Member()
 
 
 def monotone_product(p: GraphPoint, q: GraphPoint) -> Fraction:
     """pairing(p.x - q.x, p.y - q.y); identically zero on the graph."""
-    from fractions import Fraction
-
-    return Fraction(*monotone_product_terms(p, q))
+    return _fraction(*monotone_product_terms(p, q))
 
 
 def monotone_product_terms(p: GraphPoint, q: GraphPoint) -> tuple[int, int]:
@@ -297,9 +296,7 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
     This is the definition, evaluated directly; ``violation_witness`` on
     (-G(ytilde), ytilde) proves the same constant for every tau > 0 at once.
     """
-    from fractions import Fraction
-
-    return Fraction(*closure_margin_terms(ep, p))
+    return _fraction(*closure_margin_terms(ep, p))
 
 
 def closure_margin_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
@@ -382,10 +379,8 @@ def distinctness(tau1: object, tau2: object, ytilde: Seq) -> Fraction:
     preconditions, the closed form and the strict sign.  Callers that pair
     many taus build one ``extension_family`` and stream its pairs.
     """
-    from fractions import Fraction
-
     _, _, num, den = next(family_products(extension_family((tau1, tau2), ytilde)))
-    return Fraction(num, den)
+    return _fraction(num, den)
 
 
 def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
@@ -396,9 +391,7 @@ def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
     Constant over the graph, equal to the family point's self-pairing minus
     its closure margin.
     """
-    from fractions import Fraction
-
-    return Fraction(*fitzpatrick_value_terms(ep, p))
+    return _fraction(*fitzpatrick_value_terms(ep, p))
 
 
 def fitzpatrick_value_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
@@ -428,8 +421,6 @@ def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Fractio
     streaming over the sample, each evaluation cross-multiplied with the
     first.  An empty sample raises EmptySample.
     """
-    from fractions import Fraction
-
     points = iter(sample)
     first = next(points, None)
     if first is None:
@@ -439,7 +430,7 @@ def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Fractio
         num, den = fitzpatrick_value_terms(ep, p)
         if num * first_den != first_num * den:
             raise AssertionError("Fitzpatrick evaluations must be constant over the graph")
-    return pairing(ep.xstar, ep.xstarstar) - Fraction(first_num, first_den)
+    return pairing(ep.xstar, ep.xstarstar) - _fraction(first_num, first_den)
 
 
 def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
@@ -544,7 +535,7 @@ def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
     if not (tail or total):
         if x != neg_gossez_apply(y):
             raise AssertionError("membership reconstruction failed")
-        return Member()
+        return _MEMBER
     pn = pairing_numerator(x, y)
     if pn * dy != (tail * dy - total * dx) * total:
         raise AssertionError("origin-witness product mismatch")
@@ -570,9 +561,7 @@ def _below(rng: random.Random, n: int) -> int:
 
 def random_rational(rng: random.Random, coeff_bound: int) -> Fraction:
     """A draw with numerator in [-coeff_bound, coeff_bound] and denominator in [1, coeff_bound]."""
-    from fractions import Fraction
-
-    return Fraction(_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1)
+    return _fraction(_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1)
 
 
 def _draw_summable(

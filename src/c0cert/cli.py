@@ -337,7 +337,8 @@ def parse_config(source: str) -> SuiteConfig:
 # taus.  ``_evaluations`` yields every one of these evaluations, and the
 # runner checks each against the proven value: the margin against s, and
 # the Fitzpatrick value against 0.  So each tau's gap is its self-pairing,
-# checked against s.
+# checked against s.  The gap suite states a tau's Fitzpatrick value and gap
+# only when the proof holds; otherwise its evidence is the self-pairing alone.
 
 _Family = Callable[[], ExtensionFamily]
 
@@ -438,12 +439,13 @@ def _run_maximal(
     return counts, evidence
 
 
-def _whole_graph_proof(fam: ExtensionFamily, failures: _Failures) -> None:
-    """Appends one failure unless (-G(ytilde), ytilde) is ``Related((0, 1))``."""
+def _whole_graph_proof(fam: ExtensionFamily, failures: _Failures) -> bool:
+    """Whether (-G(ytilde), ytilde) is ``Related((0, 1))``; one failure is appended if not."""
     verdict = violation_witness(-fam.g, fam.ytilde)
-    if verdict != Related((0, 1)):
-        margin = terms_str(*fam.total)
-        failures.append("margin {} not proven on the whole graph: {!r}", margin, verdict)
+    if verdict == Related((0, 1)):
+        return True
+    failures.append("margin {} not proven on the whole graph: {!r}", terms_str(*fam.total), verdict)
+    return False
 
 
 def _evaluations(
@@ -494,7 +496,7 @@ def _run_gap(
     config: SuiteConfig, rng: random.Random, family: _Family, failures: _Failures
 ) -> tuple:
     fam = family()
-    _whole_graph_proof(fam, failures)
+    proven = _whole_graph_proof(fam, failures)
     keys = [terms_str(*ep.tau) for ep in fam.points]
     for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms):
         if num:
@@ -503,12 +505,15 @@ def _run_gap(
     total = terms_str(exp_num, exp_den)
     per_tau = {}
     for key, ep, diagonal in zip(keys, fam.points, fam.diagonal):
-        # the gap is the self-pairing diagonal / self_den minus the proven value 0
+        # the gap is the self-pairing diagonal / self_den minus the Fitzpatrick
+        # value 0, which only the whole-graph proof establishes
         self_den = ep.xstar.den * ep.xstarstar.den
         gap = terms_str(diagonal, self_den)
         if diagonal * exp_den != exp_num * self_den or diagonal <= 0:
             failures.append("gap {} != expected {} at tau = {}", gap, total, key)
-        per_tau[key] = {"fitzpatrick_value": "0", "self_pairing": gap, "gap": gap}
+        per_tau[key] = {"self_pairing": gap}
+        if proven:
+            per_tau[key].update(fitzpatrick_value="0", gap=gap)
     counts = {"graph_points": config.samples, "taus": len(config.taus)}
     evidence = {"expected_gap": total, "per_tau": per_tau}
     return counts, evidence
@@ -675,9 +680,8 @@ def emit_report(
     with_timing: bool = True,
 ) -> int:
     """Write the report; exit code 0 on overall pass, 1 on failure, 3 on I/O error."""
-    text = render_json(report, with_timing) if format == "json" else render_markdown(
-        report, with_timing
-    )
+    render = render_json if format == "json" else render_markdown
+    text = render(report, with_timing)
     try:
         if out is None or out == "-":
             sys.stdout.write(text)

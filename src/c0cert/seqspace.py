@@ -17,9 +17,11 @@ kernels that feed a verdict, ``pairing_numerator`` and
 ``difference_terms``, return unreduced integers.  Verdicts are compared as
 integers, cross-multiplied over positive denominators.  A ``Fraction``
 comes only out of a public wrapper that returns one (``rat``, ``pairing``,
-the norms and sums, ``Seq.prefix``, ``.tail`` and ``.entry``), and each of
-them imports ``fractions`` in its own body, so no library path loads
-``fractions``, ``decimal`` or ``numbers``.
+the norms and sums, ``Seq.prefix``, ``.tail`` and ``.entry``).  Each
+of them builds its Fraction through ``_fraction``, the one function whose
+body imports ``fractions``, so no library path loads ``fractions``,
+``decimal`` or ``numbers``.  ``rat`` alone imports it too, since it tests a
+value's type against ``Fraction``.
 
 Each value form has one writer.  A ``Fraction`` is written with ``str()``,
 which gives "p" or "p/q" in lowest terms with a positive denominator.
@@ -47,7 +49,9 @@ result without canonicalizing it again.
 ``Seq`` and every other value class of the package subclass ``Frozen``: a
 slotted class whose instances carry no ``__dict__``, refuse assignment, and
 compare, hash, print, pickle and copy by their fields in ``__slots__``
-order.  ``Seq`` keeps its own ``__init__``, ``__eq__`` and ``__hash__``.
+order.  Every field is stored through the slot setters ``Frozen`` binds
+once per class, in ``__slots__`` order.  ``Seq`` keeps its own
+``__init__``, ``__eq__`` and ``__hash__``.
 
 Indices are 1-based everywhere.
 """
@@ -129,13 +133,25 @@ def rat(value: object) -> Fraction:
     The pair form is the library's own, so a tuple raises TypeError here,
     like every other non-rational.
     """
-    from fractions import Fraction
+    from fractions import Fraction  # here too: the type test below names it
 
     if type(value) is Fraction:
         return value
     if isinstance(value, tuple):
         raise TypeError(f"refusing {_shown(value)}: exact rationals are ints or 'p/q' strings")
     return Fraction(*terms(value))
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)``, for ints num and den != 0.
+
+    Each public view that returns a Fraction, in this module and in
+    ``certify``, builds it here, ``rat`` excepted.  This body imports
+    ``fractions``, so a program that calls no view never loads it.
+    """
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def _shown(value: object) -> str:
@@ -173,26 +189,33 @@ class Frozen:
     """The one base of the value classes: immutable, slotted, defined by its fields.
 
     A subclass lists its fields in ``__slots__``, in order, and stores them
-    once, through ``Frozen.__init__`` or ``_derived``; assignment and
-    deletion raise AttributeError afterwards.  ``__slots__`` is the one
-    field list: a subclass defines ``__init__`` only to check its fields,
-    to supply defaults, or to store a per-draw value field by field, and is
-    otherwise built positionally, through ``Frozen.__init__``.  Two
-    instances are equal when they are of the same class with equal fields,
-    the hash is the hash of the field tuple, and the repr names each field.
-    This is what a frozen dataclass provides, without importing
-    ``dataclasses`` and ``inspect`` and generating methods per class, which
-    cost more than the rest of ``import c0cert.cli``.  Paths that run once per drawn point store
-    their fields one ``object.__setattr__`` at a time instead of through
-    ``Frozen.__init__``'s loop, as ``Seq._from_canonical`` does.
+    once; assignment and deletion raise AttributeError afterwards.
+    ``__slots__`` is the one field list: when a subclass is defined, the
+    setter of each of its slots is bound once, in that order, as the class's
+    ``_setters``, and every field of every value is stored through one of
+    them, so no store names its field.  ``Frozen.__init__`` (and through it
+    ``_derived``, pickling and copying) stores its values through them in
+    turn.  A subclass defines ``__init__`` only to check its fields or to
+    supply defaults, and is otherwise built positionally, through
+    ``Frozen.__init__``; a path that runs once per drawn point, such as
+    ``Seq._from_canonical``, unpacks ``_setters`` and calls each itself,
+    without the loop.  Two instances are equal when they are of the same
+    class with equal fields, the hash is the hash of the field tuple, and
+    the repr names each field.  This is what a frozen dataclass provides,
+    without importing ``dataclasses`` and ``inspect`` and generating methods
+    per class, which cost more than the rest of ``import c0cert.cli``.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        # looked up through the class, so slots a base defines bind too
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
     def __init__(self, *values: object) -> None:
         """Store ``values`` as the fields, in ``__slots__`` order, unchecked."""
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, values, strict=True):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -257,9 +280,7 @@ class Seq(Frozen):
         tnum, tden = terms(tail)
         # a list, not a generator: see certify._draw_summable on star-calls
         den = lcm(tden, *[q for _, q in values])
-        object.__setattr__(self, "num", [p * (den // q) for p, q in values])
-        object.__setattr__(self, "tnum", tnum * (den // tden))
-        object.__setattr__(self, "den", den)
+        Frozen.__init__(self, [p * (den // q) for p, q in values], tnum * (den // tden), den)
         self.__post_init__()
 
     @classmethod
@@ -282,9 +303,10 @@ class Seq(Frozen):
         ``_of`` canonicalizes what it wraps here.
         """
         s = object.__new__(cls)
-        object.__setattr__(s, "num", num)
-        object.__setattr__(s, "tnum", tnum)
-        object.__setattr__(s, "den", den)
+        set_num, set_tnum, set_den = cls._setters
+        set_num(s, num)
+        set_tnum(s, tnum)
+        set_den(s, den)
         return s
 
     def __post_init__(self) -> None:
@@ -292,14 +314,15 @@ class Seq(Frozen):
         # tail, divide out the common gcd, and freeze the list into a tuple.
         # (The name is the dataclass hook's; perfbench/run.py wraps it.)
         num, tnum, den = self.num, self.tnum, self.den
+        set_num, set_tnum, set_den = self._setters
         while num and num[-1] == tnum:
             num.pop()
         g = gcd(den, tnum, *num)
         if g != 1:
             num = [v // g for v in num]
-            object.__setattr__(self, "tnum", tnum // g)
-            object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "num", tuple(num))
+            set_tnum(self, tnum // g)
+            set_den(self, den // g)
+        set_num(self, tuple(num))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -312,24 +335,18 @@ class Seq(Frozen):
     @property
     def prefix(self) -> tuple[Fraction, ...]:
         """Entries 1..len(prefix) as Fractions."""
-        from fractions import Fraction
-
-        return tuple(Fraction(v, self.den) for v in self.num)
+        return tuple(_fraction(v, self.den) for v in self.num)
 
     @property
     def tail(self) -> Fraction:
         """The constant value of every entry beyond the prefix."""
-        from fractions import Fraction
-
-        return Fraction(self.tnum, self.den)
+        return _fraction(self.tnum, self.den)
 
     def entry(self, i: int) -> Fraction:
         """Entry at 1-based index ``i``."""
-        from fractions import Fraction
-
         if i < 1:
             raise IndexError(f"index {i} out of range: indices start at 1")
-        return Fraction(self.num[i - 1] if i <= len(self.num) else self.tnum, self.den)
+        return _fraction(self.num[i - 1] if i <= len(self.num) else self.tnum, self.den)
 
     def _combine(self, other: Seq, sign: int) -> Seq:
         """self + sign * other over the least common denominator."""
@@ -374,9 +391,7 @@ def pairing(x: Seq, y: Seq) -> Fraction:
     then finite and exact); symmetric in its arguments.  Raises NonSummable
     when both tails are nonzero, since the series then diverges.
     """
-    from fractions import Fraction
-
-    return Fraction(pairing_numerator(x, y), x.den * y.den)
+    return _fraction(pairing_numerator(x, y), x.den * y.den)
 
 
 def pairing_numerator(x: Seq, y: Seq) -> int:
@@ -421,27 +436,21 @@ def difference_terms(a: Seq, b: Seq, c: Seq, d: Seq) -> tuple[int, int]:
 
 def sup_norm(a: Seq) -> Fraction:
     """max_i |a_i|, attained on the prefix or at the tail."""
-    from fractions import Fraction
-
-    return Fraction(max((abs(a.tnum), *map(abs, a.num))), a.den)
+    return _fraction(max((abs(a.tnum), *map(abs, a.num))), a.den)
 
 
 def l1_norm(a: Seq) -> Fraction:
     """sum_i |a_i|; requires a finitely supported argument."""
-    from fractions import Fraction
-
     if a.tnum:
         raise NonSummable("l1_norm of a sequence with nonzero tail diverges")
-    return Fraction(sum(map(abs, a.num)), a.den)
+    return _fraction(sum(map(abs, a.num)), a.den)
 
 
 def total_sum(a: Seq) -> Fraction:
     """sum_i a_i; requires a finitely supported argument."""
-    from fractions import Fraction
-
     if a.tnum:
         raise NonSummable("total_sum of a sequence with nonzero tail diverges")
-    return Fraction(sum(a.num), a.den)
+    return _fraction(sum(a.num), a.den)
 
 
 def unit(k: int) -> Seq:

@@ -460,6 +460,11 @@ def test_witness_example_member():
     assert isinstance(violation_witness(-unit_v(1), unit_u(1)), Member)
 
 
+def test_every_graph_point_gets_the_one_shared_member():
+    p, q = GraphPoint.from_y(unit_u(1)), GraphPoint.from_y(unit_u(2))
+    assert violation_witness(p.x, p.y) is violation_witness(q.x, q.y)
+
+
 def test_witness_example_swapped_pair():
     verdict = violation_witness(ZERO, unit(1))
     assert isinstance(verdict, Violation)

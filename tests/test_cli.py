@@ -1316,6 +1316,22 @@ NON_SKEW_VERDICT = (
 )
 
 
+def test_an_unproven_gap_suite_states_no_fitzpatrick_value(monkeypatch):
+    """With G not skew, the sampled values miss 0, and no tau's evidence says they are 0.
+
+    Each tau's evidence is its self-pairing alone: the gap is the self-pairing
+    minus the Fitzpatrick value, which the failed proof did not establish.
+    """
+    monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
+    monkeypatch.setattr("c0cert.certify.neg_gossez_apply", lambda y: -y)
+    (result,) = run_suite(fast_config(taus=[1, 2], suites=["gap"])).results
+    assert result.failures[1] == "Fitzpatrick value 1208497/107648 != 0 at tau = 1"
+    assert result.evidence == {
+        "expected_gap": "1",
+        "per_tau": {"1": {"self_pairing": "0"}, "2": {"self_pairing": "-3"}},
+    }
+
+
 def test_a_map_that_is_not_skew_leaves_the_family_margin_unproven(monkeypatch):
     monkeypatch.setattr("c0cert.certify.gossez_apply", lambda y: y)
     monkeypatch.setattr("c0cert.certify.neg_gossez_apply", lambda y: -y)
@@ -1351,14 +1367,20 @@ def test_a_crash_follows_the_failures_appended_before_it(monkeypatch, samples, k
 
 
 def test_a_family_suite_fails_on_any_verdict_but_related_with_margin_zero(monkeypatch):
-    """Every evaluation passes, so the tau-free verdict is the one failure."""
+    """Every evaluation passes, so the tau-free verdict is the one failure.
+
+    Unproven, the gap suite states each tau's self-pairing alone.
+    """
     clean = run_suite(fast_config(suites=["extensions", "gap"])).results
     monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: Related((1, 1)))
     results = run_suite(fast_config(suites=["extensions", "gap"])).results
     for result, passed in zip(results, clean):
         assert result.failures == ["margin 1 not proven on the whole graph: Related(margin=(1, 1))"]
         assert result.counts == {**passed.counts, "failures": 1}
-        assert result.evidence == passed.evidence
+    (extensions, gap), (clean_extensions, _) = results, clean
+    assert extensions.evidence == clean_extensions.evidence
+    per_tau = {"1": {"self_pairing": "1"}, "2": {"self_pairing": "1"}}
+    assert gap.evidence == {"expected_gap": "1", "per_tau": per_tau}
 
 
 def failing_extensions_peak(samples: int) -> tuple[int, SuiteResult]:
@@ -1385,8 +1407,8 @@ def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
 # 2,000 samples with G replaced by the identity, which is not skew, and -G
 # by the negation, with the crash site's line number written as LINE.
 NON_SKEW_REPORT_SHA256 = {
-    "1,2": "5e5a0d88292669a92c24a8130b941dc745b714c7063b92cd3f29eda91efaf622",
-    "1": "b2a44b04bcd739cc64d49d58c55dcf46d483ebd5abc235eafe988f89b5278716",
+    "1,2": "db384934d6e6ea56dd57ba16e6e8d1ed5fc6d20924e1260c3c0a5a706e7319bc",
+    "1": "0d7708e34e3a3d0872a58b3982aab3818fe06dfe82da87fbd7467911acb074fb",
 }
 
 

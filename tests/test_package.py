@@ -84,11 +84,13 @@ def test_main_never_loads_fractions(tmp_path, format):
     assert out.read_text(encoding="utf-8").startswith("{" if format == "json" else "# Certificate")
 
 
-# The public wrappers that return a Fraction, each importing fractions in its
-# own body.  Their return is the one annotation that may name Fraction: every
-# parameter that takes what ``terms`` reads is annotated ``object``.
+# The public wrappers that return a Fraction, and ``seqspace._fraction``, which
+# builds theirs and is the one body that imports fractions (``rat`` imports it
+# too, for its type test).  Their return is the one annotation that may name
+# Fraction: every parameter that takes what ``terms`` reads is annotated ``object``.
 FRACTION_VIEWS = {
     "seqspace.rat",
+    "seqspace._fraction",
     "seqspace.Seq.prefix",
     "seqspace.Seq.tail",
     "seqspace.Seq.entry",
