@@ -16,6 +16,11 @@ did not pass, and 0 otherwise.  Standard library only, apart from pytest.
 
     python scripts/unrun_lines.py [pytest arguments]
 
+On Python 3.11 CI runs it as the Tier-1 step, under ``-X dev -W error``
+and with Tier-1's arguments plus ``--durations=10``, so one traced run
+is both Tier-1 and the line gate.  The other Python versions run Tier-1
+with plain pytest.
+
 ``sys.settrace`` works on every Python the project supports.  On 3.12 and
 later ``sys.monitoring`` would cost less, but the gate runs on 3.11.  Each
 module's record is a bytearray allocated before pytest starts, so the

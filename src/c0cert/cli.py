@@ -429,7 +429,7 @@ def _run_maximal(
         x, y = random_offgraph_pair(rng, config.support_max, config.coeff_bound)
         verdict = violation_witness(x, y)
         if not isinstance(verdict, Violation):
-            failures.append("perturbed pair misclassified as a member")
+            failures.append("perturbed pair misclassified: {!r}", verdict)
             continue
         num, den = verdict.product
         if worst is None or num * worst[1] > worst[0] * den:

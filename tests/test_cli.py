@@ -1000,8 +1000,18 @@ def test_maximal_runner_reports_a_perturbed_pair_taken_for_a_member(monkeypatch)
     (result,) = run_suite(fast_config(samples=7, suites=["maximal"])).results
     assert not result.passed
     assert result.counts == {"members": 7, "violations": 7, "failures": 7}
-    assert result.failures == ["perturbed pair misclassified as a member"] * 5
+    assert result.failures == ["perturbed pair misclassified: Member()"] * 5
     assert result.evidence == {}  # no violation, so no worst product
+
+
+def test_maximal_runner_names_the_verdict_a_perturbed_pair_got(monkeypatch):
+    verdicts = iter([Member()] * 7 + [Related((1, 1))] * 7)
+    monkeypatch.setattr(c0cert.cli, "violation_witness", lambda x, y: next(verdicts))
+    (result,) = run_suite(fast_config(samples=7, suites=["maximal"])).results
+    assert not result.passed
+    assert result.counts == {"members": 7, "violations": 7, "failures": 7}
+    assert result.failures == ["perturbed pair misclassified: Related(margin=(1, 1))"] * 5
+    assert result.evidence == {}
 
 
 def test_maximal_runner_reports_a_graph_point_taken_for_a_violation(monkeypatch):

@@ -1,7 +1,8 @@
-"""The mutation gate's table against the tree, and the gate's failing exits."""
+"""The mutation gate's table against the tree, and the gate's exits."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -12,17 +13,23 @@ _SPEC.loader.exec_module(mutants)
 
 # the first mutant (-G without yn), with a selection that never evaluates G
 BLIND = mutants.MUTANTS[0]._replace(
-    tests=("tests/test_package.py",),
-    names=("test_package_exports_each_modules_names_once_in_module_order",),
+    tests=("tests/test_package.py::test_package_exports_each_modules_names_once_in_module_order",),
 )
+
+
+def module_functions(file: str) -> set[str]:
+    tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_every_mutant_applies_to_the_tree_once():
     for mutant in mutants.MUTANTS:
         source = (ROOT / mutant.file).read_text(encoding="utf-8")
         assert source.count(mutant.old) == 1, mutant.label
+        assert mutant.tests, mutant.label
         for test in mutant.tests:
-            assert (ROOT / test).is_file(), (mutant.label, test)
+            file, name = test.split("::")
+            assert name in module_functions(file), (mutant.label, test)
 
 
 def test_a_surviving_mutant_fails_the_gate(capsys):
@@ -30,6 +37,29 @@ def test_a_surviving_mutant_fails_the_gate(capsys):
     assert capsys.readouterr().out.startswith("SURVIVED: ")
 
 
-def test_a_missing_old_text_fails_the_gate(capsys):
+def test_an_import_breaking_mutant_is_killed_by_a_named_test(capsys):
+    (slots,) = (m for m in mutants.MUTANTS if "reversed __slots__" in m.label)
+    assert slots.tests == ("tests/test_values.py::test_suite_config_defaults_and_field_order",)
+    assert mutants.main((slots,)) == 0
+    assert capsys.readouterr().out.startswith("killed: ")
+
+
+def refuse_to_run(mutant):
+    raise AssertionError(f"ran {mutant.label}")
+
+
+def test_a_missing_old_text_fails_the_gate(capsys, monkeypatch):
+    monkeypatch.setattr(mutants, "run", refuse_to_run)
     assert mutants.main((BLIND._replace(old="no such text"),)) == 1
     assert capsys.readouterr().out.startswith("MISSING (old text found 0 times")
+
+
+def test_a_node_id_naming_no_function_fails_the_gate_before_any_run(capsys, monkeypatch):
+    monkeypatch.setattr(mutants, "run", refuse_to_run)
+    unnamed = BLIND._replace(tests=("tests/test_package.py::test_no_such_function",))
+    assert mutants.main((BLIND, unnamed)) == 1
+    out = capsys.readouterr().out
+    assert out == (
+        "MISSING (no test function 'test_no_such_function' in tests/test_package.py): "
+        f"{BLIND.label}\n"
+    )
