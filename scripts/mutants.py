@@ -139,7 +139,10 @@ MUTANTS = (
         "isinstance(value, (list, tuple))",
         "isinstance(value, list)",
         "_indented leaving a tuple to json.dumps",
-        ("tests/test_cli.py::test_emitter_lays_out_like_json_dumps",),
+        (
+            "tests/test_cli.py::"
+            "test_a_caller_built_report_with_tuple_failures_is_rendered_as_json_dumps_renders_it",
+        ),
     ),
     Mutant(
         "src/c0cert/cli.py",
@@ -540,6 +543,27 @@ MUTANTS = (
         "_run_gap stating the proven per-tau values when the proof failed",
         ("tests/test_cli.py::test_an_unproven_gap_suite_states_no_fitzpatrick_value",),
     ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "return self_num * first_den - first_num * self_den,",
+        "return first_num * self_den - self_num * first_den,",
+        "fitzpatrick_gap subtracting the self-pairing from the evaluation",
+        ("tests/test_certify.py::test_fitzpatrick_gap_examples",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "    return num, den\n",
+        "    return den, num\n",
+        "distinctness returning den, num",
+        ("tests/test_certify.py::test_distinctness_examples",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "return terms((_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1))",
+        "return _below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1",
+        "random_rational returning the draw unreduced",
+        ("tests/test_certify.py::test_random_rational_returns_lowest_terms",),
+    ),
 )
 
 
@@ -558,10 +582,16 @@ def defined_tests(file: str) -> frozenset[str]:
 
 
 def missing(mutant: Mutant) -> str | None:
-    """What of ``mutant`` the unmutated tree lacks, as a ``MISSING`` outcome, or None."""
+    """What of ``mutant`` the unmutated tree lacks, as a ``MISSING`` outcome, or None.
+
+    An entry that names no test is missing its tests: run with no node id,
+    pytest would run the whole suite.
+    """
     found = (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old)
     if found != 1:
         return f"MISSING (old text found {found} times in {mutant.file})"
+    if not mutant.tests:
+        return "MISSING (names no test)"
     for test in mutant.tests:
         file, _, name = test.partition("::")
         if name not in defined_tests(file):

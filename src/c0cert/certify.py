@@ -23,18 +23,17 @@ identities that are checked literally:
   stays short of the family point's self-pairing by an exactly computed
   positive gap.
 
-Each value-returning certificate has an integer core, named with a
-``_terms`` suffix, that returns an unreduced numerator over a positive
-denominator, and ``family_products`` yields such terms.  Every rational
-this module holds is a lowest-terms pair ``(num, den)``, den > 0, as
-``seqspace.terms`` returns it: a family point's tau, a family's total, a
-violation's product and a relation's margin.  Verdicts are compared as
-integers: a/b = c/d holds iff a * d = b * c when b, d > 0, and a value's
-sign is its numerator's sign.  A Fraction comes only out of a public
-wrapper that returns one (``monotone_product``, ``closure_margin``,
-``distinctness``, ``fitzpatrick_value``, ``fitzpatrick_gap`` and
-``random_rational``), which builds it through ``seqspace._fraction``, the
-one body that imports ``fractions``, so the library path never loads it.
+Each value-returning certificate returns integer terms.
+``monotone_product``, ``closure_margin``, ``distinctness``,
+``fitzpatrick_value`` and ``fitzpatrick_gap`` return an unreduced numerator
+over a positive denominator, as ``difference_terms`` does, and
+``family_products`` yields such terms; ``random_rational`` returns lowest
+terms.  Every rational this module holds is a lowest-terms pair ``(num,
+den)``, den > 0, as ``seqspace.terms`` returns it: a family point's tau, a
+family's total, a violation's product and a relation's margin.  Verdicts
+are compared as integers: a/b = c/d holds iff a * d = b * c when b, d > 0,
+and a value's sign is its numerator's sign.  No value here is a Fraction: a
+caller that wants one builds ``Fraction(num, den)``.
 Integer terms are written with ``seqspace.terms_str``.
 
 The value classes store their fields through the slot setters that
@@ -60,10 +59,8 @@ from .seqspace import (
     NonSummable,
     Seq,
     difference_terms,
-    pairing,
     pairing_numerator,
     _derived,
-    _fraction,
     terms,
     terms_str,
 )
@@ -83,15 +80,12 @@ __all__ = [
     "random_graph_point",
     "random_offgraph_pair",
     "monotone_product",
-    "monotone_product_terms",
     "extension_point",
     "extension_family",
     "closure_margin",
-    "closure_margin_terms",
     "family_products",
     "distinctness",
     "fitzpatrick_value",
-    "fitzpatrick_value_terms",
     "fitzpatrick_gap",
     "violation_witness",
 ]
@@ -274,17 +268,12 @@ _ORIGIN = GraphPoint(ZERO, ZERO)
 _MEMBER = Member()
 
 
-def monotone_product(p: GraphPoint, q: GraphPoint) -> Fraction:
+def monotone_product(p: GraphPoint, q: GraphPoint) -> tuple[int, int]:
     """pairing(p.x - q.x, p.y - q.y); identically zero on the graph."""
-    return _fraction(*monotone_product_terms(p, q))
-
-
-def monotone_product_terms(p: GraphPoint, q: GraphPoint) -> tuple[int, int]:
-    """``monotone_product`` as an unreduced numerator over a positive denominator."""
     return difference_terms(p.x, q.x, p.y, q.y)
 
 
-def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
+def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
     """Monotone product of a family point against a graph point.
 
     Equals pairing(ones, ep.ytilde) for every graph point: the graph part
@@ -296,11 +285,6 @@ def closure_margin(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
     This is the definition, evaluated directly; ``violation_witness`` on
     (-G(ytilde), ytilde) proves the same constant for every tau > 0 at once.
     """
-    return _fraction(*closure_margin_terms(ep, p))
-
-
-def closure_margin_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
-    """``closure_margin`` as an unreduced numerator over a positive denominator."""
     return difference_terms(ep.xstarstar, p.x, ep.xstar, p.y)
 
 
@@ -372,7 +356,7 @@ def family_products(family: ExtensionFamily) -> Iterator[tuple[int, int, int, in
             yield i, j, num, den
 
 
-def distinctness(tau1: object, tau2: object, ytilde: Seq) -> Fraction:
+def distinctness(tau1: object, tau2: object, ytilde: Seq) -> tuple[int, int]:
     """Monotone product of the family points for tau1 and tau2 along ytilde.
 
     The two-point case of ``family_products``, which states and checks the
@@ -380,24 +364,17 @@ def distinctness(tau1: object, tau2: object, ytilde: Seq) -> Fraction:
     many taus build one ``extension_family`` and stream its pairs.
     """
     _, _, num, den = next(family_products(extension_family((tau1, tau2), ytilde)))
-    return _fraction(num, den)
+    return num, den
 
 
-def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> Fraction:
+def fitzpatrick_value(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
     """Fitzpatrick evaluation of a graph point against a family point:
 
         pairing(p.x, ep.xstar) + pairing(ep.xstarstar, p.y) - pairing(p.x, p.y) .
 
     Constant over the graph, equal to the family point's self-pairing minus
-    its closure margin.
-    """
-    return _fraction(*fitzpatrick_value_terms(ep, p))
-
-
-def fitzpatrick_value_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int]:
-    """``fitzpatrick_value`` as an unreduced numerator over a positive denominator.
-
-    The three integer pairings are put over one common denominator.
+    its closure margin.  The three integer pairings are put over one common
+    denominator.
     """
     dx, dy, ds, dss = p.x.den, p.y.den, ep.xstar.den, ep.xstarstar.den
     total = (
@@ -408,7 +385,7 @@ def fitzpatrick_value_terms(ep: ExtensionPoint, p: GraphPoint) -> tuple[int, int
     return total, dx * dy * ds * dss
 
 
-def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Fraction:
+def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> tuple[int, int]:
     """Self-pairing of the family point minus the best graph evaluation.
 
     The per-point evaluations must all coincide; the gap then equals
@@ -419,18 +396,21 @@ def fitzpatrick_gap(ep: ExtensionPoint, sample: Iterable[GraphPoint]) -> Fractio
     ``sample`` may be any iterable, a stream included: every point of it is
     evaluated directly, once, and none is kept.  Constancy is checked while
     streaming over the sample, each evaluation cross-multiplied with the
-    first.  An empty sample raises EmptySample.
+    first.  An empty sample raises EmptySample.  The gap is the
+    self-pairing's integer numerator over xstar.den * xstarstar.den minus
+    the first evaluation, over the product of the two denominators.
     """
     points = iter(sample)
     first = next(points, None)
     if first is None:
         raise EmptySample("need at least one graph point")
-    first_num, first_den = fitzpatrick_value_terms(ep, first)
+    first_num, first_den = fitzpatrick_value(ep, first)
     for p in points:
-        num, den = fitzpatrick_value_terms(ep, p)
+        num, den = fitzpatrick_value(ep, p)
         if num * first_den != first_num * den:
             raise AssertionError("Fitzpatrick evaluations must be constant over the graph")
-    return pairing(ep.xstar, ep.xstarstar) - _fraction(first_num, first_den)
+    self_num, self_den = pairing_numerator(ep.xstarstar, ep.xstar), ep.xstar.den * ep.xstarstar.den
+    return self_num * first_den - first_num * self_den, self_den * first_den
 
 
 def violation_witness(x: Seq, y: Seq) -> WitnessVerdict:
@@ -559,9 +539,9 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def random_rational(rng: random.Random, coeff_bound: int) -> Fraction:
-    """A draw with numerator in [-coeff_bound, coeff_bound] and denominator in [1, coeff_bound]."""
-    return _fraction(_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1)
+def random_rational(rng: random.Random, coeff_bound: int) -> tuple[int, int]:
+    """The lowest terms of a draw p / q, p in [-coeff_bound, coeff_bound], q in [1, coeff_bound]."""
+    return terms((_below(rng, 2 * coeff_bound + 1) - coeff_bound, _below(rng, coeff_bound) + 1))
 
 
 def _draw_summable(

@@ -61,10 +61,10 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .certify import (
     extension_family,
-    closure_margin_terms,
+    closure_margin,
     family_products,
-    fitzpatrick_value_terms,
-    monotone_product_terms,
+    fitzpatrick_value,
+    monotone_product,
     random_graph_point,
     random_offgraph_pair,
     random_summable,
@@ -405,7 +405,7 @@ def _run_monotone(
     for _ in range(config.samples):
         p = random_graph_point(rng, config.support_max, config.coeff_bound)
         q = random_graph_point(rng, config.support_max, config.coeff_bound)
-        num, den = monotone_product_terms(p, q)
+        num, den = monotone_product(p, q)
         value = terms_str(num, den) if num else "0"
         seen.add(value)
         if num:
@@ -453,7 +453,7 @@ def _evaluations(
 ) -> Iterator[tuple[int, int, int]]:
     """``(k, num, den)`` for each direct evaluation ``terms(fam.points[k], p)``.
 
-    ``terms`` is ``closure_margin_terms`` or ``fitzpatrick_value_terms``.
+    ``terms`` is ``closure_margin`` or ``fitzpatrick_value``.
     The first sampled point is evaluated at every tau, in tau order, and
     point i > 0 at tau_(i mod n) for n taus.  Every evaluation is yielded,
     and the runner checks each against the value the whole-graph proof
@@ -478,7 +478,7 @@ def _run_extensions(
     exp_num, exp_den = fam.total
     total = terms_str(exp_num, exp_den)
     keys = [terms_str(*ep.tau) for ep in fam.points]
-    for k, num, den in _evaluations(config, rng, fam, closure_margin_terms):
+    for k, num, den in _evaluations(config, rng, fam, closure_margin):
         if num * exp_den != exp_num * den or num <= 0:
             failures.append("margin {} != {} at tau = {}", terms_str(num, den), total, keys[k])
     if len(fam.points) < 2:
@@ -498,7 +498,7 @@ def _run_gap(
     fam = family()
     proven = _whole_graph_proof(fam, failures)
     keys = [terms_str(*ep.tau) for ep in fam.points]
-    for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value_terms):
+    for k, num, den in _evaluations(config, rng, fam, fitzpatrick_value):
         if num:
             failures.append("Fitzpatrick value {} != 0 at tau = {}", terms_str(num, den), keys[k])
     exp_num, exp_den = fam.total

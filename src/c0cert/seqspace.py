@@ -20,8 +20,7 @@ comes only out of a public wrapper that returns one (``rat``, ``pairing``,
 the norms and sums, ``Seq.prefix``, ``.tail`` and ``.entry``).  Each
 of them builds its Fraction through ``_fraction``, the one function whose
 body imports ``fractions``, so no library path loads ``fractions``,
-``decimal`` or ``numbers``.  ``rat`` alone imports it too, since it tests a
-value's type against ``Fraction``.
+``decimal`` or ``numbers``.
 
 Each value form has one writer.  A ``Fraction`` is written with ``str()``,
 which gives "p" or "p/q" in lowest terms with a positive denominator.
@@ -133,21 +132,16 @@ def rat(value: object) -> Fraction:
     The pair form is the library's own, so a tuple raises TypeError here,
     like every other non-rational.
     """
-    from fractions import Fraction  # here too: the type test below names it
-
-    if type(value) is Fraction:
-        return value
     if isinstance(value, tuple):
         raise TypeError(f"refusing {_shown(value)}: exact rationals are ints or 'p/q' strings")
-    return Fraction(*terms(value))
+    return _fraction(*terms(value))
 
 
 def _fraction(num: int, den: int) -> Fraction:
     """``Fraction(num, den)``, for ints num and den != 0.
 
-    Each public view that returns a Fraction, in this module and in
-    ``certify``, builds it here, ``rat`` excepted.  This body imports
-    ``fractions``, so a program that calls no view never loads it.
+    Each public view that returns a Fraction builds it here.  This body
+    imports ``fractions``, so a program that calls no view never loads it.
     """
     from fractions import Fraction
 

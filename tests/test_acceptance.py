@@ -93,7 +93,7 @@ def test_criterion_3_range_law():
     for y in _zero_sum_sample(3003, 500):
         shift = Fraction(0)
         while shift == 0:
-            shift = random_rational(rng, COEFF_BOUND)
+            shift = Fraction(*random_rational(rng, COEFF_BOUND))
         bad = -gossez_apply(y) + shift * unit(1)
         try:
             t_solve(bad)
@@ -109,7 +109,7 @@ def test_criterion_4_round_trips():
     rng = random.Random(4001)
     ok = all(t_solve(-gossez_apply(y)) == y for y in _zero_sum_sample(4002, 500))
     for _ in range(100):
-        lam = random_rational(rng, COEFF_BOUND)
+        lam = Fraction(*random_rational(rng, COEFF_BOUND))
         m = rng.randint(1, 100)
         ok = ok and t_solve(-lam * unit_v(m)) == lam * unit_u(m)
     elapsed = time.perf_counter() - started
@@ -119,9 +119,11 @@ def test_criterion_4_round_trips():
 def test_criterion_5_monotonicity():
     rng = random.Random(5001)
     ok = all(
-        monotone_product(
-            random_graph_point(rng, SUPPORT_MAX, COEFF_BOUND),
-            random_graph_point(rng, SUPPORT_MAX, COEFF_BOUND),
+        Fraction(
+            *monotone_product(
+                random_graph_point(rng, SUPPORT_MAX, COEFF_BOUND),
+                random_graph_point(rng, SUPPORT_MAX, COEFF_BOUND),
+            )
         )
         == 0
         for _ in range(1000)
@@ -179,16 +181,16 @@ def test_criterion_7_closure_membership():
         ok = ok and expected > 0
         for tau in TAUS:
             ep = extension_point(tau, ytilde)
-            ok = ok and all(closure_margin(ep, p) == expected for p in sample)
+            ok = ok and all(Fraction(*closure_margin(ep, p)) == expected for p in sample)
     _check(7, "closure margins constant over 1000 points x 15 family points", ok)
 
 
 def test_criterion_8_extension_distinctness():
-    ok = distinctness(1, 2, unit(1)) == Fraction(-1, 2)
+    ok = Fraction(*distinctness(1, 2, unit(1))) == Fraction(-1, 2)
     for ytilde in DIRECTIONS:
         for i, t1 in enumerate(TAUS):
             for t2 in TAUS[i + 1 :]:
-                value = distinctness(t1, t2, ytilde)
+                value = Fraction(*distinctness(t1, t2, ytilde))
                 closed = (t1 - t2) * (1 / t1 - 1 / t2) * pairing(ONES, ytilde)
                 ok = ok and value == closed and value < 0
     _check(8, "pairwise distinctness negative, all 10 tau pairs", ok)
@@ -201,7 +203,7 @@ def test_criterion_9_fitzpatrick_gap():
         expected = pairing(ONES, ytilde)
         for tau in TAUS:
             ep = extension_point(tau, ytilde)
-            values = {fitzpatrick_value(ep, p) for p in sample}
+            values = {Fraction(*fitzpatrick_value(ep, p)) for p in sample}
             self_pairing = pairing(ep.xstar, ep.xstarstar)
             ok = (
                 ok

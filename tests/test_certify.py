@@ -28,7 +28,6 @@ from c0cert.certify import (
     family_products,
     fitzpatrick_gap,
     fitzpatrick_value,
-    fitzpatrick_value_terms,
     monotone_product,
     random_graph_point,
     random_offgraph_pair,
@@ -100,13 +99,13 @@ def test_from_y_builds_members(y):
 
 def test_monotone_product_examples():
     p = GraphPoint(-unit_v(1), unit_u(1))
-    assert monotone_product(p, p) == 0
-    assert monotone_product(p, ORIGIN) == 0
+    assert Fraction(*monotone_product(p, p)) == 0
+    assert Fraction(*monotone_product(p, ORIGIN)) == 0
 
 
 @given(zero_sum_summables(), zero_sum_summables())
 def test_monotone_product_vanishes_on_graph(y1, y2):
-    assert monotone_product(GraphPoint.from_y(y1), GraphPoint.from_y(y2)) == 0
+    assert Fraction(*monotone_product(GraphPoint.from_y(y1), GraphPoint.from_y(y2))) == 0
 
 
 # --- extension family -------------------------------------------------------
@@ -171,21 +170,21 @@ def test_extension_point_leaves_null_sequences(tau, ytilde):
 
 def test_closure_margin_examples():
     ep = extension_point(1, unit(1))
-    assert closure_margin(ep, ORIGIN) == 1
-    assert closure_margin(ep, GraphPoint(-unit_v(1), unit_u(1))) == 1
+    assert Fraction(*closure_margin(ep, ORIGIN)) == 1
+    assert Fraction(*closure_margin(ep, GraphPoint(-unit_v(1), unit_u(1)))) == 1
 
 
 @given(positive_taus, positive_sum_summables(), zero_sum_summables())
 def test_closure_margin_constant_over_graph(tau, ytilde, y):
     ep = extension_point(tau, ytilde)
-    margin = closure_margin(ep, GraphPoint.from_y(y))
+    margin = Fraction(*closure_margin(ep, GraphPoint.from_y(y)))
     assert margin == pairing(ONES, ytilde)
     assert margin > 0
 
 
 def test_distinctness_examples():
-    assert distinctness(1, 2, unit(1)) == Fraction(-1, 2)
-    assert distinctness(1, 3, unit(1)) == Fraction(-4, 3)
+    assert Fraction(*distinctness(1, 2, unit(1))) == Fraction(-1, 2)
+    assert Fraction(*distinctness(1, 3, unit(1))) == Fraction(-4, 3)
 
 
 def test_distinctness_rejects_equal_parameters():
@@ -196,10 +195,10 @@ def test_distinctness_rejects_equal_parameters():
 @given(positive_taus, positive_taus, positive_sum_summables())
 def test_distinctness_sign_and_closed_form(tau1, tau2, ytilde):
     assume(tau1 != tau2)
-    value = distinctness(tau1, tau2, ytilde)
+    value = Fraction(*distinctness(tau1, tau2, ytilde))
     assert value == (tau1 - tau2) * (1 / tau1 - 1 / tau2) * pairing(ONES, ytilde)
     assert value < 0
-    assert value == distinctness(tau2, tau1, ytilde)
+    assert value == Fraction(*distinctness(tau2, tau1, ytilde))
 
 
 def tampered(family, points):
@@ -246,7 +245,7 @@ def test_family_products_match_the_per_pair_loop(taus, ytilde):
     points, pairs = family.points, family_pairs(len(taus))
     assert all(den > 0 for *_, den in family_products(family))
     assert list(products(family_products(family))) == [
-        (i, j, distinctness(taus[i], taus[j], ytilde)) for i, j in pairs
+        (i, j, Fraction(*distinctness(taus[i], taus[j], ytilde))) for i, j in pairs
     ]
     # the direct product, four pairings per pair, with no shared diagonal
     assert [product for _, _, product in products(family_products(family))] == [
@@ -298,7 +297,7 @@ def test_family_products_fail_where_the_per_pair_loop_does(taus, ytilde, data):
     # every pair with point k fails, the first in row order is (0, k) or (0, 1)
     pairs = family_pairs(len(taus))
     first = pairs.index((0, max(k, 1)))
-    passed = [(i, j, distinctness(taus[i], taus[j], ytilde)) for i, j in pairs[:first]]
+    passed = [(i, j, Fraction(*distinctness(taus[i], taus[j], ytilde))) for i, j in pairs[:first]]
     i, j = pairs[first]
     with pytest.raises(AssertionError, match="distinctness mismatch") as per_pair:
         pair_product(family, i, j)
@@ -379,30 +378,30 @@ def test_extension_family_needs_a_point():
 
 def test_fitzpatrick_value_examples():
     ep = extension_point(1, unit(1))
-    assert fitzpatrick_value(ep, ORIGIN) == 0
-    assert fitzpatrick_value(ep, GraphPoint(-unit_v(1), unit_u(1))) == 0
+    assert Fraction(*fitzpatrick_value(ep, ORIGIN)) == 0
+    assert Fraction(*fitzpatrick_value(ep, GraphPoint(-unit_v(1), unit_u(1)))) == 0
     assert pairing(ep.xstar, ep.xstarstar) == 1
 
 
 @given(positive_taus, positive_sum_summables(), summables(), summables())
 def test_fitzpatrick_value_matches_three_pairings(tau, ytilde, x, y):
-    """The one-Fraction evaluation equals the sum of three pairings, on or off the graph."""
+    """The one-denominator evaluation equals the sum of three pairings, on or off the graph."""
     ep, p = extension_point(tau, ytilde), SimpleNamespace(x=x, y=y)
     expected = pairing(x, ep.xstar) + pairing(ep.xstarstar, y) - pairing(x, y)
-    assert fitzpatrick_value(ep, p) == expected
+    assert Fraction(*fitzpatrick_value(ep, p)) == expected
 
 
 @given(positive_taus, positive_sum_summables(), zero_sum_summables())
 def test_fitzpatrick_value_constant_over_graph(tau, ytilde, y):
     ep = extension_point(tau, ytilde)
-    value = fitzpatrick_value(ep, GraphPoint.from_y(y))
+    value = Fraction(*fitzpatrick_value(ep, GraphPoint.from_y(y)))
     assert value == pairing(ep.xstar, ep.xstarstar) - pairing(ONES, ytilde)
 
 
 def test_fitzpatrick_gap_examples():
     sample = [ORIGIN, GraphPoint(-unit_v(1), unit_u(1)), GraphPoint.from_y(unit_u(3))]
-    assert fitzpatrick_gap(extension_point(1, unit(1)), sample) == 1
-    assert fitzpatrick_gap(extension_point(1, 2 * unit(1)), sample) == 2
+    assert Fraction(*fitzpatrick_gap(extension_point(1, unit(1)), sample)) == 1
+    assert Fraction(*fitzpatrick_gap(extension_point(1, 2 * unit(1)), sample)) == 2
 
 
 def test_fitzpatrick_gap_rejects_an_offgraph_point():
@@ -421,10 +420,10 @@ def test_fitzpatrick_gap_accepts_equal_values_over_different_denominators():
     ys = [unit_u(1), Seq(["1/2", "-1/3", "-1/6"]), Seq(["1/5", "1/7", "-12/35"])]
     assert [y.den for y in ys] == [1, 6, 35]
     sample = [GraphPoint.from_y(y) for y in ys]
-    terms = [fitzpatrick_value_terms(ep, p) for p in sample]
+    terms = [fitzpatrick_value(ep, p) for p in sample]
     assert len(set(terms)) == 3
     assert len({Fraction(num, den) for num, den in terms}) == 1
-    assert fitzpatrick_gap(ep, sample) == Fraction(8, 35)
+    assert Fraction(*fitzpatrick_gap(ep, sample)) == Fraction(8, 35)
 
 
 def test_fitzpatrick_gap_rejects_empty_sample():
@@ -441,7 +440,7 @@ def test_fitzpatrick_gap_rejects_an_empty_stream():
 def test_fitzpatrick_gap_equals_direction_total(tau, ytilde, ys):
     ep = extension_point(tau, ytilde)
     sample = [GraphPoint.from_y(y) for y in ys]
-    gap = fitzpatrick_gap(ep, sample)
+    gap = Fraction(*fitzpatrick_gap(ep, sample))
     assert gap == pairing(ONES, ytilde)
     assert gap > 0
 
@@ -764,8 +763,19 @@ def test_samplers_match_per_entry_randint_reference(seed, support_max, coeff_bou
     reference_rational = Fraction(
         ref.randint(-coeff_bound, coeff_bound), ref.randint(1, coeff_bound)
     )
-    assert random_rational(ours, coeff_bound) == reference_rational
+    assert random_rational(ours, coeff_bound) == (
+        reference_rational.numerator,
+        reference_rational.denominator,
+    )
     assert ours.getstate() == ref.getstate()
+
+
+def test_random_rational_returns_lowest_terms():
+    # p in [-4, 4] over q in [1, 4]: 22 of the first 50 draws share a factor, 2/4 first
+    ours, ref = random.Random(0), random.Random(0)
+    for _ in range(50):
+        draw = Fraction(ref.randint(-4, 4), ref.randint(1, 4))
+        assert random_rational(ours, 4) == (draw.numerator, draw.denominator)
 
 
 @given(

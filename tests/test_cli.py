@@ -24,7 +24,7 @@ from c0cert.certify import (
     Member,
     Related,
     Violation,
-    closure_margin_terms,
+    closure_margin,
     distinctness,
     extension_point,
     fitzpatrick_value,
@@ -652,6 +652,12 @@ def test_crash_report_is_rendered_as_json_dumps_renders_it(monkeypatch):
     assert_rendered_by_json(report, with_timing=False)
 
 
+def test_a_caller_built_report_with_tuple_failures_is_rendered_as_json_dumps_renders_it():
+    """``SuiteResult`` is public, so a result that a caller builds may hold tuples."""
+    result = SuiteResult("skew", {"samples": 1}, {}, ("first failure", "second failure"), 0.0)
+    assert_rendered_by_json(SuiteReport(fast_config(), (result,)), with_timing=False)
+
+
 class FixedDatetime(datetime):
     @classmethod
     def now(cls, tz=None):
@@ -943,8 +949,8 @@ def test_extensions_runner_reports_a_wrong_margin(monkeypatch):
     # a margin of 8/35, not 1, so numerator and denominator cannot trade places
     config = fast_config(ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"}, suites=["extensions"])
     assert run_suite(config).passed
-    core = c0cert.cli.closure_margin_terms
-    monkeypatch.setattr(c0cert.cli, "closure_margin_terms", raised_by_one(core))
+    core = c0cert.cli.closure_margin
+    monkeypatch.setattr(c0cert.cli, "closure_margin", raised_by_one(core))
     (result,) = run_suite(config).results
     assert not result.passed
     # the first point at both taus, then point i at tau_(i mod 2)
@@ -954,9 +960,9 @@ def test_extensions_runner_reports_a_wrong_margin(monkeypatch):
 
 
 def test_monotone_runner_reports_a_nonzero_product(monkeypatch):
-    core = c0cert.cli.monotone_product_terms
+    core = c0cert.cli.monotone_product
     for step in (1, -1):  # a product of either sign fails the suite
-        monkeypatch.setattr(c0cert.cli, "monotone_product_terms", raised_by_one(core, step))
+        monkeypatch.setattr(c0cert.cli, "monotone_product", raised_by_one(core, step))
         (result,) = run_suite(fast_config(suites=["monotone"])).results
         assert not result.passed
         assert result.counts["failures"] == 25
@@ -1054,10 +1060,10 @@ def with_self_pairings_raised_by(step):
 
 def test_gap_runner_reports_a_wrong_gap(monkeypatch):
     clean = run_suite(fast_config(suites=["gap"])).results[0].evidence
-    core = c0cert.cli.fitzpatrick_value_terms
+    core = c0cert.cli.fitzpatrick_value
     # a Fitzpatrick value of either sign fails at every evaluation; the gaps stay s = 1
     for step in (1, -1):
-        monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", raised_by_one(core, step))
+        monkeypatch.setattr(c0cert.cli, "fitzpatrick_value", raised_by_one(core, step))
         (result,) = run_suite(fast_config(suites=["gap"])).results
         assert not result.passed
         # the first point at both taus, then point i at tau_(i mod 2)
@@ -1066,7 +1072,7 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
             f"Fitzpatrick value {step} != 0 at tau = {tau}" for tau in (1, 2, 2, 1, 2)
         ]
         assert result.evidence == clean
-    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", core)
+    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value", core)
     # a gap of 0 fails both tests, a gap of 2 only the comparison with s = 1
     for step, gap in ((-1, 0), (1, 2)):
         monkeypatch.setattr(c0cert.cli, "extension_family", with_self_pairings_raised_by(step))
@@ -1085,8 +1091,8 @@ def test_gap_runner_reports_a_wrong_gap(monkeypatch):
 
 def test_gap_runner_reports_a_compensated_fault(monkeypatch):
     """Every value and every self-pairing off by +1 leaves each gap at s, and fails both checks."""
-    core = c0cert.cli.fitzpatrick_value_terms
-    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value_terms", raised_by_one(core))
+    core = c0cert.cli.fitzpatrick_value
+    monkeypatch.setattr(c0cert.cli, "fitzpatrick_value", raised_by_one(core))
     monkeypatch.setattr(c0cert.cli, "extension_family", with_self_pairings_raised_by(1))
     (result,) = run_suite(fast_config(suites=["gap"])).results
     assert not result.passed
@@ -1122,10 +1128,10 @@ def reference_family_verdicts(config, sample):
     margin_failures, gap_failures, per_tau = [], [], {}
     for i, p in enumerate(sample):
         for k in [i % n] if i else range(n):
-            margin = Fraction(*closure_margin_terms(points[k], p))
+            margin = Fraction(*closure_margin(points[k], p))
             if margin != expected or margin <= 0:
                 margin_failures.append(f"margin {margin} != {expected} at tau = {taus[k]}")
-            value = fitzpatrick_value(points[k], p)
+            value = Fraction(*fitzpatrick_value(points[k], p))
             if value != 0:
                 gap_failures.append(f"Fitzpatrick value {value} != 0 at tau = {taus[k]}")
     for tau, ep in zip(taus, points):
@@ -1266,7 +1272,7 @@ def test_every_family_evaluation_reaches_its_runner(monkeypatch):
 
     Every one of those evaluations reaches the runner, in draw order.
     """
-    calls = {"closure_margin_terms": 0, "fitzpatrick_value_terms": 0}
+    calls = {"closure_margin": 0, "fitzpatrick_value": 0}
     evaluations, yielded = c0cert.cli._evaluations, []
 
     def watched(*args):
@@ -1293,14 +1299,14 @@ def test_every_family_evaluation_reaches_its_runner(monkeypatch):
         suites=["extensions", "gap"],
     )
     assert run_suite(config).passed
-    assert calls == {"closure_margin_terms": 3 + 49, "fitzpatrick_value_terms": 3 + 49}
+    assert calls == {"closure_margin": 3 + 49, "fitzpatrick_value": 3 + 49}
     # the extensions suite's, then the gap suite's
     assert yielded == ([0, 1, 2] + [i % 3 for i in range(1, 50)]) * 2
 
 
 def test_each_later_point_is_evaluated_at_its_rotated_tau(monkeypatch):
     """Point i > 0 is evaluated at tau_(i mod n), and each miss there is a failure."""
-    core, taus = c0cert.cli.closure_margin_terms, []
+    core, taus = c0cert.cli.closure_margin, []
 
     def missing_at_two(ep, p):
         # the first point's three evaluations pass; every later one misses at tau = 2
@@ -1308,7 +1314,7 @@ def test_each_later_point_is_evaluated_at_its_rotated_tau(monkeypatch):
         num, den = core(ep, p)
         return (num + den, den) if len(taus) > 3 and ep.tau == (2, 1) else (num, den)
 
-    monkeypatch.setattr(c0cert.cli, "closure_margin_terms", missing_at_two)
+    monkeypatch.setattr(c0cert.cli, "closure_margin", missing_at_two)
     config = fast_config(
         ytilde={"prefix": ["3/7", "-1/5"], "tail": "0"}, taus=[1, 2, "1/3"], suites=["extensions"]
     )
@@ -1401,8 +1407,8 @@ def failing_extensions_peak(samples: int) -> tuple[int, SuiteResult]:
 
 def test_failing_suite_memory_does_not_grow_with_its_failures(monkeypatch):
     """A runner keeps five failure messages and counts the rest as they arrive."""
-    core = c0cert.cli.closure_margin_terms
-    monkeypatch.setattr(c0cert.cli, "closure_margin_terms", raised_by_one(core))
+    core = c0cert.cli.closure_margin
+    monkeypatch.setattr(c0cert.cli, "closure_margin", raised_by_one(core))
     peaks = {}
     for samples in (50, 400):
         peaks[samples], result = failing_extensions_peak(samples)

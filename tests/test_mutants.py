@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ast
 import importlib.util
 from pathlib import Path
 
@@ -17,19 +16,9 @@ BLIND = mutants.MUTANTS[0]._replace(
 )
 
 
-def module_functions(file: str) -> set[str]:
-    tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
-    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-
 def test_every_mutant_applies_to_the_tree_once():
     for mutant in mutants.MUTANTS:
-        source = (ROOT / mutant.file).read_text(encoding="utf-8")
-        assert source.count(mutant.old) == 1, mutant.label
-        assert mutant.tests, mutant.label
-        for test in mutant.tests:
-            file, name = test.split("::")
-            assert name in module_functions(file), (mutant.label, test)
+        assert mutants.missing(mutant) is None, mutant.label
 
 
 def test_a_surviving_mutant_fails_the_gate(capsys):
@@ -63,3 +52,9 @@ def test_a_node_id_naming_no_function_fails_the_gate_before_any_run(capsys, monk
         "MISSING (no test function 'test_no_such_function' in tests/test_package.py): "
         f"{BLIND.label}\n"
     )
+
+
+def test_an_entry_naming_no_test_fails_the_gate_before_any_run(capsys, monkeypatch):
+    monkeypatch.setattr(mutants, "run", refuse_to_run)
+    assert mutants.main((BLIND, BLIND._replace(tests=()))) == 1
+    assert capsys.readouterr().out == f"MISSING (names no test): {BLIND.label}\n"

@@ -85,9 +85,9 @@ def test_main_never_loads_fractions(tmp_path, format):
 
 
 # The public wrappers that return a Fraction, and ``seqspace._fraction``, which
-# builds theirs and is the one body that imports fractions (``rat`` imports it
-# too, for its type test).  Their return is the one annotation that may name
-# Fraction: every parameter that takes what ``terms`` reads is annotated ``object``.
+# builds theirs and is the one body that imports fractions.  Their return is the
+# one annotation that may name Fraction: every parameter that takes what
+# ``terms`` reads is annotated ``object``.
 FRACTION_VIEWS = {
     "seqspace.rat",
     "seqspace._fraction",
@@ -98,12 +98,6 @@ FRACTION_VIEWS = {
     "seqspace.sup_norm",
     "seqspace.l1_norm",
     "seqspace.total_sum",
-    "certify.monotone_product",
-    "certify.closure_margin",
-    "certify.distinctness",
-    "certify.fitzpatrick_value",
-    "certify.fitzpatrick_gap",
-    "certify.random_rational",
 }
 
 
