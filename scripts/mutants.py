@@ -23,10 +23,12 @@ to collect, so a mutant that breaks ``import c0cert`` is killed through
 the tests its entry names.  The named tests are expected to pass on the
 unmutated tree, as Tier-1 checks.
 
-One line is printed per mutant, and a last line with the number killed
-and the gate's wall time.  The exit status is 1 if any entry is missing,
-any mutant survives or pytest ends any other way; otherwise 0.  Standard
-library only, apart from the test dependencies that pytest runs.
+Two mutants run at a time, on two worker threads that each run one pytest
+at a time.  One line is printed per mutant, in table order, and a last
+line with the number killed and the gate's wall time.  The exit status is
+1 if any entry is missing, any mutant survives or pytest ends any other
+way; otherwise 0.  Standard library only, apart from the test dependencies
+that pytest runs.
 
     python3 scripts/mutants.py
 """
@@ -41,10 +43,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2  # pytest runs at once, each in its own copy of the tree
 
 
 class Mutant(NamedTuple):
@@ -240,10 +244,17 @@ MUTANTS = (
     ),
     Mutant(
         "src/c0cert/certify.py",
-        "gs = list(map(gcd, nums, dens))",
-        "gs = [1] * len(nums)",
+        "        g = gcd(p, q)\n",
+        "        g = 1\n",
         "_draw_summable without lowest terms",
         ("tests/test_certify.py::test_samplers_match_per_entry_randint_reference",),
+    ),
+    Mutant(
+        "src/c0cert/certify.py",
+        "kept = k - 1 if k else 0",
+        "kept = k",
+        "random_graph_point keeping entry k, the one it rebalances",
+        ("tests/test_certify.py::test_samplers_match_the_reference_on_draws_ending_in_zeros",),
     ),
     Mutant(
         "src/c0cert/certify.py",
@@ -626,6 +637,13 @@ def run(mutant: Mutant) -> str:
     return f"ERROR (pytest exit status {done.returncode}: {shown})"
 
 
+def timed_run(mutant: Mutant) -> tuple[str, float]:
+    """``run(mutant)``'s outcome and its wall time in seconds."""
+    start = time.perf_counter()
+    outcome = run(mutant)
+    return outcome, time.perf_counter() - start
+
+
 def main(mutants: tuple[Mutant, ...] = MUTANTS) -> int:
     started = time.perf_counter()
     absent = [f"{outcome}: {mutant.label}" for mutant in mutants if (outcome := missing(mutant))]
@@ -633,12 +651,10 @@ def main(mutants: tuple[Mutant, ...] = MUTANTS) -> int:
         print(*absent, sep="\n")
         return 1
     bad = 0
-    for mutant in mutants:
-        start = time.perf_counter()
-        outcome = run(mutant)
-        seconds = time.perf_counter() - start
-        bad += outcome != "killed"
-        print(f"{outcome}: {mutant.label} [{' '.join(mutant.tests)}, {seconds:.0f} s]", flush=True)
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for mutant, (outcome, seconds) in zip(mutants, pool.map(timed_run, mutants)):
+            bad += outcome != "killed"
+            print(f"{outcome}: {mutant.label} [{' '.join(mutant.tests)}, {seconds:.0f} s]", flush=True)
     total = time.perf_counter() - started
     print(f"{len(mutants) - bad} of {len(mutants)} mutants killed in {total:.0f} s")
     return 1 if bad else 0

@@ -50,7 +50,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from math import gcd, lcm
-from operator import floordiv
 
 from .gossez import gossez_apply, neg_gossez_apply
 from .seqspace import (
@@ -553,8 +552,8 @@ def _draw_summable(
     over q // g with g = gcd(p, q) > 0, so a zero entry is 0 over 1.  The
     lists are raw: not trimmed and not over a common denominator.  The
     ``_below`` loop is inlined with its bit widths computed once, so each
-    entry costs no Python call of its own; the reduction runs after the
-    draws and consumes no random bits.
+    entry costs no Python call of its own but ``gcd``.  Each entry is reduced
+    as soon as it is drawn, which consumes no random bits.
     """
     width = _below(rng, support_max + 1)
     span = 2 * coeff_bound + 1
@@ -568,14 +567,14 @@ def _draw_summable(
         r = getrandbits(kspan)
         while r >= span:
             r = getrandbits(kspan)
-        nums.append(r - coeff_bound)
+        p = r - coeff_bound
         r = getrandbits(kden)
         while r >= coeff_bound:
             r = getrandbits(kden)
-        dens.append(r + 1)
-    gs = list(map(gcd, nums, dens))
-    nums = list(map(floordiv, nums, gs))
-    dens = list(map(floordiv, dens, gs))
+        q = r + 1
+        g = gcd(p, q)
+        nums.append(p // g)
+        dens.append(q // g)
     return nums, dens
 
 
@@ -635,8 +634,11 @@ def random_graph_point(rng: random.Random, support_max: int, coeff_bound: int) -
     k = len(nums)
     while k and not nums[k - 1]:
         k -= 1
-    # entry k, the last nonzero one, becomes minus the sum of entries 1..k-1
-    num, den = _over_lcm(nums[: k - 1], dens[: k - 1]) if k else ([], 1)
+    # entry k, the last nonzero one, becomes minus the sum of entries 1..k-1;
+    # an all-zero draw (k = 0) keeps no entry and gives the origin
+    kept = k - 1 if k else 0
+    del nums[kept:], dens[kept:]
+    num, den = _over_lcm(nums, dens)
     num.append(-sum(num))
     return GraphPoint.from_y(Seq._from_canonical(_trimmed(num), 0, den))
 

@@ -801,3 +801,31 @@ def test_random_graph_point_matches_per_entry_randint_reference(seed, support_ma
         p = random_graph_point(ours, support_max, bound)
         assert p.y == y and p.x == -gossez_apply(y)
     assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    ("seed", "width", "last_nonzero"),
+    [
+        (35, 4, 0),  # 0/1, 0/1, 0/2, 0/1: all zeros, so the graph point is the origin
+        (56, 6, 4),  # 2/1, 1/2, 2/2, -1/1, 0/1, 0/2: two zeros after entry 4
+    ],
+)
+def test_samplers_match_the_reference_on_draws_ending_in_zeros(seed, width, last_nonzero):
+    """The first draw of ``seed`` at support 6 and coefficient bound 2, from randint."""
+    ref = random.Random(seed)
+    entries = [
+        Fraction(ref.randint(-2, 2), ref.randint(1, 2)) for _ in range(ref.randint(0, 6))
+    ]
+    assert len(entries) == width
+    assert max((i + 1 for i, v in enumerate(entries) if v), default=0) == last_nonzero
+    state = ref.getstate()
+    ours = random.Random(seed)
+    assert random_summable(ours, 6, 2) == Seq(tuple(entries))
+    assert ours.getstate() == state
+    if last_nonzero:
+        entries[last_nonzero - 1] -= sum(entries)
+    y = Seq(tuple(entries))
+    ours = random.Random(seed)
+    p = random_graph_point(ours, 6, 2)
+    assert p.y == y and p.x == -gossez_apply(y)
+    assert ours.getstate() == state

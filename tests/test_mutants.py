@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,6 +32,38 @@ def test_an_import_breaking_mutant_is_killed_by_a_named_test(capsys):
     assert slots.tests == ("tests/test_values.py::test_suite_config_defaults_and_field_order",)
     assert mutants.main((slots,)) == 0
     assert capsys.readouterr().out.startswith("killed: ")
+
+
+def test_a_two_mutant_gate_prints_each_outcome_in_table_order(capsys):
+    (slots,) = (m for m in mutants.MUTANTS if "reversed __slots__" in m.label)
+    assert mutants.main((BLIND, slots)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines[:2]] == ["SURVIVED", "killed"]
+    assert lines[2].startswith("1 of 2 mutants killed in ")
+
+
+def test_two_mutants_run_at_once_and_the_first_prints_first_though_it_ends_last(
+    capsys, monkeypatch
+):
+    both_running = threading.Barrier(2, timeout=10)  # broken unless two runs overlap
+    second_done = threading.Event()
+
+    def run(mutant):
+        both_running.wait()
+        if mutant is BLIND:
+            assert second_done.wait(10)
+            return "SURVIVED"
+        second_done.set()
+        return "killed"
+
+    monkeypatch.setattr(mutants, "run", run)
+    second = BLIND._replace(label="the second mutant")
+    assert mutants.main((BLIND, second)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" [")[0] for line in lines[:2]] == [
+        f"SURVIVED: {BLIND.label}",
+        "killed: the second mutant",
+    ]
 
 
 def refuse_to_run(mutant):
